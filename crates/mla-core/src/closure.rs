@@ -31,13 +31,44 @@
 //!   - transitivity: with `u = t`'s step at `M[β][t]`, `M[β] >= M[u]`
 //!     pointwise (the frontier step subsumes all earlier ones).
 //!
-//!   The fixpoint is reached in O(rounds · n · T²) with values bounded by
-//!   per-transaction step counts; a cycle manifests as a step becoming its
-//!   own predecessor (`M[β][txn(β)] >= seq(β)`).
+//!   Rounds visit rows `β` in execution order, then `t` ascending, until
+//!   a whole round changes nothing; values are bounded by per-transaction
+//!   step counts, so this terminates. A cycle manifests as a step
+//!   becoming its own predecessor (`M[β][txn(β)] >= seq(β)`).
 //!
 //! Both agree; the property tests in this module and in `tests/` check
 //! them against each other and against the brute-force enumeration
 //! oracle.
+//!
+//! # The frontier fixpoint's cost
+//!
+//! `M` is one flat row-major `Vec<i32>`, so a transitivity pull is an
+//! elementwise max over two split-borrowed row slices, which vectorizes.
+//! `level` and `segment_end` come from tables built once per context
+//! (levels per pair of nest paths, segment-end steps per level and step),
+//! not from a nest-path comparison and a breakpoint lookup per
+//! (step, transaction) pair per round.
+//!
+//! Most pulls of a later round repeat one already made, so they are
+//! skipped. Each row records the visit at which it last grew, and each
+//! entry `(β, t)` the frontier seq of `t` it last pulled. A pull of row
+//! `u` into `β` is skipped when the frontier is the one `β` already
+//! pulled and `u` has not grown since `β`'s previous visit; the
+//! intra-predecessor pull takes the same test. This is exact because
+//! rows only grow: the earlier pull made `M[β] >= M[u]`, `M[u]` is
+//! unchanged since, and `M[β]` has only grown, so the pull would change
+//! nothing. Every skipped pull is a no-op, so after every visit each
+//! entry — and the number of rounds — is what pulling everything gives.
+//!
+//! A round reads every entry once, O(n · T), and pays O(T) for each pull
+//! it makes. Pulls happen only along frontiers that moved or rows that
+//! grew since the previous round, so late rounds are mostly the scan; the
+//! worst case stays O(rounds · n · T²). Memory is two `n × T` `i32`
+//! matrices (frontiers and last pulls), the size of one `i64` matrix,
+//! plus O(k · n + T) for the tables and clocks and a byte per pair of
+//! distinct nest paths.
+
+use std::collections::HashMap;
 
 use mla_graph::topo::Cycle;
 use mla_graph::{find_cycle, BitSet, DiGraph};
@@ -45,27 +76,118 @@ use mla_graph::{find_cycle, BitSet, DiGraph};
 use crate::spec::ExecContext;
 
 /// Sentinel for "no related predecessor from this transaction".
-const NONE: i64 = -1;
+const NONE: i32 = -1;
 
-/// `m[v] |= m[u]` pointwise (transitivity); returns whether `m[v]` grew.
-#[allow(clippy::needless_range_loop)] // parallel indexing of two rows of `m`
-fn union_row(m: &mut [Vec<i64>], v: usize, u: usize, tcount: usize) -> bool {
-    let mut changed = false;
-    for w in 0..tcount {
-        let uw = m[u][w];
-        if uw > m[v][w] {
-            m[v][w] = uw;
-            changed = true;
+/// `m[v] ⊔= m[u]` pointwise over rows of width `w` (transitivity);
+/// returns whether row `v` grew. The rows are split-borrowed so the loop
+/// is a plain elementwise max over two slices, which vectorizes.
+fn union_row(m: &mut [i32], w: usize, v: usize, u: usize) -> bool {
+    debug_assert_ne!(v, u);
+    let (dst, src) = if v < u {
+        let (lo, hi) = m.split_at_mut(u * w);
+        (&mut lo[v * w..(v + 1) * w], &hi[..w])
+    } else {
+        let (lo, hi) = m.split_at_mut(v * w);
+        (&mut hi[..w], &lo[u * w..(u + 1) * w])
+    };
+    let mut grew = false;
+    for (d, &s) in dst.iter_mut().zip(src) {
+        grew |= s > *d;
+        *d = (*d).max(s);
+    }
+    grew
+}
+
+/// The context's `level` and `segment_end` answers as flat tables, built
+/// once so the fixpoint's inner loop does a few indexed loads instead of
+/// a nest-path comparison and a breakpoint lookup per (step, transaction)
+/// pair per round.
+struct Lookups {
+    /// Local txn -> index of its nest path among the distinct paths.
+    class: Vec<usize>,
+    /// `level[a * classes + b]` = `level(t, t')` for txns of classes `a`
+    /// and `b` (distinct transactions share a class only when their
+    /// paths are equal).
+    level: Vec<u8>,
+    classes: usize,
+    /// Local txn -> offset of its steps in the per-level tables below.
+    offset: Vec<usize>,
+    /// `end_step[(i - 1) * n + offset[t] + s]` = global index of the
+    /// last step of the `B_t(i)` segment holding `t`'s step `s`, for
+    /// every level `i < k` a cross-transaction pair can have.
+    end_step: Vec<u32>,
+    n: usize,
+}
+
+impl Lookups {
+    fn new(ctx: &ExecContext<'_>) -> Self {
+        let n = ctx.n();
+        let tcount = ctx.txn_count();
+        let k = ctx.nest().k();
+        let mut first_of: HashMap<&[u32], usize> = HashMap::new();
+        let mut reps: Vec<usize> = Vec::new();
+        let class: Vec<usize> = (0..tcount)
+            .map(|t| {
+                *first_of
+                    .entry(ctx.nest().path(ctx.txn_id(t)))
+                    .or_insert_with(|| {
+                        reps.push(t);
+                        reps.len() - 1
+                    })
+            })
+            .collect();
+        let classes = reps.len();
+        let mut level = Vec::with_capacity(classes * classes);
+        for &a in &reps {
+            for &b in &reps {
+                // Equal paths give level k - 1 for distinct txns.
+                let l = if a == b { k - 1 } else { ctx.level(a, b) };
+                level.push(u8::try_from(l).expect("nest depth fits in u8"));
+            }
+        }
+        let mut offset = Vec::with_capacity(tcount);
+        let mut end_step = vec![0u32; n * (k - 1)];
+        let mut at = 0;
+        for t in 0..tcount {
+            offset.push(at);
+            let len = ctx.steps_of(t).len();
+            for i in 1..k {
+                for s in 0..len {
+                    let end = ctx.segment_end(t, i, s);
+                    end_step[(i - 1) * n + at + s] = ctx.global_of(t, end) as u32;
+                }
+            }
+            at += len;
+        }
+        Lookups {
+            class,
+            level,
+            classes,
+            offset,
+            end_step,
+            n,
         }
     }
-    changed
+
+    /// The level of every txn against txns of class `c`.
+    fn level_row(&self, c: usize) -> &[u8] {
+        &self.level[c * self.classes..(c + 1) * self.classes]
+    }
+
+    /// Global index of the last step of the level-`level` segment of
+    /// local txn `t` holding its step `seq`.
+    fn segment_end_step(&self, t: usize, level: u8, seq: i32) -> usize {
+        self.end_step[(level as usize - 1) * self.n + self.offset[t] + seq as usize] as usize
+    }
 }
 
 /// The coherent closure of `<=_e`, in frontier-matrix form.
 pub struct CoherentClosure {
-    /// `m[v][t]` = largest seq of local txn `t` related strictly before
-    /// step `v`, or [`NONE`].
-    m: Vec<Vec<i64>>,
+    /// Row-major `n × tcount` frontier matrix: `m[v * tcount + t]` =
+    /// largest seq of local txn `t` related strictly before step `v`, or
+    /// [`NONE`].
+    m: Vec<i32>,
+    tcount: usize,
     /// Whether the closure relates some step to itself (not a partial
     /// order).
     cyclic: bool,
@@ -75,23 +197,27 @@ impl CoherentClosure {
     /// Computes the coherent closure of `<=_e` for the context.
     pub fn compute(ctx: &ExecContext<'_>) -> Self {
         let n = ctx.n();
-        let tcount = ctx.txn_count();
-        let mut m = vec![vec![NONE; tcount]; n];
+        let w = ctx.txn_count();
+        let lookups = Lookups::new(ctx);
+        let mut m = vec![NONE; n * w];
 
         // Base relation <=_e: intra-transaction order plus per-entity
         // access order (the generating edges; transitivity is restored by
         // the fixpoint).
-        {
-            let dep = ctx.exec().dependency_graph();
-            for (u, v) in dep.edges() {
-                let (u, v) = (u as usize, v as usize);
-                let tu = ctx.txn_of(u);
-                let su = ctx.seq_of(u) as i64;
-                if m[v][tu] < su {
-                    m[v][tu] = su;
-                }
-            }
+        for (u, v) in ctx.exec().dependency_graph().edges() {
+            let (u, v) = (u as usize, v as usize);
+            let e = &mut m[v * w + ctx.txn_of(u)];
+            *e = (*e).max(ctx.seq_of(u) as i32);
         }
+
+        // The skip rule (module docs). Visits are numbered by a clock;
+        // `changed_at[u]` is the visit at which row u last grew, and
+        // `pulled[v * w + t]` the frontier seq of t that v last pulled.
+        // Every round visits every row, so v's previous visit was exactly
+        // n visits ago.
+        let mut pulled = vec![NONE; n * w];
+        let mut changed_at = vec![0u64; n];
+        let mut clock = 0u64;
 
         // Monotone fixpoint. Values only grow and are bounded by each
         // transaction's step count, so this terminates; `changed` tracking
@@ -100,10 +226,16 @@ impl CoherentClosure {
         loop {
             let mut changed = false;
             for v in 0..n {
+                clock += 1;
+                // In the first round this is 0, so every pull happens.
+                let prev = clock.saturating_sub(n as u64);
+                let stale = |u: usize| changed_at[u] >= prev;
                 let tv = ctx.txn_of(v);
-                let lim = ctx.steps_of(tv).len() as i64 - 1;
-                for t in 0..tcount {
-                    let s = m[v][t];
+                let sv = ctx.seq_of(v) as i32;
+                let levels = lookups.level_row(lookups.class[tv]);
+                let mut grew = false;
+                for t in 0..w {
+                    let s = m[v * w + t];
                     if s == NONE {
                         continue;
                     }
@@ -114,50 +246,61 @@ impl CoherentClosure {
                         // frontier pulls below depend on (a frontier step
                         // must subsume every earlier step of its
                         // transaction).
-                        let sv = ctx.seq_of(v) as i64;
                         if sv > 0 {
                             let u = ctx.global_of(t, (sv - 1) as usize);
-                            changed |= union_row(&mut m, v, u, tcount);
+                            if stale(u) {
+                                grew |= union_row(&mut m, w, v, u);
+                            }
                         }
                         // A frontier strictly beyond v (a cycle through v)
                         // contributes its row too.
                         if s > sv {
                             let u = ctx.global_of(t, s as usize);
-                            changed |= union_row(&mut m, v, u, tcount);
+                            if pulled[v * w + t] != s || stale(u) {
+                                pulled[v * w + t] = s;
+                                grew |= union_row(&mut m, w, v, u);
+                            }
                         }
                         continue;
                     }
                     // Condition (b): lift the frontier to its segment end
                     // at level(t, tv).
-                    let level = ctx.level(t, tv);
-                    let end = ctx.segment_end(t, level, s as usize) as i64;
+                    let u = lookups.segment_end_step(t, levels[lookups.class[t]], s);
+                    let end = ctx.seq_of(u) as i32;
                     if end > s {
-                        m[v][t] = end;
-                        changed = true;
+                        m[v * w + t] = end;
+                        grew = true;
                     }
                     // Transitivity through t's frontier step (which, by
                     // the intra-chain rule above, subsumes all earlier
                     // steps of t at fixpoint).
-                    let u = ctx.global_of(t, end as usize);
-                    if u != v {
-                        changed |= union_row(&mut m, v, u, tcount);
+                    if pulled[v * w + t] != end || stale(u) {
+                        pulled[v * w + t] = end;
+                        grew |= union_row(&mut m, w, v, u);
                     }
                 }
-                // Cycle: v related before itself.
-                if m[v][tv] >= ctx.seq_of(v) as i64 {
+                // Cycle: v related before itself. Every entry is a seq of
+                // its own transaction (a base edge, a segment end or a row
+                // copy), so it stays within the transaction's steps.
+                let own = m[v * w + tv];
+                debug_assert!(own < ctx.steps_of(tv).len() as i32);
+                if own >= sv {
                     cyclic = true;
-                    // Clamp so frontier indexing stays within the
-                    // transaction's existing steps.
-                    if m[v][tv] > lim {
-                        m[v][tv] = lim;
-                    }
+                }
+                if grew {
+                    changed_at[v] = clock;
+                    changed = true;
                 }
             }
             if !changed {
                 break;
             }
         }
-        CoherentClosure { m, cyclic }
+        CoherentClosure {
+            m,
+            tcount: w,
+            cyclic,
+        }
     }
 
     /// Whether the closure is a partial order (acyclic). By Theorem 2 this
@@ -169,41 +312,21 @@ impl CoherentClosure {
     /// Whether step `u` is related strictly before step `v` in the
     /// closure.
     pub fn related(&self, ctx: &ExecContext<'_>, u: usize, v: usize) -> bool {
-        self.m[v][ctx.txn_of(u)] >= ctx.seq_of(u) as i64
+        self.frontier(v)[ctx.txn_of(u)] >= ctx.seq_of(u) as i32
     }
 
     /// The frontier row of step `v` (largest related seq per local txn,
     /// `-1` if none).
-    pub fn frontier(&self, v: usize) -> &[i64] {
-        &self.m[v]
+    pub fn frontier(&self, v: usize) -> &[i32] {
+        &self.m[v * self.tcount..(v + 1) * self.tcount]
     }
 
     /// Materializes a graph whose reachability equals the closure
     /// relation: intra-transaction chains plus one edge per frontier
-    /// entry. Used for witness-cycle extraction and by the Lemma 1
-    /// construction.
+    /// entry. [`Self::witness_cycle`] searches the same graph without
+    /// the own-transaction entries.
     pub fn relation_graph(&self, ctx: &ExecContext<'_>) -> DiGraph {
-        let n = ctx.n();
-        let mut g = DiGraph::new(n);
-        for t in 0..ctx.txn_count() {
-            let steps = ctx.steps_of(t);
-            for w in steps.windows(2) {
-                g.add_edge_unique(w[0] as u32, w[1] as u32);
-            }
-        }
-        for v in 0..n {
-            for t in 0..ctx.txn_count() {
-                let s = self.m[v][t];
-                if s == NONE {
-                    continue;
-                }
-                let u = ctx.global_of(t, s as usize);
-                if u != v {
-                    g.add_edge_unique(u as u32, v as u32);
-                }
-            }
-        }
-        g
+        self.frontier_graph(ctx, true)
     }
 
     /// Extracts a concrete dependency cycle (as global step indices) when
@@ -220,31 +343,39 @@ impl CoherentClosure {
         if !self.cyclic {
             return None;
         }
-        let n = ctx.n();
-        let mut g = DiGraph::new(n);
-        for t in 0..ctx.txn_count() {
-            for w in ctx.steps_of(t).windows(2) {
-                g.add_edge_unique(w[0] as u32, w[1] as u32);
-            }
-        }
-        for v in 0..n {
-            let tv = ctx.txn_of(v);
-            for t in 0..ctx.txn_count() {
-                if t == tv {
-                    continue;
-                }
-                let s = self.m[v][t];
-                if s != NONE {
-                    g.add_edge_unique(ctx.global_of(t, s as usize) as u32, v as u32);
-                }
-            }
-        }
-        let cycle = find_cycle(&g);
+        let cycle = find_cycle(&self.frontier_graph(ctx, false));
         debug_assert!(
             cycle.is_some(),
             "cyclic closure must materialize a cyclic witness graph"
         );
         cycle
+    }
+
+    /// Intra-transaction chains plus an edge from each frontier step into
+    /// its row's step; own-transaction frontier entries only if `own`.
+    ///
+    /// No edge is added twice, so no duplicate check is needed: a row's
+    /// entries name steps of distinct transactions, each row adds edges
+    /// into its own step only, and the one own-transaction entry that can
+    /// repeat a chain edge (the immediate predecessor) is left out.
+    fn frontier_graph(&self, ctx: &ExecContext<'_>, own: bool) -> DiGraph {
+        let mut g = DiGraph::new(ctx.n());
+        for t in 0..ctx.txn_count() {
+            for w in ctx.steps_of(t).windows(2) {
+                g.add_edge(w[0] as u32, w[1] as u32);
+            }
+        }
+        for v in 0..ctx.n() {
+            let tv = ctx.txn_of(v);
+            let sv = ctx.seq_of(v) as i32;
+            for (t, &s) in self.frontier(v).iter().enumerate() {
+                if s == NONE || (t == tv && (!own || s == sv || s + 1 == sv)) {
+                    continue;
+                }
+                g.add_edge(ctx.global_of(t, s as usize) as u32, v as u32);
+            }
+        }
+        g
     }
 }
 
@@ -613,6 +744,77 @@ mod tests {
             let _ = check_agreement(&ctx);
             let _ = trial;
         }
+    }
+
+    /// Medium instances: 12-24 transactions of up to 6 steps, so the
+    /// fixpoint takes several rounds and the skip rule decides most
+    /// pulls. Each transaction runs in bursts of random length, which
+    /// keeps a share of the instances acyclic.
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn randomized_agreement_medium() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(2025);
+        let (mut cyclic, mut acyclic) = (0, 0);
+        for _ in 0..60 {
+            let txns = rng.gen_range(12..=24usize);
+            let entities = rng.gen_range(8..=96u32);
+            let k = rng.gen_range(2..=4usize);
+            let nest = Nest::new(
+                k,
+                (0..txns)
+                    .map(|_| (0..k - 2).map(|_| rng.gen_range(0..3u32)).collect())
+                    .collect(),
+            )
+            .unwrap();
+            let lens: Vec<u32> = (0..txns).map(|_| rng.gen_range(1..=6)).collect();
+            let total = lens.iter().sum::<u32>() as usize;
+            let stay = rng.gen_range(0.5..0.98);
+            let mut next_seq = vec![0u32; txns];
+            let mut order: Vec<(u32, u32, u32)> = Vec::new();
+            let mut cur = 0;
+            while order.len() < total {
+                if next_seq[cur] == lens[cur] || !rng.gen_bool(stay) {
+                    cur = rng.gen_range(0..txns);
+                    if next_seq[cur] == lens[cur] {
+                        continue;
+                    }
+                }
+                order.push((cur as u32, next_seq[cur], rng.gen_range(0..entities)));
+                next_seq[cur] += 1;
+            }
+            let e = exec(&order);
+            let density = rng.gen_range(0.0..0.8);
+            let mut spec = FixedSpec::new(k);
+            for (t, &len) in lens.iter().enumerate() {
+                let mut mid: Vec<Vec<usize>> = Vec::new();
+                let mut prev: Vec<usize> = Vec::new();
+                for _ in 0..k.saturating_sub(2) {
+                    let mut cur = prev.clone();
+                    for p in 1..len as usize {
+                        if !cur.contains(&p) && rng.gen_bool(density) {
+                            cur.push(p);
+                        }
+                    }
+                    mid.push(cur.clone());
+                    prev = cur;
+                }
+                spec = spec.set(
+                    TxnId(t as u32),
+                    BreakpointDescription::from_mid_levels(k, len as usize, &mid).unwrap(),
+                );
+            }
+            let ctx = ExecContext::new(&e, &nest, &spec).unwrap();
+            if check_agreement(&ctx) {
+                acyclic += 1;
+            } else {
+                cyclic += 1;
+            }
+        }
+        assert!(
+            cyclic >= 10 && acyclic >= 10,
+            "want both kinds: {cyclic} cyclic, {acyclic} acyclic"
+        );
     }
 }
 

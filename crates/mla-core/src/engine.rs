@@ -1177,7 +1177,11 @@ mod tests {
                 let bcol = (0..ctx.txn_count()).find(|&c| ctx.txn_id(c) == t);
                 match bcol {
                     Some(c) => {
-                        assert_eq!(ef, bf[c], "frontier mismatch at step {key:?} column {t}")
+                        assert_eq!(
+                            ef,
+                            i64::from(bf[c]),
+                            "frontier mismatch at step {key:?} column {t}"
+                        )
                     }
                     None => assert_eq!(ef, NONE, "engine frontier into absent txn {t}"),
                 }

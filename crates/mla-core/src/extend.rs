@@ -25,8 +25,8 @@
 //! coherence.
 //!
 //! Like [`crate::closure::CoherentClosure`], the relation is carried in
-//! frontier-matrix form (`m[v][t]` = largest seq of `t` ordered before
-//! `v`), which every stage preserves: the components earlier than a step's
+//! frontier-matrix form (`m[v * tcount + t]` = largest seq of `t` ordered
+//! before `v`), which every stage preserves: the components earlier than a step's
 //! component contain a *prefix* of each transaction's segments, because
 //! each transaction's segment chain is monotone in component order.
 
@@ -73,7 +73,9 @@ pub fn extend_to_total_order(
     let k = ctx.nest().k();
 
     // Working frontier matrix <(i), initialized to <(1) = the closure.
-    let mut m: Vec<Vec<i64>> = (0..n).map(|v| closure.frontier(v).to_vec()).collect();
+    let mut m: Vec<i32> = (0..n)
+        .flat_map(|v| closure.frontier(v).iter().copied())
+        .collect();
 
     for stage in 2..=k {
         let level = stage - 1;
@@ -105,28 +107,44 @@ pub fn extend_to_total_order(
         // Segment digraph: intra-transaction chains plus one edge per
         // frontier entry (the frontier subsumes all earlier steps of the
         // same transaction, whose segments chain into the frontier's).
+        //
+        // The steps of one segment raise the same edge many times; each
+        // repeat is dropped in O(1), keeping first-insertion order (and so
+        // Tarjan's numbering) without a set. Frontiers only grow along a
+        // transaction's chain, and steps are visited in chain order, so
+        // the edges into `target` from t arrive with nondecreasing source
+        // segments: v's edge from t repeats an earlier one iff v's
+        // predecessor in the same segment has its t-frontier in the same
+        // source segment.
         let mut g = DiGraph::new(seg_count);
         for segs in &txn_segs {
             for w in segs.windows(2) {
-                g.add_edge_unique(w[0] as u32, w[1] as u32);
+                g.add_edge(w[0] as u32, w[1] as u32);
             }
         }
         for v in 0..n {
             let tv = ctx.txn_of(v);
             let sv = ctx.seq_of(v);
             let target = seg_of[tv][sv];
+            let pred = (sv > 0 && seg_of[tv][sv - 1] == target).then(|| ctx.global_of(tv, sv - 1));
             for t in 0..tcount {
                 if t == tv {
                     continue;
                 }
-                let s = m[v][t];
+                let s = m[v * tcount + t];
                 if s < 0 {
                     continue;
                 }
                 let source = seg_of[t][s as usize];
-                if source != target {
-                    g.add_edge_unique(source as u32, target as u32);
+                if let Some(p) = pred {
+                    let ps = m[p * tcount + t];
+                    debug_assert!(ps <= s, "frontiers grow along a chain");
+                    if ps >= 0 && seg_of[t][ps as usize] == source {
+                        continue;
+                    }
                 }
+                debug_assert!(!g.has_edge(source as u32, target as u32));
+                g.add_edge(source as u32, target as u32);
             }
         }
 
@@ -176,10 +194,9 @@ pub fn extend_to_total_order(
                 let idx = segs.partition_point(|&s| seg_pos[s] < p);
                 if idx > 0 {
                     let s = segs[idx - 1];
-                    let end = seg_end_seq[s] as i64;
-                    if end > m[v][t] {
-                        m[v][t] = end;
-                    }
+                    let end = seg_end_seq[s] as i32;
+                    let e = &mut m[v * tcount + t];
+                    *e = (*e).max(end);
                 }
             }
         }
@@ -193,7 +210,7 @@ pub fn extend_to_total_order(
             let mut r = ctx.seq_of(v);
             for t in 0..tcount {
                 if t != tv {
-                    r += (m[v][t] + 1) as usize;
+                    r += (m[v * tcount + t] + 1) as usize;
                 }
             }
             (r, v)

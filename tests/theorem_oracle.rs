@@ -6,6 +6,7 @@
 
 use std::ops::ControlFlow;
 
+use multilevel_atomicity::cc::{MlaDetect, VictimPolicy};
 use multilevel_atomicity::core::closure::{
     coherent_closure_exact, exact_is_partial_order, CoherentClosure,
 };
@@ -15,6 +16,7 @@ use multilevel_atomicity::core::theorem::{decide, Correctability};
 use multilevel_atomicity::core::{is_multilevel_atomic, MlaCriterion};
 use multilevel_atomicity::model::appdb::is_correctable_by_enumeration;
 use multilevel_atomicity::model::{Execution, TxnId};
+use multilevel_atomicity::sim::{run, SimConfig};
 use multilevel_atomicity::workload::banking::{generate as banking, BankingConfig};
 use multilevel_atomicity::workload::synthetic::{generate as synthetic, SyntheticConfig};
 use rand::rngs::SmallRng;
@@ -136,6 +138,51 @@ fn closures_agree_on_synthetic_runs() {
                         "round {round}: pair ({u},{v}) disagreement"
                     );
                 }
+            }
+        }
+    }
+}
+
+/// One seeded §2 banking replay under `MlaDetect`: a few hundred steps
+/// of 99 transactions, well past the small random instances above.
+/// Every pair must agree with the reference closure.
+#[test]
+#[cfg_attr(miri, ignore)]
+fn closures_agree_on_a_seeded_banking_replay() {
+    let b = banking(BankingConfig {
+        transfers: 96,
+        seed: 0x5EED,
+        ..BankingConfig::default()
+    });
+    let wl = &b.workload;
+    let spec = wl.spec();
+    let mut detect = MlaDetect::new(spec.clone(), VictimPolicy::FewestSteps);
+    let out = run(
+        wl.nest.clone(),
+        wl.instances(),
+        wl.initial.iter().copied(),
+        &wl.arrivals,
+        &SimConfig::seeded(7),
+        &mut detect,
+    );
+    let exec = &out.execution;
+    assert!(exec.len() >= 250, "replay too short: {} steps", exec.len());
+    let ctx = ExecContext::new(exec, &wl.nest, &spec).unwrap();
+    let fast = CoherentClosure::compute(&ctx);
+    let slow = coherent_closure_exact(&ctx);
+    assert!(
+        fast.is_partial_order(),
+        "MlaDetect admitted a cyclic history"
+    );
+    assert!(exact_is_partial_order(&slow));
+    for v in 0..ctx.n() {
+        for u in 0..ctx.n() {
+            if u != v {
+                assert_eq!(
+                    fast.related(&ctx, u, v),
+                    slow[v].contains(u),
+                    "pair ({u},{v}) disagreement"
+                );
             }
         }
     }
