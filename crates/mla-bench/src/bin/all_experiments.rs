@@ -1,4 +1,4 @@
-//! Runs every experiment (E1-E12, A3) and prints all tables — the data
+//! Runs every experiment (E1-E13, A2-A8; A6 retired) and prints all tables — the data
 //! behind EXPERIMENTS.md. Pass `--quick` for the reduced sweeps and
 //! `--json <path>` to also write machine-readable results.
 

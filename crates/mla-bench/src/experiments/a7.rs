@@ -12,7 +12,7 @@
 //!
 //! Replay rows decide the partitioned workload's canonical
 //! [`decision_stream`](mla_workload::partitioned::decision_stream)
-//! twice: through the serial unsharded closure engine (the A5/A6
+//! twice: through the serial unsharded closure engine (the A5
 //! baseline convention) and through the bare certificate guard. Both
 //! must reproduce the stream byte for byte; only wall-clock may move,
 //! and in the full sweep the guard must win by ≥ 1.5x.

@@ -1,11 +1,10 @@
-//! Experiment implementations E1–E12 and A3. Each returns a [`Table`];
+//! Experiment implementations E1–E13 and A2–A8 (A6 retired). Each returns a [`Table`];
 //! the `quick` flag shrinks sweeps for CI/tests.
 
 pub mod a2;
 pub mod a3;
 pub mod a4;
 pub mod a5;
-pub mod a6;
 pub mod a7;
 pub mod a8;
 pub mod e1;
@@ -86,7 +85,6 @@ pub fn run_all(quick: bool) -> Vec<Table> {
         e13::run(quick),
         a4::run(quick),
         a5::run(quick),
-        a6::run(quick),
         a7::run(quick),
         a8::run(quick),
         a2::run(quick),

@@ -24,10 +24,6 @@ pub enum ControlKind {
     /// Multilevel-atomicity cycle detection over a closure engine
     /// sharded across the given number of entity partitions (A5).
     MlaDetectSharded(VictimPolicy, usize),
-    /// Multilevel-atomicity cycle detection over a sharded closure
-    /// engine running on a worker-thread pool: `(policy, shards,
-    /// workers)` (A6).
-    MlaDetectParallel(VictimPolicy, usize, usize),
     /// Multilevel-atomicity cycle detection without window eviction (A2).
     MlaDetectNoEvict(VictimPolicy),
     /// Multilevel-atomicity cycle detection with a forced full closure
@@ -54,7 +50,6 @@ impl ControlKind {
             ControlKind::Sgt(_) => "sgt",
             ControlKind::MlaDetect(_) => "mla-detect",
             ControlKind::MlaDetectSharded(_, _) => "mla-detect/sharded",
-            ControlKind::MlaDetectParallel(_, _, _) => "mla-detect/parallel",
             ControlKind::MlaDetectNoEvict(_) => "mla-detect/noevict",
             ControlKind::MlaDetectFullRebuild(_) => "mla-detect/rebuild",
             ControlKind::MlaPrevent(_) => "mla-prevent",
@@ -167,19 +162,6 @@ pub fn run_cell(wl: &Workload, kind: ControlKind, seed: u64) -> CellResult {
                 &wl.arrivals,
                 &config,
                 &mut MlaDetect::new(wl.spec(), policy).with_shards(shards),
-            ),
-            0,
-        ),
-        ControlKind::MlaDetectParallel(policy, shards, workers) => (
-            run(
-                wl.nest.clone(),
-                wl.instances(),
-                wl.initial.iter().copied(),
-                &wl.arrivals,
-                &config,
-                &mut MlaDetect::new(wl.spec(), policy)
-                    .with_shards(shards)
-                    .with_parallelism(workers),
             ),
             0,
         ),

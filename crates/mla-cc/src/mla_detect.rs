@@ -27,7 +27,7 @@
 
 use mla_core::cert::StaticCert;
 use mla_core::spec::BreakpointSpecification;
-use mla_core::{EngineBackend, EngineCounters, ParallelStats};
+use mla_core::{EngineBackend, EngineCounters};
 use mla_model::{Step, TxnId};
 use mla_sim::{Control, Decision, World};
 use mla_storage::StepRecord;
@@ -46,8 +46,6 @@ pub struct MlaDetect {
     engine: Option<EngineBackend<RuntimeSpec>>,
     /// Entity partitions for the closure backend (0 = unsharded).
     shards: usize,
-    /// Worker threads for the closure backend (0 = serial).
-    workers: usize,
     window: LiveWindow,
     policy: VictimPolicy,
     /// A1 ablation: force a from-scratch closure rebuild before every
@@ -94,27 +92,6 @@ impl MlaDetect {
         self
     }
 
-    /// Runs the sharded closure backend on a pool of `workers` threads
-    /// (`workers == 0` keeps the serial engine). Requires a sharded
-    /// backend (`with_shards(n)` with `n >= 1`); decisions, histories,
-    /// and counters are unchanged — only wall-clock and the
-    /// [`parallel_stats`](Self::parallel_stats) occupancy move
-    /// (experiment A6).
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        assert!(
-            self.engine.is_none(),
-            "set parallelism before the first decision"
-        );
-        self.workers = workers;
-        self
-    }
-
-    /// Worker-pool occupancy and barrier statistics, when the backend is
-    /// parallel.
-    pub fn parallel_stats(&self) -> Option<ParallelStats> {
-        self.engine.as_ref().and_then(|e| e.parallel_stats())
-    }
-
     /// How many committed transactions the window has evicted so far.
     pub fn evicted_count(&self) -> usize {
         self.window.evicted_count()
@@ -142,7 +119,6 @@ impl MlaDetect {
             spec,
             engine: None,
             shards: 0,
-            workers: 0,
             window: LiveWindow::new(),
             policy,
             full_rebuild: false,
@@ -211,12 +187,8 @@ impl MlaDetect {
     /// an off-footprint stray disarms a universe whose steps the engine
     /// has never seen.
     fn catch_up_engine<V: AdmissionView + ?Sized>(&mut self, view: &V) {
-        let mut engine = EngineBackend::with_parallelism(
-            view.nest().clone(),
-            self.spec.clone(),
-            self.shards,
-            self.workers,
-        );
+        let mut engine =
+            EngineBackend::with_shards(view.nest().clone(), self.spec.clone(), self.shards);
         for s in view.history_steps() {
             engine
                 .apply_step(s)
@@ -248,11 +220,10 @@ impl MlaDetect {
             }
         }
         if self.engine.is_none() {
-            self.engine = Some(EngineBackend::with_parallelism(
+            self.engine = Some(EngineBackend::with_shards(
                 view.nest().clone(),
                 self.spec.clone(),
                 self.shards,
-                self.workers,
             ));
         }
         let engine = self.engine.as_mut().expect("just initialised");
@@ -335,10 +306,6 @@ impl Control for MlaDetect {
             .as_ref()
             .map(|e| e.shard_counters())
             .unwrap_or_default()
-    }
-
-    fn parallel_stats(&self) -> Option<ParallelStats> {
-        MlaDetect::parallel_stats(self)
     }
 
     fn certified_skips(&self) -> u64 {
@@ -641,59 +608,6 @@ mod tests {
                 .copied()
                 .sum::<EngineCounters>(),
             out.metrics.decision_cost,
-        );
-    }
-
-    #[test]
-    fn parallel_backend_decides_identically_with_stats() {
-        // The full contended banking workload through the serial sharded
-        // backend and the thread-parallel one: byte-identical histories
-        // and counters, plus occupancy/barrier stats from the pool.
-        let (nest, instances, spec, initial) = banking_setup(8, 4);
-        let arrivals = vec![0u64; instances.len()];
-        let mut serial = MlaDetect::new(spec.clone(), VictimPolicy::FewestSteps).with_shards(4);
-        let out_serial = run(
-            nest.clone(),
-            instances,
-            initial.clone(),
-            &arrivals,
-            &SimConfig::seeded(21),
-            &mut serial,
-        );
-        let (_, instances, _, _) = banking_setup(8, 4);
-        let mut parallel = MlaDetect::new(spec.clone(), VictimPolicy::FewestSteps)
-            .with_shards(4)
-            .with_parallelism(2);
-        let out_parallel = run(
-            nest.clone(),
-            instances,
-            initial,
-            &arrivals,
-            &SimConfig::seeded(21),
-            &mut parallel,
-        );
-        assert_eq!(
-            out_serial.execution.steps(),
-            out_parallel.execution.steps(),
-            "parallel backend must be decision-for-decision identical"
-        );
-        assert_eq!(out_serial.metrics.committed, out_parallel.metrics.committed);
-        assert_eq!(out_serial.metrics.aborts, out_parallel.metrics.aborts);
-        assert_eq!(serial.cost(), parallel.cost());
-        assert_eq!(serial.merge_count(), parallel.merge_count());
-        assert!(oracle::is_correctable_outcome(&out_parallel, &nest, &spec));
-        let stats = parallel.parallel_stats().expect("parallel backend");
-        assert_eq!(stats.workers, 2);
-        assert_eq!(
-            stats.barrier_stalls,
-            parallel.merge_count(),
-            "one barrier per coalescence"
-        );
-        assert!(serial.parallel_stats().is_none());
-        // The simulator surfaced the same stats in the run metrics.
-        assert_eq!(
-            out_parallel.metrics.parallel.as_ref().map(|s| s.workers),
-            Some(2)
         );
     }
 

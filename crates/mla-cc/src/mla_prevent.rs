@@ -24,7 +24,7 @@
 
 use mla_core::cert::StaticCert;
 use mla_core::spec::BreakpointSpecification;
-use mla_core::{EngineBackend, EngineCounters, ParallelStats};
+use mla_core::{EngineBackend, EngineCounters};
 use mla_model::{Step, TxnId};
 use mla_sim::{Control, Decision, World};
 use mla_storage::StepRecord;
@@ -44,8 +44,6 @@ pub struct MlaPrevent {
     engine: Option<EngineBackend<RuntimeSpec>>,
     /// Entity partitions for the closure backend (0 = unsharded).
     shards: usize,
-    /// Worker threads for the closure backend (0 = serial).
-    workers: usize,
     window: LiveWindow,
     /// Waits-for bookkeeping, optionally sharded by entity partition
     /// ([`MlaPrevent::with_wait_shards`]); one partition = the legacy
@@ -116,24 +114,6 @@ impl MlaPrevent {
         self
     }
 
-    /// Runs the sharded closure backend on a pool of `workers` threads
-    /// (`workers == 0` keeps the serial engine). See
-    /// [`crate::MlaDetect::with_parallelism`].
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        assert!(
-            self.engine.is_none(),
-            "set parallelism before the first decision"
-        );
-        self.workers = workers;
-        self
-    }
-
-    /// Worker-pool occupancy and barrier statistics, when the backend is
-    /// parallel.
-    pub fn parallel_stats(&self) -> Option<ParallelStats> {
-        self.engine.as_ref().and_then(|e| e.parallel_stats())
-    }
-
     /// The engine's decision-cost counters so far (zeros before the
     /// first decision); for a sharded backend, the sum over shards.
     pub fn cost(&self) -> EngineCounters {
@@ -185,7 +165,6 @@ impl MlaPrevent {
             spec,
             engine: None,
             shards: 0,
-            workers: 0,
             window: LiveWindow::new(),
             waits: ShardedWaits::new(txn_count, 1),
             txn_count,
@@ -258,12 +237,8 @@ impl MlaPrevent {
     /// Catches the engine up on every step granted so far (certified
     /// skips included): fresh backend, full journal replay.
     fn catch_up_engine<V: AdmissionView + ?Sized>(&mut self, view: &V) {
-        let mut engine = EngineBackend::with_parallelism(
-            view.nest().clone(),
-            self.spec.clone(),
-            self.shards,
-            self.workers,
-        );
+        let mut engine =
+            EngineBackend::with_shards(view.nest().clone(), self.spec.clone(), self.shards);
         for s in view.history_steps() {
             engine
                 .apply_step(s)
@@ -297,11 +272,10 @@ impl MlaPrevent {
             }
         }
         if self.engine.is_none() {
-            self.engine = Some(EngineBackend::with_parallelism(
+            self.engine = Some(EngineBackend::with_shards(
                 view.nest().clone(),
                 self.spec.clone(),
                 self.shards,
-                self.workers,
             ));
         }
         let engine = self.engine.as_mut().expect("just initialised");
@@ -431,10 +405,6 @@ impl Control for MlaPrevent {
             .as_ref()
             .map(|e| e.shard_counters())
             .unwrap_or_default()
-    }
-
-    fn parallel_stats(&self) -> Option<ParallelStats> {
-        MlaPrevent::parallel_stats(self)
     }
 
     fn certified_skips(&self) -> u64 {
@@ -610,42 +580,6 @@ mod tests {
         assert_eq!(flat.breakpoint_waits, sharded.breakpoint_waits);
         assert_eq!(sharded.prevention_misses, 0);
         assert!(oracle::is_correctable_outcome(&out_sharded, &nest, &spec));
-    }
-
-    #[test]
-    fn parallel_prevention_matches_serial_wait_for_wait() {
-        // The same weave through the serial sharded backend and the
-        // thread-parallel one: identical histories, waits, and counters
-        // (the blocker probe crosses the worker boundary unchanged).
-        let (nest, instances, spec) = opposing_transfers(3, true);
-        let mut serial = MlaPrevent::new(2, spec.clone(), VictimPolicy::FewestSteps).with_shards(4);
-        let out_serial = run(
-            nest.clone(),
-            instances,
-            [(e(0), 10), (e(1), 10)],
-            &[0, 0],
-            &SimConfig::seeded(31),
-            &mut serial,
-        );
-        let (_, instances, _) = opposing_transfers(3, true);
-        let mut parallel = MlaPrevent::new(2, spec.clone(), VictimPolicy::FewestSteps)
-            .with_shards(4)
-            .with_parallelism(2);
-        let out_parallel = run(
-            nest.clone(),
-            instances,
-            [(e(0), 10), (e(1), 10)],
-            &[0, 0],
-            &SimConfig::seeded(31),
-            &mut parallel,
-        );
-        assert_eq!(out_serial.execution.steps(), out_parallel.execution.steps());
-        assert_eq!(serial.breakpoint_waits, parallel.breakpoint_waits);
-        assert_eq!(serial.cost(), parallel.cost());
-        assert_eq!(parallel.prevention_misses, 0);
-        assert!(oracle::is_correctable_outcome(&out_parallel, &nest, &spec));
-        assert!(parallel.parallel_stats().is_some());
-        assert!(serial.parallel_stats().is_none());
     }
 
     #[test]

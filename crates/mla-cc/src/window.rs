@@ -161,7 +161,7 @@ impl LiveWindow {
     /// since the last maintenance pass — same evictions either way.
     pub fn maintain_with_backend<S, V>(&mut self, backend: &mut EngineBackend<S>, view: &V)
     where
-        S: BreakpointSpecification + Clone + Send + 'static,
+        S: BreakpointSpecification + Clone,
         V: AdmissionView + ?Sized,
     {
         if !self.enabled {

@@ -212,7 +212,6 @@ fn cmd_gen(mut args: std::env::Args) -> i32 {
             }
         }
     }
-    drop(bump);
     println!(
         "wrote {valid} valid + {invalid} invalid histories under {}",
         out.display()

@@ -62,7 +62,6 @@ pub mod closure;
 pub mod engine;
 pub mod extend;
 pub mod nest;
-pub mod parallel;
 pub mod relations;
 pub mod serializability;
 pub mod shard;
@@ -76,7 +75,6 @@ pub use closure::CoherentClosure;
 pub use engine::{ClosureEngine, CycleWitness, EngineCounters, PairProbe, RelationSignature};
 pub use extend::{extend_to_total_order, witness_execution};
 pub use nest::{Nest, NestBuilder};
-pub use parallel::{ParallelShardedEngine, ParallelStats};
-pub use shard::{EngineBackend, ShardedClosureEngine};
+pub use shard::{EngineBackend, ParallelStats, ShardedClosureEngine};
 pub use spec::{AtomicSpec, BreakpointSpecification, ExecContext, FixedSpec, FreeSpec};
 pub use theorem::{decide, is_correctable, Correctability};

@@ -58,7 +58,6 @@ use mla_model::{Execution, Step, TxnId};
 
 use crate::engine::{ClosureEngine, CycleWitness, EngineCounters};
 use crate::nest::Nest;
-use crate::parallel::{ParallelShardedEngine, ParallelStats};
 use crate::spec::BreakpointSpecification;
 
 /// One shard group: a partition-local engine plus its ordered mailbox.
@@ -129,11 +128,6 @@ impl<S: BreakpointSpecification + Clone> ShardedClosureEngine<S> {
             touched: BTreeSet::new(),
             merges: 0,
         }
-    }
-
-    /// Number of configured shards.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Number of live (non-coalesced) groups.
@@ -421,6 +415,14 @@ impl<S: BreakpointSpecification + Clone> ShardedClosureEngine<S> {
     }
 }
 
+/// A placeholder with no producer: every closure backend is serial, so
+/// no engine reports worker-pool statistics. It exists only because the
+/// `parallel_stats` forwarder in `perfbench/src/adapter.rs` names it;
+/// it goes together with that forwarder and
+/// `mla_sim::Control::parallel_stats`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ParallelStats;
+
 /// The engine-routing API the §6 controls program against: either one
 /// global [`ClosureEngine`] or a [`ShardedClosureEngine`], behind one
 /// monomorphic surface. The two are exactly equivalent decision for
@@ -434,26 +436,12 @@ pub enum EngineBackend<S> {
     Unsharded(ClosureEngine<S>),
     /// The entity-partitioned engine.
     Sharded(ShardedClosureEngine<S>),
-    /// The entity-partitioned engine with its groups spread across a
-    /// worker-thread pool (see [`crate::parallel`]).
-    Parallel(ParallelShardedEngine<S>),
 }
 
-impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
+impl<S: BreakpointSpecification + Clone> EngineBackend<S> {
     /// An unsharded backend.
     pub fn unsharded(nest: Nest, spec: S) -> Self {
         EngineBackend::Unsharded(ClosureEngine::new(nest, spec))
-    }
-
-    /// A backend with `shards` entity partitions.
-    pub fn sharded(nest: Nest, spec: S, shards: usize) -> Self {
-        EngineBackend::Sharded(ShardedClosureEngine::new(nest, spec, shards))
-    }
-
-    /// A thread-parallel backend with `shards` entity partitions spread
-    /// over `workers` threads.
-    pub fn parallel(nest: Nest, spec: S, shards: usize, workers: usize) -> Self {
-        EngineBackend::Parallel(ParallelShardedEngine::new(nest, spec, shards, workers))
     }
 
     /// `shards == 0` selects the unsharded engine, otherwise the sharded
@@ -462,45 +450,7 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         if shards == 0 {
             Self::unsharded(nest, spec)
         } else {
-            Self::sharded(nest, spec, shards)
-        }
-    }
-
-    /// The full runtime knob: `workers == 0` selects the serial engine
-    /// chosen by [`with_shards`](Self::with_shards); `workers >= 1`
-    /// selects the thread-parallel engine (which requires `shards >= 1`).
-    pub fn with_parallelism(nest: Nest, spec: S, shards: usize, workers: usize) -> Self {
-        if workers == 0 {
-            Self::with_shards(nest, spec, shards)
-        } else {
-            assert!(shards >= 1, "a parallel backend needs at least one shard");
-            Self::parallel(nest, spec, shards, workers)
-        }
-    }
-
-    /// Shard count (0 for the unsharded engine).
-    pub fn shards(&self) -> usize {
-        match self {
-            EngineBackend::Unsharded(_) => 0,
-            EngineBackend::Sharded(e) => e.shards(),
-            EngineBackend::Parallel(e) => e.shards(),
-        }
-    }
-
-    /// Worker threads (0 for the serial backends).
-    pub fn workers(&self) -> usize {
-        match self {
-            EngineBackend::Parallel(e) => e.workers(),
-            _ => 0,
-        }
-    }
-
-    /// Worker-pool occupancy and barrier statistics (`None` for the
-    /// serial backends).
-    pub fn parallel_stats(&self) -> Option<ParallelStats> {
-        match self {
-            EngineBackend::Parallel(e) => Some(e.stats()),
-            _ => None,
+            EngineBackend::Sharded(ShardedClosureEngine::new(nest, spec, shards))
         }
     }
 
@@ -509,7 +459,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(e) => e.apply_step(step),
             EngineBackend::Sharded(e) => e.apply_step(step),
-            EngineBackend::Parallel(e) => e.apply_step(step),
         }
     }
 
@@ -518,7 +467,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(e) => e.commit_step(),
             EngineBackend::Sharded(e) => e.commit_step(),
-            EngineBackend::Parallel(e) => e.commit_step(),
         }
     }
 
@@ -527,31 +475,14 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(e) => e.rollback_step(),
             EngineBackend::Sharded(e) => e.rollback_step(),
-            EngineBackend::Parallel(e) => e.rollback_step(),
-        }
-    }
-
-    /// Whether a tentative step is pending resolution.
-    pub fn pending(&self) -> bool {
-        match self {
-            EngineBackend::Unsharded(e) => e.pending(),
-            EngineBackend::Sharded(e) => e.pending(),
-            EngineBackend::Parallel(e) => e.pending(),
         }
     }
 
     /// Decides a whole stream under the batch poison rule: grants
     /// auto-commit; a denial poisons its transaction for the rest of the
     /// batch (later steps are denied with the same witness, never
-    /// applied — the transaction's `seq` chain is broken anyway). The
-    /// serial backends run the reference loop below; the parallel
-    /// backend pipelines it across its workers
-    /// ([`ParallelShardedEngine::decide_batch`]) with identical
-    /// observable behavior.
+    /// applied — the transaction's `seq` chain is broken anyway).
     pub fn decide_batch(&mut self, steps: &[Step]) -> Vec<Result<(), CycleWitness>> {
-        if let EngineBackend::Parallel(e) = self {
-            return e.decide_batch(steps);
-        }
         let mut poisoned: HashMap<TxnId, CycleWitness> = HashMap::new();
         let mut verdicts = Vec::with_capacity(steps.len());
         for &step in steps {
@@ -578,7 +509,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(e) => e.performed(step),
             EngineBackend::Sharded(e) => e.performed(step),
-            EngineBackend::Parallel(e) => e.performed(step),
         }
     }
 
@@ -587,7 +517,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(e) => e.remove_txn(t),
             EngineBackend::Sharded(e) => e.remove_txn(t),
-            EngineBackend::Parallel(e) => e.remove_txn(t),
         }
     }
 
@@ -601,7 +530,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
                 out
             }
             EngineBackend::Sharded(e) => e.evict_unreachable(is_source),
-            EngineBackend::Parallel(e) => e.evict_unreachable(is_source),
         }
     }
 
@@ -610,7 +538,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(e) => e.pending_predecessors(),
             EngineBackend::Sharded(e) => e.pending_predecessors(),
-            EngineBackend::Parallel(e) => e.pending_predecessors(),
         }
     }
 
@@ -619,7 +546,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(e) => e.force_rebuild(),
             EngineBackend::Sharded(e) => e.force_rebuild(),
-            EngineBackend::Parallel(e) => e.force_rebuild(),
         }
     }
 
@@ -628,16 +554,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(e) => e.flush_rebuild(),
             EngineBackend::Sharded(e) => e.flush_rebuild(),
-            EngineBackend::Parallel(e) => e.flush_rebuild(),
-        }
-    }
-
-    /// Whether a rebuild is scheduled (in any group).
-    pub fn rebuild_pending(&self) -> bool {
-        match self {
-            EngineBackend::Unsharded(e) => e.rebuild_pending(),
-            EngineBackend::Sharded(e) => e.rebuild_pending(),
-            EngineBackend::Parallel(e) => e.rebuild_pending(),
         }
     }
 
@@ -646,7 +562,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(e) => e.live_count(),
             EngineBackend::Sharded(e) => e.live_count(),
-            EngineBackend::Parallel(e) => e.live_count(),
         }
     }
 
@@ -655,7 +570,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(e) => *e.counters(),
             EngineBackend::Sharded(e) => e.counters(),
-            EngineBackend::Parallel(e) => e.counters(),
         }
     }
 
@@ -666,7 +580,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(e) => vec![*e.counters()],
             EngineBackend::Sharded(e) => e.shard_counters(),
-            EngineBackend::Parallel(e) => e.shard_counters(),
         }
     }
 
@@ -675,7 +588,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(_) => 0,
             EngineBackend::Sharded(e) => e.merge_count(),
-            EngineBackend::Parallel(e) => e.merge_count(),
         }
     }
 
@@ -684,7 +596,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
         match self {
             EngineBackend::Unsharded(e) => e.execution(),
             EngineBackend::Sharded(e) => e.execution(),
-            EngineBackend::Parallel(e) => e.execution(),
         }
     }
 
@@ -704,7 +615,6 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
                 }
             }
             EngineBackend::Sharded(e) => e.related_steps(u, v),
-            EngineBackend::Parallel(e) => e.related_steps(u, v),
         }
     }
 }
@@ -712,8 +622,11 @@ impl<S: BreakpointSpecification + Clone + Send + 'static> EngineBackend<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breakpoints::BreakpointDescription;
     use crate::spec::AtomicSpec;
     use mla_model::EntityId;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn step(txn: u32, seq: u32, entity: u32) -> Step {
         Step {
@@ -734,7 +647,7 @@ mod tests {
     ) -> (ClosureEngine<AtomicSpec>, ShardedClosureEngine<AtomicSpec>) {
         let nest = Nest::flat(8);
         let spec = AtomicSpec { k: 2 };
-        let mut flat = ClosureEngine::new(nest.clone(), spec.clone());
+        let mut flat = ClosureEngine::new(nest.clone(), spec);
         let mut sharded = ShardedClosureEngine::new(nest, spec, shards);
         for &s in order {
             let a = flat.apply_step(s);
@@ -788,7 +701,7 @@ mod tests {
         let order = [step(0, 0, 0), step(1, 0, 0), step(1, 1, 1)];
         let nest = Nest::flat(4);
         let spec = AtomicSpec { k: 2 };
-        let mut flat = ClosureEngine::new(nest.clone(), spec.clone());
+        let mut flat = ClosureEngine::new(nest.clone(), spec);
         let mut sharded = ShardedClosureEngine::new(nest, spec, 2);
         for &s in &order {
             flat.apply_step(s).unwrap();
@@ -849,9 +762,9 @@ mod tests {
         ];
         let (mut flat, mut sharded) = drive(2, &order);
         let committed = |t: TxnId| t != TxnId(0);
-        let mut ef = flat.evict_unreachable(&committed);
+        let mut ef = flat.evict_unreachable(committed);
         ef.sort_unstable_by_key(|t| t.0);
-        let es = sharded.evict_unreachable(&committed);
+        let es = sharded.evict_unreachable(committed);
         assert_eq!(ef, vec![TxnId(0)]);
         assert_eq!(es, ef);
         assert_eq!(sharded.live_count(), flat.live_count());
@@ -877,8 +790,7 @@ mod tests {
         let nest = Nest::flat(4);
         let spec = AtomicSpec { k: 2 };
         for shards in [0usize, 2] {
-            let mut b = EngineBackend::with_shards(nest.clone(), spec.clone(), shards);
-            assert_eq!(b.shards(), shards);
+            let mut b = EngineBackend::with_shards(nest.clone(), spec, shards);
             b.apply_step(step(0, 0, 0)).unwrap();
             b.commit_step();
             b.apply_step(step(1, 0, 0)).unwrap();
@@ -891,5 +803,89 @@ mod tests {
             );
             assert!(b.related_steps((TxnId(0), 0), (TxnId(1), 0)));
         }
+    }
+
+    /// Even transactions are atomic; odd ones carry a level-2
+    /// breakpoint after their first step, so both grant rules are in
+    /// play.
+    #[derive(Clone)]
+    struct PhaseSpec;
+
+    impl BreakpointSpecification for PhaseSpec {
+        fn k(&self) -> usize {
+            3
+        }
+
+        fn describe(&self, t: TxnId, steps: &[Step]) -> BreakpointDescription {
+            let n = steps.len();
+            let mid = if t.0 % 2 == 1 && n > 1 {
+                vec![1]
+            } else {
+                vec![]
+            };
+            BreakpointDescription::from_mid_levels(3, n, &[mid]).expect("well-formed")
+        }
+    }
+
+    /// Eight transactions of four steps over six entities in clashing
+    /// orders, randomly interleaved: genuine denials, with later offers
+    /// from the denied transactions still in the stream.
+    fn conflicted_setup(seed: u64) -> (Nest, Vec<Step>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let nest = Nest::new(3, (0..8).map(|t| vec![t % 3]).collect()).expect("depth k-2");
+        let scripts: Vec<Vec<u32>> = (0..8)
+            .map(|_| (0..4).map(|_| rng.gen_range(0..6u32)).collect())
+            .collect();
+        let mut next = [0u32; 8];
+        let mut schedule = Vec::new();
+        while schedule.len() < 32 {
+            let t = rng.gen_range(0..8usize);
+            if let Some(&x) = scripts[t].get(next[t] as usize) {
+                schedule.push(step(t as u32, next[t], x));
+                next[t] += 1;
+            }
+        }
+        (nest, schedule)
+    }
+
+    #[test]
+    fn decide_batch_poisons_denied_transactions() {
+        let (nest, schedule) = conflicted_setup(0xD57);
+        let mut runs = Vec::new();
+        for shards in [0usize, 4] {
+            let mut b = EngineBackend::with_shards(nest.clone(), PhaseSpec, shards);
+            let verdicts = b.decide_batch(&schedule);
+            let mut first: HashMap<TxnId, &CycleWitness> = HashMap::new();
+            let mut repeats = 0;
+            for (s, v) in schedule.iter().zip(&verdicts) {
+                let Err(w) = v else {
+                    assert!(!first.contains_key(&s.txn), "{s:?} granted after a denial");
+                    continue;
+                };
+                match first.get(&s.txn) {
+                    Some(w0) => {
+                        assert_eq!((&w.steps, &w.txns), (&w0.steps, &w0.txns));
+                        repeats += 1;
+                    }
+                    None => {
+                        first.insert(s.txn, w);
+                    }
+                }
+            }
+            assert!(repeats > 0, "a denied transaction must offer again");
+            // Denied offers were never applied: the history is exactly
+            // the granted offers, in offer order.
+            let granted: Vec<Step> = schedule
+                .iter()
+                .zip(&verdicts)
+                .filter_map(|(&s, v)| v.is_ok().then_some(s))
+                .collect();
+            assert_eq!(b.execution().steps(), granted.as_slice());
+            runs.push((
+                verdicts.iter().map(Result::is_ok).collect::<Vec<_>>(),
+                granted,
+            ));
+        }
+        assert_eq!(runs[0], runs[1], "unsharded and sharded x4 diverged");
     }
 }

@@ -3,9 +3,9 @@
 //! independence relation.
 //!
 //! The random harnesses (`sharded_engine_equivalence`,
-//! `parallel_determinism`, `check_differential`) sample schedules, so a
-//! bug that needs one specific interleaving can survive every run. This
-//! crate instead enumerates *every* schedule of a bounded nest up to
+//! `check_differential`) sample schedules, so a bug that needs one
+//! specific interleaving can survive every run. This crate instead
+//! enumerates *every* schedule of a bounded nest up to
 //! dependency-equivalence: two adjacent steps of different transactions
 //! are independent exactly when swapping them changes neither verdict
 //! nor the resulting coherent closure, which the incremental

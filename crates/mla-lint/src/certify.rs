@@ -74,6 +74,8 @@
 
 use mla_core::cert::StaticCert;
 use mla_core::nest::Nest;
+use mla_graph::digraph::NodeId;
+use mla_graph::{tarjan, DiGraph};
 use mla_model::{EntityId, TxnId};
 use mla_workload::Workload;
 
@@ -141,7 +143,7 @@ pub fn certify_workload(w: &Workload) -> Certification {
         .collect();
     let universe_count = classes.len();
 
-    let comp = graph.scc();
+    let comp = tarjan(&graph.graph).comp_of;
     let mut condemned = vec![false; universe_count];
     let mut condemn_witness: Vec<Option<String>> = vec![None; universe_count];
     let mut global_witness: Option<String> = None;
@@ -208,7 +210,7 @@ pub fn certify_workload(w: &Workload) -> Certification {
                  can close a coherent-closure cycle ({} may-conflict edges, \
                  {} backward-capable, none on a realizable cycle)",
                 profiles.len(),
-                graph.edge_count,
+                graph.graph.edge_count(),
                 graph.backward.len(),
             ),
         ));
@@ -283,8 +285,9 @@ enum EdgeGen {
 
 /// The may-conflict graph over access slots.
 struct ConflictGraph {
-    /// Adjacency over dense node ids (`offsets[t] + slot`).
-    adj: Vec<Vec<usize>>,
+    /// Adjacency over dense node ids (`offsets[t] + slot`), each
+    /// successor list ascending.
+    graph: DiGraph,
     /// First node id of each transaction.
     offsets: Vec<usize>,
     /// Owning transaction index per node.
@@ -294,7 +297,6 @@ struct ConflictGraph {
     /// point-wise, never iterated, so hash order cannot leak into
     /// output.
     generators: Vec<std::collections::HashMap<usize, EdgeGen>>,
-    edge_count: usize,
     backward: Vec<BackEdge>,
 }
 
@@ -325,7 +327,7 @@ impl ConflictGraph {
             }
         }
         // One map per from-node carries both the adjacency (its key
-        // set, sorted into `adj` below) and the generator summary.
+        // set, sorted into `graph` below) and the generator summary.
         let mut edges: Vec<std::collections::HashMap<usize, EdgeGen>> =
             vec![Default::default(); total];
         let mut backward_set = std::collections::BTreeSet::new();
@@ -376,21 +378,19 @@ impl ConflictGraph {
                 }
             }
         }
-        let adj: Vec<Vec<usize>> = edges
-            .iter()
-            .map(|m| {
-                let mut outs: Vec<usize> = m.keys().copied().collect();
-                outs.sort_unstable();
-                outs
-            })
-            .collect();
-        let edge_count = adj.iter().map(Vec::len).sum();
+        let mut graph = DiGraph::new(total);
+        for (v, m) in edges.iter().enumerate() {
+            let mut outs: Vec<usize> = m.keys().copied().collect();
+            outs.sort_unstable();
+            for w in outs {
+                graph.add_edge(v as NodeId, w as NodeId);
+            }
+        }
         ConflictGraph {
-            adj,
+            graph,
             offsets,
             node_txn,
             generators: edges,
-            edge_count,
             backward,
         }
     }
@@ -401,7 +401,7 @@ impl ConflictGraph {
     /// `b`'s conflict pair removed. Returns `true` when no such path
     /// exists — the edge cannot sit on a *realizable* cycle, because a
     /// single history orders the pair one way only.
-    fn refute(&self, b: &BackEdge, comp: &[usize]) -> bool {
+    fn refute(&self, b: &BackEdge, comp: &[u32]) -> bool {
         // The reversed pair enters `from`'s transaction at its
         // conflicting access, and is tagged on the source side with
         // `to`'s slot as the exit.
@@ -409,14 +409,14 @@ impl ConflictGraph {
         let reversed_gen = (b.b_in, b.entity);
         let u_txn = b.to.0 as usize;
         let cid = comp[b.from_node];
-        let mut seen = vec![false; self.adj.len()];
+        let mut seen = vec![false; self.graph.node_count()];
         let mut stack = vec![b.to_node];
         seen[b.to_node] = true;
         while let Some(v) = stack.pop() {
             if v == b.from_node {
                 return false; // a completion path survives
             }
-            for &w in &self.adj[v] {
+            for w in self.successors(v) {
                 if seen[w] || comp[w] != cid {
                     continue;
                 }
@@ -440,14 +440,14 @@ impl ConflictGraph {
     /// A human label for one cycle through backward edge `b`: shortest
     /// completion path by BFS inside the component, rendered as a txn
     /// sequence `t0 → t1 → … → t0 via xN`.
-    fn cycle_label(&self, b: &BackEdge, comp: &[usize]) -> String {
-        let n = self.adj.len();
+    fn cycle_label(&self, b: &BackEdge, comp: &[u32]) -> String {
+        let n = self.graph.node_count();
         let cid = comp[b.from_node];
         let mut prev = vec![usize::MAX; n];
         prev[b.to_node] = b.to_node;
         let mut queue = std::collections::VecDeque::from([b.to_node]);
         'bfs: while let Some(v) = queue.pop_front() {
-            for &w in &self.adj[v] {
+            for w in self.successors(v) {
                 if comp[w] != cid || prev[w] != usize::MAX {
                     continue;
                 }
@@ -480,58 +480,12 @@ impl ConflictGraph {
         format!("{path} via x{}", b.entity.0)
     }
 
-    /// Kosaraju's algorithm, iterative (finish order on the graph, then
-    /// component sweep on the transpose).
-    fn scc(&self) -> Vec<usize> {
-        let n = self.adj.len();
-        let mut order = Vec::with_capacity(n);
-        let mut seen = vec![false; n];
-        for start in 0..n {
-            if seen[start] {
-                continue;
-            }
-            // Stack of (node, next child index) frames.
-            let mut stack = vec![(start, 0usize)];
-            seen[start] = true;
-            while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-                if *i < self.adj[v].len() {
-                    let w = self.adj[v][*i];
-                    *i += 1;
-                    if !seen[w] {
-                        seen[w] = true;
-                        stack.push((w, 0));
-                    }
-                } else {
-                    order.push(v);
-                    stack.pop();
-                }
-            }
-        }
-        let mut transpose: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (v, outs) in self.adj.iter().enumerate() {
-            for &w in outs {
-                transpose[w].push(v);
-            }
-        }
-        let mut comp = vec![usize::MAX; n];
-        let mut current = 0;
-        for &start in order.iter().rev() {
-            if comp[start] != usize::MAX {
-                continue;
-            }
-            let mut stack = vec![start];
-            comp[start] = current;
-            while let Some(v) = stack.pop() {
-                for &w in &transpose[v] {
-                    if comp[w] == usize::MAX {
-                        comp[w] = current;
-                        stack.push(w);
-                    }
-                }
-            }
-            current += 1;
-        }
-        comp
+    /// The successors of node `v`, ascending.
+    fn successors(&self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        self.graph
+            .successors(v as NodeId)
+            .iter()
+            .map(|&w| w as usize)
     }
 }
 
@@ -657,11 +611,10 @@ mod tests {
     #[test]
     fn scc_finds_the_obvious_cycle() {
         let g = ConflictGraph {
-            adj: vec![vec![1], vec![2], vec![0], vec![]],
+            graph: DiGraph::from_edges(4, [(0, 1), (1, 2), (2, 0)]),
             offsets: vec![0, 2],
             node_txn: vec![0, 0, 1, 1],
             generators: Default::default(),
-            edge_count: 3,
             backward: vec![BackEdge {
                 from_node: 2,
                 to_node: 0,
@@ -674,7 +627,7 @@ mod tests {
                 exact_pair: false,
             }],
         };
-        let comp = g.scc();
+        let comp = tarjan(&g.graph).comp_of;
         assert_eq!(comp[0], comp[1]);
         assert_eq!(comp[1], comp[2]);
         assert_ne!(comp[0], comp[3]);
@@ -699,11 +652,10 @@ mod tests {
         generators[1].insert(2, EdgeGen::One(0, EntityId(7)));
         generators[2].insert(0, EdgeGen::One(0, EntityId(7)));
         let g = ConflictGraph {
-            adj: vec![vec![1], vec![2], vec![0]],
+            graph: DiGraph::from_edges(3, [(0, 1), (1, 2), (2, 0)]),
             offsets: vec![0, 2],
             node_txn: vec![0, 0, 1],
             generators,
-            edge_count: 3,
             backward: vec![BackEdge {
                 from_node: 1,
                 to_node: 2,
@@ -716,7 +668,7 @@ mod tests {
                 exact_pair: true,
             }],
         };
-        let comp = g.scc();
+        let comp = tarjan(&g.graph).comp_of;
         let b = &g.backward[0];
         assert_eq!(comp[b.from_node], comp[b.to_node], "naively on a cycle");
         assert!(

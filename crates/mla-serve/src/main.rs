@@ -17,7 +17,8 @@ USAGE: mla-serve [OPTIONS]
   --audit-every N                audit txn cadence, 0=off (contended) [8]
   --sched detect|prevent         admission scheduler   [prevent]
   --workers N                    worker threads        [4]
-  --shards N                     closure-engine shards [1]
+  --shards N                     closure-engine shards,
+                                 0 = one unsharded engine [0]
   --wait-shards N                wait-graph partitions [1]
   --certified                    attach the static certificate if earned
   --no-gc                        disable the epoch GC thread

@@ -126,7 +126,7 @@ pub struct ServeConfig {
     /// Worker threads (thread-per-core front-end; sessions are dealt
     /// round-robin across them).
     pub workers: usize,
-    /// Closure-engine entity shards (1 = unsharded).
+    /// Closure-engine entity shards (0 = one unsharded engine).
     pub shards: usize,
     /// Wait-graph partitions for [`MlaPrevent`] (1 = one global graph).
     pub wait_shards: usize,
@@ -156,7 +156,7 @@ impl Default for ServeConfig {
         ServeConfig {
             sched: SchedKind::Prevent,
             workers: 4,
-            shards: 1,
+            shards: 0,
             wait_shards: 1,
             certified: false,
             store_shards: 16,

@@ -70,10 +70,10 @@ pub trait Control {
         Vec::new()
     }
 
-    /// Worker-pool occupancy and barrier statistics, for controls
-    /// running a thread-parallel closure backend. The simulator records
-    /// the value in [`crate::Metrics::parallel`] at the end of the run;
-    /// serial and classical controls keep the default `None`.
+    /// A placeholder: every closure backend is serial, so no control
+    /// overrides this and the simulator never reads it. The forwarder
+    /// in `perfbench/src/adapter.rs` is its only reason to exist; it
+    /// goes together with that forwarder and [`ParallelStats`].
     fn parallel_stats(&self) -> Option<ParallelStats> {
         None
     }

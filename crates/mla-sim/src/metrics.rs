@@ -1,6 +1,6 @@
 //! Run metrics: the quantities the E-series experiments report.
 
-use mla_core::{EngineCounters, ParallelStats};
+use mla_core::EngineCounters;
 
 /// Counters and samples collected over one simulation run.
 #[derive(Clone, Debug, Default)]
@@ -41,11 +41,6 @@ pub struct Metrics {
     /// of any engines that shard group absorbed by coalescing, so the
     /// entries always sum to the whole run's closure work.
     pub shard_cost: Vec<EngineCounters>,
-    /// Worker-pool occupancy and barrier statistics for controls running
-    /// a thread-parallel closure backend (`None` otherwise). Wall-clock
-    /// quantities — deliberately excluded from determinism comparisons,
-    /// unlike every other field.
-    pub parallel: Option<ParallelStats>,
     /// Decisions granted on a static-certificate fast path, skipping
     /// closure maintenance entirely (0 for controls without an
     /// `mla-lint` `StaticCert`).
@@ -123,24 +118,6 @@ impl Metrics {
     /// reports a sharded backend.
     pub fn summed_shard_cost(&self) -> EngineCounters {
         self.shard_cost.iter().copied().sum()
-    }
-
-    /// Per-worker occupancy of the parallel backend's pool (empty for
-    /// serial runs).
-    pub fn worker_occupancy(&self) -> Vec<f64> {
-        self.parallel
-            .as_ref()
-            .map(|s| s.occupancy())
-            .unwrap_or_default()
-    }
-
-    /// Coalescing barriers the parallel backend took (0 for serial
-    /// runs).
-    pub fn barrier_stalls(&self) -> u64 {
-        self.parallel
-            .as_ref()
-            .map(|s| s.barrier_stalls)
-            .unwrap_or(0)
     }
 }
 

@@ -239,7 +239,6 @@ pub fn run(
 
     world.metrics.makespan = world.clock;
     world.metrics.shard_cost = control.shard_decision_cost();
-    world.metrics.parallel = control.parallel_stats();
     world.metrics.certified_skips = control.certified_skips();
     world.metrics.certified_skips_per_universe = control.certified_skips_per_universe();
     world.metrics.cert_re_arms = control.cert_re_arms();

@@ -23,6 +23,9 @@ fn e(i: u32) -> EntityId {
 }
 
 /// A latch request: `(start, extra length, exclusive)`.
+/// A held latch: `(lo, len, exclusive, holder token)`.
+type HeldLatch = (u32, u32, bool, u64);
+
 fn req_strategy() -> impl Strategy<Value = (u32, u32, bool)> {
     (0u32..12, 0u32..4, any::<bool>())
 }
@@ -39,7 +42,7 @@ proptest! {
             proptest::collection::vec(req_strategy(), 1..5), 2..5),
     ) {
         let tree = Arc::new(LatchTree::new());
-        let active: Arc<Mutex<Vec<(u32, u32, bool, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let active: Arc<Mutex<Vec<HeldLatch>>> = Arc::new(Mutex::new(Vec::new()));
         let token = Arc::new(AtomicU64::new(0));
         let mut threads = Vec::new();
         for reqs in per_thread {
@@ -213,7 +216,7 @@ proptest! {
                     model.history.entry(entity).or_default().push((ticket, value));
                     prop_assert_eq!(store.read_at(e(entity), ticket), value);
                     prop_assert_eq!(store.latest(e(entity)), (ticket, value));
-                    if snapshot.is_none() && ticket % 3 == 0 {
+                    if snapshot.is_none() && ticket.is_multiple_of(3) {
                         let t = next_ticket - 1;
                         snapshot = Some((t, (0..6).map(|i| store.read_at(e(i), t)).collect()));
                     }

@@ -142,9 +142,9 @@ pub fn generate(config: PartitionedConfig) -> Partitioned {
 /// transactions in ascending id order within the very first pass, so
 /// the conflict structure is the same forward chain the simulator
 /// produces and **every offer is grantable**. This is the replay input
-/// for experiment A6: backends decide the identical stream and their
-/// wall-clock is compared directly, without simulator overhead between
-/// decisions.
+/// for experiment A7: the engine and the certificate guard decide the
+/// identical stream and their wall-clock is compared directly, without
+/// simulator overhead between decisions.
 pub fn decision_stream(config: &PartitionedConfig) -> Vec<Step> {
     let p_count = config.partitions;
     let t_count = config.txns_per_partition;

@@ -3,7 +3,7 @@
 //! multilevel atomicity:
 //!
 //! 1. **Schedulers.** Every history `MlaDetect` and `MlaPrevent` admit
-//!    — across the six backend shapes of the differential harness and
+//!    — across the three backend shapes of the differential harness and
 //!    across `mla-serve` live runs — must pass `mla-check` after a trip
 //!    through the text format, and the returned witness must actually
 //!    be an equivalent multilevel-atomic execution.
@@ -97,8 +97,13 @@ fn random_workload(rng: &mut SmallRng) -> Workload {
     }
 }
 
-/// The six backend shapes: (shards, workers), (0, 0) = unsharded.
-const SHAPES: [(usize, usize); 6] = [(0, 0), (1, 0), (4, 0), (4, 2), (4, 4), (8, 3)];
+/// The three backend shapes, as `MlaDetect` shard counts: 0 is the
+/// unsharded engine.
+const SHAPES: [usize; 3] = [0, 1, 4];
+
+fn shaped(wl: &Workload, shards: usize) -> MlaDetect {
+    MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps).with_shards(shards)
+}
 
 fn sim_run(
     wl: &Workload,
@@ -151,16 +156,10 @@ fn detect_admitted_histories_pass_across_all_backends() {
     for seed in 0..12u64 {
         let mut rng = SmallRng::seed_from_u64(0xD1FF_0000 + seed);
         let wl = random_workload(&mut rng);
-        for (shards, workers) in SHAPES {
-            let mut c = MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps);
-            if shards > 0 {
-                c = c.with_shards(shards);
-            }
-            if workers > 0 {
-                c = c.with_parallelism(workers);
-            }
+        for shards in SHAPES {
+            let mut c = shaped(&wl, shards);
             let out = sim_run(&wl, &mut c, seed);
-            assert_admitted(&wl, &out, &format!("detect {shards}x{workers} seed {seed}"));
+            assert_admitted(&wl, &out, &format!("detect x{shards} seed {seed}"));
         }
     }
 }
@@ -343,7 +342,7 @@ fn weak_mode_never_contradicts_a_strong_pass() {
 }
 
 /// Every universe in one nest at a *different* k-level — the mixed
-/// isolation family — driven through the simulator across all six
+/// isolation family — driven through the simulator across all three
 /// backend shapes; every admitted history must survive the full
 /// pipeline (text round-trip, `mla-check`, Theorem 2 witness).
 #[test]
@@ -370,20 +369,10 @@ fn mixed_isolation_histories_pass_across_all_backends() {
         );
         let wl = &generated.workload;
         for seed in [3u64, 11] {
-            for (shards, workers) in SHAPES {
-                let mut c = MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps);
-                if shards > 0 {
-                    c = c.with_shards(shards);
-                }
-                if workers > 0 {
-                    c = c.with_parallelism(workers);
-                }
+            for shards in SHAPES {
+                let mut c = shaped(wl, shards);
                 let out = sim_run(wl, &mut c, seed);
-                assert_admitted(
-                    wl,
-                    &out,
-                    &format!("{} {shards}x{workers} seed {seed}", wl.name),
-                );
+                assert_admitted(wl, &out, &format!("{} x{shards} seed {seed}", wl.name));
             }
         }
     }
@@ -481,20 +470,10 @@ fn unbounded_random_differential() {
     for seed in 100..130u64 {
         let mut rng = SmallRng::seed_from_u64(0xD1FF_2000 + seed);
         let wl = random_workload(&mut rng);
-        for (shards, workers) in SHAPES {
-            let mut c = MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps);
-            if shards > 0 {
-                c = c.with_shards(shards);
-            }
-            if workers > 0 {
-                c = c.with_parallelism(workers);
-            }
+        for shards in SHAPES {
+            let mut c = shaped(&wl, shards);
             let out = sim_run(&wl, &mut c, seed);
-            assert_admitted(
-                &wl,
-                &out,
-                &format!("nightly detect {shards}x{workers} {seed}"),
-            );
+            assert_admitted(&wl, &out, &format!("nightly detect x{shards} {seed}"));
         }
     }
 }

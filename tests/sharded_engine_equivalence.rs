@@ -1,8 +1,6 @@
-//! The differential harness for the sharded closure engine: six
-//! backends — the unsharded [`ClosureEngine`], serial
-//! [`ShardedClosureEngine`]s at 1 and 4 shards, and thread-parallel
-//! engines at 4 shards × 2 workers, 4 × 4, and 8 × 3 (more shards than
-//! workers, so workers multiplex shard groups) — are driven in lockstep
+//! The differential harness for the sharded closure engine: three
+//! backends — the unsharded [`ClosureEngine`] and serial
+//! [`ShardedClosureEngine`]s at 1 and 4 shards — are driven in lockstep
 //! through random schedules and must be observationally
 //! indistinguishable.
 //!
@@ -11,7 +9,7 @@
 //! count sees genuine splits *and* cross-shard transactions that force
 //! group coalescing), then offers steps in a random interleaving. On
 //! every offer the batch [`CoherentClosure`] of the current window plus
-//! the candidate is the ground truth; all six backends must return the
+//! the candidate is the ground truth; all three backends must return the
 //! same grant/deny verdict. Denials abort the *requester* on every
 //! backend — a deterministic victim rule, because cycle-witness paths
 //! (and hence witness-derived victim choices) are only guaranteed
@@ -41,43 +39,15 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// One lockstep participant: how to build it, and its failure label.
-#[derive(Clone, Copy, Debug)]
-enum BackendSpec {
-    /// The unsharded reference engine.
-    Serial,
-    /// The serial sharded engine at the given shard count.
-    Sharded(usize),
-    /// The thread-parallel engine: (shards, workers).
-    Parallel(usize, usize),
-}
+/// The lockstep backends, as shard counts: 0 is the unsharded engine.
+const BACKENDS: [usize; 3] = [0, 1, 4];
 
-impl BackendSpec {
-    fn build(self, nest: Nest, spec: RuntimeSpec) -> EngineBackend<RuntimeSpec> {
-        match self {
-            BackendSpec::Serial => EngineBackend::unsharded(nest, spec),
-            BackendSpec::Sharded(s) => EngineBackend::sharded(nest, spec, s),
-            BackendSpec::Parallel(s, w) => EngineBackend::parallel(nest, spec, s, w),
-        }
-    }
-
-    fn label(self) -> String {
-        match self {
-            BackendSpec::Serial => "serial".to_string(),
-            BackendSpec::Sharded(s) => format!("sharded({s})"),
-            BackendSpec::Parallel(s, w) => format!("parallel({s}x{w})"),
-        }
+fn label(shards: usize) -> String {
+    match shards {
+        0 => "unsharded".to_string(),
+        s => format!("sharded({s})"),
     }
 }
-
-const BACKENDS: [BackendSpec; 6] = [
-    BackendSpec::Serial,
-    BackendSpec::Sharded(1),
-    BackendSpec::Sharded(4),
-    BackendSpec::Parallel(4, 2),
-    BackendSpec::Parallel(4, 4),
-    BackendSpec::Parallel(8, 3),
-];
 
 struct Setup {
     nest: Nest,
@@ -132,7 +102,7 @@ fn phase_spec(k: usize, marks: &[&[(usize, usize)]]) -> RuntimeSpec {
     spec
 }
 
-/// Replays one explored trace representative through all six backends
+/// Replays one explored trace representative through all three backends
 /// in lockstep: every backend must reproduce the recorded verdict for
 /// every offer (denials abort the requester, as during exploration),
 /// and every surviving execution must equal the representative's byte
@@ -140,7 +110,7 @@ fn phase_spec(k: usize, marks: &[&[(usize, usize)]]) -> RuntimeSpec {
 fn lockstep_replay(nest: &Nest, spec: &RuntimeSpec, schedule: &Schedule) {
     let mut backends: Vec<EngineBackend<RuntimeSpec>> = BACKENDS
         .iter()
-        .map(|&b| b.build(nest.clone(), spec.clone()))
+        .map(|&b| EngineBackend::with_shards(nest.clone(), spec.clone(), b))
         .collect();
     for (offer, &granted) in schedule.offers.iter().zip(&schedule.verdicts) {
         for (i, b) in backends.iter_mut().enumerate() {
@@ -149,7 +119,7 @@ fn lockstep_replay(nest: &Nest, spec: &RuntimeSpec, schedule: &Schedule) {
                     assert!(
                         granted,
                         "backend {} granted what exploration denied at {:?}",
-                        BACKENDS[i].label(),
+                        label(BACKENDS[i]),
                         offer.key()
                     );
                     b.commit_step();
@@ -158,7 +128,7 @@ fn lockstep_replay(nest: &Nest, spec: &RuntimeSpec, schedule: &Schedule) {
                     assert!(
                         !granted,
                         "backend {} denied what exploration granted at {:?}",
-                        BACKENDS[i].label(),
+                        label(BACKENDS[i]),
                         offer.key()
                     );
                     assert!(!witness.txns.is_empty());
@@ -173,13 +143,13 @@ fn lockstep_replay(nest: &Nest, spec: &RuntimeSpec, schedule: &Schedule) {
             b.execution().steps(),
             schedule.exec.steps(),
             "backend {} history diverged from the explored representative",
-            BACKENDS[i].label()
+            label(BACKENDS[i])
         );
     }
 }
 
-/// Exhaustive six-backend lockstep: every Mazurkiewicz-trace
-/// representative of four fixed nests is replayed through all six
+/// Exhaustive three-backend lockstep: every Mazurkiewicz-trace
+/// representative of four fixed nests is replayed through all three
 /// backends. The first three nests are the hand-counted fixtures from
 /// `mla-explore` (their explored counts are re-pinned here); the fourth
 /// spreads entities over several shard residues with mid-level
@@ -258,6 +228,61 @@ fn exhaustive_lockstep_covers_every_trace_representative() {
     assert!(stats.cache_hits > 0, "memoized probe answers were reused");
 }
 
+/// The batch path under every commit ordering: instead of *sampling*
+/// orders, enumerate them. Every Mazurkiewicz-trace representative of
+/// an all-grant bounded nest (two contended pairs in separate k=3
+/// classes, level-2 breakpoints throughout, entities across shard
+/// residues) is fed as one `decide_batch` to the unsharded engine and
+/// to the sharded engine at 4 shards. Verdicts and histories must agree
+/// with exploration on both.
+#[test]
+fn batch_sequencer_agrees_on_every_commit_ordering() {
+    let k = 3;
+    let nest =
+        Nest::new(k, vec![vec![0], vec![0], vec![1], vec![1]]).expect("paths have depth k-2");
+    let spec = phase_spec(k, &[&[(1, 2)], &[(1, 2)], &[(1, 2)], &[(1, 2)]]);
+    let input = BoundedNest {
+        nest: nest.clone(),
+        spec: spec.clone(),
+        scripts: vec![
+            vec![EntityId(0), EntityId(4)],
+            vec![EntityId(4), EntityId(0)],
+            vec![EntityId(1), EntityId(5)],
+            vec![EntityId(5), EntityId(1)],
+        ],
+    };
+
+    let mut representatives = 0usize;
+    let stats = explore(&input, |schedule| {
+        assert!(
+            schedule.all_granted(),
+            "free weaving must grant every offer (the test relies on it: \
+             exploration aborts deniers, decide_batch poisons them)"
+        );
+        representatives += 1;
+        for shards in [0usize, 4] {
+            let mut backend = EngineBackend::with_shards(nest.clone(), spec.clone(), shards);
+            let verdicts = backend.decide_batch(&schedule.offers);
+            assert!(
+                verdicts.iter().all(|v| v.is_ok()),
+                "{} denied an offer exploration granted",
+                label(shards)
+            );
+            assert_eq!(
+                backend.execution().steps(),
+                schedule.exec.steps(),
+                "{} history diverged from exploration",
+                label(shards)
+            );
+        }
+    });
+    assert_eq!(representatives as u64, stats.explored);
+    // Each pair's two conflict pairs admit three consistent
+    // orientations (both forward, both reversed, or the fully
+    // interleaved middle class), independently per class: 3² traces.
+    assert_eq!(stats.explored, 9);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -268,7 +293,7 @@ proptest! {
         let n = setup.scripts.len();
         let mut backends: Vec<EngineBackend<RuntimeSpec>> = BACKENDS
             .iter()
-            .map(|&b| b.build(setup.nest.clone(), setup.spec.clone()))
+            .map(|&b| EngineBackend::with_shards(setup.nest.clone(), setup.spec.clone(), b))
             .collect();
         let mut accepted: Vec<Step> = Vec::new();
         let mut next_seq = vec![0u32; n];
@@ -340,7 +365,7 @@ proptest! {
                         prop_assert!(
                             batch_ok,
                             "backend {} granted what batch denies (seed {})",
-                            BACKENDS[i].label(), seed
+                            label(BACKENDS[i]), seed
                         );
                         b.commit_step();
                         granted += 1;
@@ -349,7 +374,7 @@ proptest! {
                         prop_assert!(
                             !batch_ok,
                             "backend {} denied what batch grants (seed {})",
-                            BACKENDS[i].label(), seed
+                            label(BACKENDS[i]), seed
                         );
                         // Witness *paths* are only identical up to
                         // compaction timing, so assert presence, not
@@ -384,7 +409,7 @@ proptest! {
                 survived.steps(),
                 accepted.as_slice(),
                 "backend {} window diverged (seed {})",
-                BACKENDS[i].label(),
+                label(BACKENDS[i]),
                 seed
             );
         }
@@ -408,7 +433,7 @@ proptest! {
                             want,
                             b.related_steps(key(u), key(v)),
                             "pair ({}, {}) disagrees on backend {} (seed {})",
-                            u, v, BACKENDS[i].label(), seed
+                            u, v, label(BACKENDS[i]), seed
                         );
                     }
                 }

@@ -15,9 +15,8 @@
 //! 2. **Byte-identical histories.** The certified `MlaDetect` fast path
 //!    must be observationally invisible: its simulated history equals
 //!    the uncertified control's, and the uncertified control itself is
-//!    run across the six backend shapes of the differential harness —
-//!    serial unsharded, sharded ×1, sharded ×4, and thread-parallel
-//!    4×2, 4×4, 8×3 — all of which must agree. (On a certified workload
+//!    run across the three backend shapes of the differential harness —
+//!    unsharded, sharded ×1 and sharded ×4 — all of which must agree. (On a certified workload
 //!    no decision is ever denied, so no victim policy fires and every
 //!    shape walks the same grant sequence.)
 //!
@@ -149,19 +148,12 @@ fn detect_run(wl: &Workload, control: &mut MlaDetect, seed: u64) -> SimOutcome {
     )
 }
 
-/// The six backend shapes of the differential harness, as `MlaDetect`
-/// configurations: (shards, workers), with (0, 0) the unsharded engine.
-const SHAPES: [(usize, usize); 6] = [(0, 0), (1, 0), (4, 0), (4, 2), (4, 4), (8, 3)];
+/// The three backend shapes of the differential harness, as `MlaDetect`
+/// shard counts: 0 is the unsharded engine.
+const SHAPES: [usize; 3] = [0, 1, 4];
 
-fn shaped(wl: &Workload, shards: usize, workers: usize) -> MlaDetect {
-    let mut c = MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps);
-    if shards > 0 {
-        c = c.with_shards(shards);
-    }
-    if workers > 0 {
-        c = c.with_parallelism(workers);
-    }
-    c
+fn shaped(wl: &Workload, shards: usize) -> MlaDetect {
+    MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps).with_shards(shards)
 }
 
 /// A random sound weakening of a certificate lattice: every condemned
@@ -232,7 +224,7 @@ fn certificates_are_sound_on_random_workloads() {
             );
         }
         // 2. The certified fast path is history-invisible, across all
-        //    six uncertified backend shapes — for full *and* partial
+        //    three uncertified backend shapes — for full *and* partial
         //    lattices.
         let cert = certification.cert.expect("any_certified implies a cert");
         let mut fast = MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps).with_static_cert(cert);
@@ -262,23 +254,23 @@ fn certificates_are_sound_on_random_workloads() {
             &wl.nest,
             &wl.spec()
         ));
-        for (shards, workers) in SHAPES {
-            let mut base = shaped(&wl, shards, workers);
+        for shards in SHAPES {
+            let mut base = shaped(&wl, shards);
             let out_base = detect_run(&wl, &mut base, seed);
             if fully {
                 assert_eq!(
                     out_base.metrics.aborts, 0,
-                    "seed {seed}: certified workload aborted on shape {shards}x{workers}"
+                    "seed {seed}: certified workload aborted on shape x{shards}"
                 );
             }
             assert_eq!(
                 out_base.execution.steps(),
                 out_fast.execution.steps(),
-                "seed {seed}: shape {shards}x{workers} history diverged from the certified run"
+                "seed {seed}: shape x{shards} history diverged from the certified run"
             );
             assert_eq!(
                 out_base.metrics.aborts, out_fast.metrics.aborts,
-                "seed {seed}: shape {shards}x{workers} verdicts diverged from the certified run"
+                "seed {seed}: shape x{shards} verdicts diverged from the certified run"
             );
         }
         // 3. Random sound weakenings of the lattice change nothing.
@@ -321,13 +313,13 @@ fn certified_partitioned_history_is_identical_across_backends() {
         out_fast.metrics.certified_skips_per_universe,
         fast.certified_skips_per_universe()
     );
-    for (shards, workers) in SHAPES {
-        let mut base = shaped(wl, shards, workers);
+    for shards in SHAPES {
+        let mut base = shaped(wl, shards);
         let out_base = detect_run(wl, &mut base, 7);
         assert_eq!(
             out_base.execution.steps(),
             out_fast.execution.steps(),
-            "shape {shards}x{workers}"
+            "shape x{shards}"
         );
     }
 }
@@ -337,7 +329,7 @@ fn certified_partitioned_history_is_identical_across_backends() {
 /// all-or-nothing certificate was `None` and `certified_skips` was
 /// pinned at zero. Per-universe certification must now skip for every
 /// certifiable universe — under both schedulers — without moving a
-/// single byte of history relative to the six uncertified backends, and
+/// single byte of history relative to the three uncertified backends, and
 /// every admission stays inside Theorem 2.
 #[test]
 fn mixed_partial_certificate_skips_and_stays_sound() {
@@ -367,13 +359,13 @@ fn mixed_partial_certificate_skips_and_stays_sound() {
         oracle::is_correctable_outcome(&out_fast, &wl.nest, &wl.spec()),
         "every certified admission must stay inside Theorem 2"
     );
-    for (shards, workers) in SHAPES {
-        let mut base = shaped(&wl, shards, workers);
+    for shards in SHAPES {
+        let mut base = shaped(&wl, shards);
         let out_base = detect_run(&wl, &mut base, 11);
         assert_eq!(
             out_base.execution.steps(),
             out_fast.execution.steps(),
-            "shape {shards}x{workers} history diverged from the partially certified run"
+            "shape x{shards} history diverged from the partially certified run"
         );
         assert_eq!(out_base.metrics.aborts, out_fast.metrics.aborts);
     }
