@@ -1,19 +1,24 @@
-//! Runs every experiment (E1-E13, A2-A8; A6 retired) and prints all tables — the data
-//! behind EXPERIMENTS.md. Pass `--quick` for the reduced sweeps and
-//! `--json <path>` to also write machine-readable results.
+//! Runs the experiments (E1-E13, A2-A8; A6 retired) and prints their
+//! tables — the data behind EXPERIMENTS.md. `--quick` picks the reduced
+//! sweeps, `--only E4,A8` a subset, and `--json <path>` also writes
+//! machine-readable results. Bad arguments print the usage and exit 2.
+
+use mla_bench::experiments::{parse_args, USAGE};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
+    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|err| {
+        eprintln!("all_experiments: {err}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let tables: Vec<_> = args
+        .experiments
         .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1).cloned());
-    let tables = mla_bench::experiments::run_all(quick);
+        .map(|(_, run)| run(args.quick))
+        .collect();
     for table in &tables {
         println!("{}", table.render());
     }
-    if let Some(path) = json_path {
+    if let Some(path) = args.json {
         let body: Vec<String> = tables.iter().map(|t| t.to_json()).collect();
         let json = format!("[{}]", body.join(","));
         std::fs::write(&path, json).expect("write json results");

@@ -66,28 +66,137 @@ pub fn seeds(quick: bool) -> Vec<u64> {
     }
 }
 
-/// Every experiment, rendered in order. The `all_experiments` binary and
-/// EXPERIMENTS.md regeneration use this.
+/// One experiment: the id its table's title opens with, and its runner.
+pub type Experiment = (&'static str, fn(bool) -> Table);
+
+/// Every experiment, in the order `run_all` renders them.
+pub const REGISTRY: &[Experiment] = &[
+    ("E1", e1::run),
+    ("E2", e2::run),
+    ("E3", e3::run),
+    ("E4", e4::run),
+    ("E5", e5::run),
+    ("E6", e6::run),
+    ("E7", e7::run),
+    ("E8", e8::run),
+    ("E9", e9::run),
+    ("E10", e10::run),
+    ("E11", e11::run),
+    ("E12", e12::run),
+    ("E13", e13::run),
+    ("A4", a4::run),
+    ("A5", a5::run),
+    ("A7", a7::run),
+    ("A8", a8::run),
+    ("A2", a2::run),
+    ("A3", a3::run),
+];
+
+/// Every experiment, rendered in registry order. EXPERIMENTS.md is
+/// regenerated from this.
 pub fn run_all(quick: bool) -> Vec<Table> {
-    vec![
-        e1::run(quick),
-        e2::run(quick),
-        e3::run(quick),
-        e4::run(quick),
-        e5::run(quick),
-        e6::run(quick),
-        e7::run(quick),
-        e8::run(quick),
-        e9::run(quick),
-        e10::run(quick),
-        e11::run(quick),
-        e12::run(quick),
-        e13::run(quick),
-        a4::run(quick),
-        a5::run(quick),
-        a7::run(quick),
-        a8::run(quick),
-        a2::run(quick),
-        a3::run(quick),
-    ]
+    REGISTRY.iter().map(|(_, run)| run(quick)).collect()
+}
+
+/// The `all_experiments` command line.
+pub const USAGE: &str = "usage: all_experiments [--quick] [--only ID[,ID...]] [--json PATH]
+  --quick        reduced sweeps
+  --only IDS     run only these experiments, e.g. E4,A8 (case-insensitive;
+                 ids E1-E13, A2-A5, A7, A8)
+  --json PATH    also write the tables as JSON to PATH";
+
+/// A parsed `all_experiments` command line.
+#[derive(Debug)]
+pub struct Args {
+    /// Run the reduced sweeps.
+    pub quick: bool,
+    /// Also write the tables as JSON here.
+    pub json: Option<String>,
+    /// The experiments to run, in registry order.
+    pub experiments: Vec<Experiment>,
+}
+
+/// Parses the `all_experiments` arguments (without the program name).
+/// An unknown flag, a flag missing its value, or an unknown id is an
+/// error naming the offender.
+pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
+    let mut parsed = Args {
+        quick: false,
+        json: None,
+        experiments: REGISTRY.to_vec(),
+    };
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--json" => parsed.json = Some(args.next().ok_or("--json needs a path")?),
+            "--only" => parsed.experiments = select(&args.next().ok_or("--only needs ids")?)?,
+            _ => return Err(format!("unknown argument `{arg}`")),
+        }
+    }
+    Ok(parsed)
+}
+
+/// The registry entries named in a comma-separated id list, in registry
+/// order whatever the list's order. Ids match case-insensitively; an
+/// unknown or empty id is an error.
+pub fn select(ids: &str) -> Result<Vec<Experiment>, String> {
+    let mut picked = ids
+        .split(',')
+        .map(|id| {
+            REGISTRY
+                .iter()
+                .position(|(known, _)| known.eq_ignore_ascii_case(id.trim()))
+                .ok_or_else(|| format!("unknown experiment `{id}`"))
+        })
+        .collect::<Result<Vec<usize>, String>>()?;
+    picked.sort_unstable();
+    picked.dedup();
+    Ok(picked.into_iter().map(|i| REGISTRY[i]).collect())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()))
+    }
+
+    fn ids(args: &Args) -> Vec<&'static str> {
+        args.experiments.iter().map(|(id, _)| *id).collect()
+    }
+
+    #[test]
+    fn registry_has_nineteen_unique_ids() {
+        let mut ids: Vec<&str> = REGISTRY.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids.len(), 19);
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 19);
+    }
+
+    #[test]
+    fn only_selects_named_entries_in_registry_order() {
+        let args = parse(&["--quick", "--only", "e4,A8"]).unwrap();
+        assert!(args.quick);
+        assert_eq!(ids(&args), ["E4", "A8"]);
+        assert_eq!(ids(&parse(&["--only", "A8,E4"]).unwrap()), ["E4", "A8"]);
+        assert_eq!(ids(&parse(&[]).unwrap()).len(), REGISTRY.len());
+    }
+
+    #[test]
+    fn bad_arguments_are_errors() {
+        for bad in [
+            &["--only", "X9"][..],
+            &["--only", "E4,X9"],
+            &["--only", ""],
+            &["--only"],
+            &["--json"],
+            &["--bogus"],
+            &["quick"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }

@@ -13,16 +13,15 @@
 //! * how bad are the rollback cascades §6 warns about (E9, A2).
 //!
 //! Each experiment has a library function returning a printable
-//! [`Table`], a thin binary under `src/bin/`, and (where microbenchmarks
-//! make sense) a Criterion bench under `benches/`. `cargo run --release
-//! --bin all_experiments` regenerates everything EXPERIMENTS.md reports.
+//! [`Table`], an entry in [`experiments::REGISTRY`], and (where
+//! microbenchmarks make sense) a Criterion bench under `benches/`.
+//! `cargo run --release --bin all_experiments` regenerates everything
+//! EXPERIMENTS.md reports; `-- --only E4,A8` runs a subset.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod experiments;
-pub mod perf;
 pub mod runner;
 pub mod table;
 

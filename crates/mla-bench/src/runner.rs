@@ -331,7 +331,10 @@ pub fn run_seeds(wl: &Workload, kind: ControlKind, seeds: &[u64]) -> Aggregate {
 mod tests {
     use super::*;
     use mla_workload::banking::{generate, BankingConfig};
+    use mla_workload::partitioned;
 
+    /// Every control commits everything, and a seeded cell replays to
+    /// the same history and counters on a second run.
     #[test]
     fn run_cell_verifies_each_control() {
         let b = generate(BankingConfig {
@@ -339,24 +342,44 @@ mod tests {
             bank_audits: 1,
             credit_audits: 1,
             ..BankingConfig::default()
-        });
-        for kind in [
-            ControlKind::Serial,
-            ControlKind::TwoPl,
-            ControlKind::Timestamp,
-            ControlKind::Sgt(VictimPolicy::FewestSteps),
-            ControlKind::MlaDetect(VictimPolicy::FewestSteps),
-            ControlKind::MlaDetectNoEvict(VictimPolicy::FewestSteps),
-            ControlKind::MlaDetectFullRebuild(VictimPolicy::FewestSteps),
-            ControlKind::MlaPrevent(VictimPolicy::FewestSteps),
-        ] {
-            let cell = run_cell(&b.workload, kind, 3);
+        })
+        .workload;
+        let p = partitioned::generate(partitioned::PartitionedConfig {
+            partitions: 4,
+            txns_per_partition: 12,
+            scanner_len: 12,
+            arrival_spacing: 2,
+        })
+        .workload;
+        let policy = VictimPolicy::FewestSteps;
+        let cells = [
+            (&b, ControlKind::Serial),
+            (&b, ControlKind::TwoPl),
+            (&b, ControlKind::Timestamp),
+            (&b, ControlKind::Sgt(policy)),
+            (&b, ControlKind::MlaDetect(policy)),
+            (&b, ControlKind::MlaDetectNoEvict(policy)),
+            (&b, ControlKind::MlaDetectFullRebuild(policy)),
+            (&b, ControlKind::MlaPrevent(policy)),
+            (&p, ControlKind::MlaDetectSharded(policy, 4)),
+            (&p, ControlKind::MlaDetectCertified(policy)),
+            (&p, ControlKind::MlaPreventCertified(policy)),
+        ];
+        let key = |c: &CellResult| {
+            let m = &c.outcome.metrics;
+            let history = c.outcome.execution.clone();
+            (m.committed, m.aborts, m.defers, m.makespan, history)
+        };
+        for (wl, kind) in cells {
+            let cell = run_cell(wl, kind, 3);
+            let label = kind.label();
             assert_eq!(
                 cell.outcome.metrics.committed as usize,
-                b.workload.txn_count(),
-                "{}",
-                kind.label()
+                wl.txn_count(),
+                "{label}"
             );
+            let again = run_cell(wl, kind, 3);
+            assert_eq!(key(&again), key(&cell), "{label} replay");
         }
     }
 
