@@ -12,8 +12,8 @@
 //!
 //! Replay rows decide the partitioned workload's canonical
 //! [`decision_stream`](mla_workload::partitioned::decision_stream)
-//! twice: through the serial unsharded closure engine (the A5
-//! baseline convention) and through the bare certificate guard. Both
+//! twice: through the closure engine and through the bare certificate
+//! guard. Both
 //! must reproduce the stream byte for byte; only wall-clock may move,
 //! and in the full sweep the guard must win by ≥ 1.5x.
 //!
@@ -37,7 +37,7 @@
 use std::time::Instant;
 
 use mla_cc::VictimPolicy;
-use mla_core::EngineBackend;
+use mla_core::ClosureEngine;
 use mla_workload::banking::{generate as generate_banking, BankingConfig};
 use mla_workload::partitioned::{decision_stream, generate, PartitionedConfig};
 
@@ -77,8 +77,8 @@ pub fn run(quick: bool) -> Table {
         .expect("the partitioned workload must earn a static certificate");
     let stream = decision_stream(&config);
 
-    // Replay baseline: the serial unsharded engine decides the stream.
-    let mut engine = EngineBackend::unsharded(wl.nest.clone(), wl.spec());
+    // Replay baseline: the closure engine decides the stream.
+    let mut engine = ClosureEngine::new(wl.nest.clone(), wl.spec());
     let started = Instant::now();
     let verdicts = engine.decide_batch(&stream);
     let engine_wall = started.elapsed().as_secs_f64();

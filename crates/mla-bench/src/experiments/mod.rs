@@ -1,10 +1,9 @@
-//! Experiment implementations E1–E13 and A2–A8 (A6 retired). Each returns a [`Table`];
+//! Experiment implementations E1–E13 and A2–A8 (A5 and A6 retired). Each returns a [`Table`];
 //! the `quick` flag shrinks sweeps for CI/tests.
 
 pub mod a2;
 pub mod a3;
 pub mod a4;
-pub mod a5;
 pub mod a7;
 pub mod a8;
 pub mod e1;
@@ -85,7 +84,6 @@ pub const REGISTRY: &[Experiment] = &[
     ("E12", e12::run),
     ("E13", e13::run),
     ("A4", a4::run),
-    ("A5", a5::run),
     ("A7", a7::run),
     ("A8", a8::run),
     ("A2", a2::run),
@@ -102,7 +100,7 @@ pub fn run_all(quick: bool) -> Vec<Table> {
 pub const USAGE: &str = "usage: all_experiments [--quick] [--only ID[,ID...]] [--json PATH]
   --quick        reduced sweeps
   --only IDS     run only these experiments, e.g. E4,A8 (case-insensitive;
-                 ids E1-E13, A2-A5, A7, A8)
+                 ids E1-E13, A2-A4, A7, A8)
   --json PATH    also write the tables as JSON to PATH";
 
 /// A parsed `all_experiments` command line.
@@ -168,12 +166,12 @@ mod tests {
     }
 
     #[test]
-    fn registry_has_nineteen_unique_ids() {
+    fn registry_has_eighteen_unique_ids() {
         let mut ids: Vec<&str> = REGISTRY.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids.len(), 19);
+        assert_eq!(ids.len(), 18);
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 19);
+        assert_eq!(ids.len(), 18);
     }
 
     #[test]

@@ -21,9 +21,6 @@ pub enum ControlKind {
     Sgt(VictimPolicy),
     /// Multilevel-atomicity cycle detection.
     MlaDetect(VictimPolicy),
-    /// Multilevel-atomicity cycle detection over a closure engine
-    /// sharded across the given number of entity partitions (A5).
-    MlaDetectSharded(VictimPolicy, usize),
     /// Multilevel-atomicity cycle detection without window eviction (A2).
     MlaDetectNoEvict(VictimPolicy),
     /// Multilevel-atomicity cycle detection with a forced full closure
@@ -49,7 +46,6 @@ impl ControlKind {
             ControlKind::Timestamp => "timestamp",
             ControlKind::Sgt(_) => "sgt",
             ControlKind::MlaDetect(_) => "mla-detect",
-            ControlKind::MlaDetectSharded(_, _) => "mla-detect/sharded",
             ControlKind::MlaDetectNoEvict(_) => "mla-detect/noevict",
             ControlKind::MlaDetectFullRebuild(_) => "mla-detect/rebuild",
             ControlKind::MlaPrevent(_) => "mla-prevent",
@@ -151,17 +147,6 @@ pub fn run_cell(wl: &Workload, kind: ControlKind, seed: u64) -> CellResult {
                 &wl.arrivals,
                 &config,
                 &mut MlaDetect::new(wl.spec(), policy),
-            ),
-            0,
-        ),
-        ControlKind::MlaDetectSharded(policy, shards) => (
-            run(
-                wl.nest.clone(),
-                wl.instances(),
-                wl.initial.iter().copied(),
-                &wl.arrivals,
-                &config,
-                &mut MlaDetect::new(wl.spec(), policy).with_shards(shards),
             ),
             0,
         ),
@@ -361,7 +346,7 @@ mod tests {
             (&b, ControlKind::MlaDetectNoEvict(policy)),
             (&b, ControlKind::MlaDetectFullRebuild(policy)),
             (&b, ControlKind::MlaPrevent(policy)),
-            (&p, ControlKind::MlaDetectSharded(policy, 4)),
+            (&p, ControlKind::MlaDetect(policy)),
             (&p, ControlKind::MlaDetectCertified(policy)),
             (&p, ControlKind::MlaPreventCertified(policy)),
         ];

@@ -32,7 +32,6 @@ pub mod sgt;
 pub mod timestamp;
 pub mod two_phase;
 pub mod victim;
-pub mod waits;
 pub mod window;
 
 pub use admission::AdmissionView;
@@ -45,7 +44,6 @@ pub use sgt::SgtControl;
 pub use timestamp::TimestampOrdering;
 pub use two_phase::TwoPhaseLocking;
 pub use victim::VictimPolicy;
-pub use waits::ShardedWaits;
 
 // The decision a scheduler returns, re-exported for hosts (like
 // `mla-serve`) that drive the `*_view` admission surface without

@@ -16,18 +16,10 @@
 //! atomicity definition than if strict serializability were required,
 //! leading to fewer rollbacks" — experiment E5 measures exactly this
 //! against [`crate::SgtControl`].
-//!
-//! The control programs against [`EngineBackend`], so the closure can
-//! run either as one global engine or sharded by entity partition
-//! ([`MlaDetect::with_shards`], experiment A5): candidates route to the
-//! shard group owning their entity, cycle witnesses come back from that
-//! group for victim selection, and window eviction becomes a per-shard
-//! projection. Decision for decision the two backends are equivalent —
-//! `tests/sharded_engine_equivalence.rs` is the differential oracle.
 
 use mla_core::cert::StaticCert;
 use mla_core::spec::BreakpointSpecification;
-use mla_core::{EngineBackend, EngineCounters};
+use mla_core::{ClosureEngine, EngineCounters};
 use mla_model::{Step, TxnId};
 use mla_sim::{Control, Decision, World};
 use mla_storage::StepRecord;
@@ -43,9 +35,7 @@ pub struct MlaDetect {
     spec: RuntimeSpec,
     /// The incremental closure over the live window, created on the
     /// first decision (the nest lives in the [`World`]).
-    engine: Option<EngineBackend<RuntimeSpec>>,
-    /// Entity partitions for the closure backend (0 = unsharded).
-    shards: usize,
+    engine: Option<ClosureEngine<RuntimeSpec>>,
     window: LiveWindow,
     policy: VictimPolicy,
     /// A1 ablation: force a from-scratch closure rebuild before every
@@ -79,36 +69,17 @@ impl MlaDetect {
         self
     }
 
-    /// Shards the closure engine across `shards` entity partitions
-    /// (`shards == 0` keeps the single global engine). Decisions are
-    /// unchanged; per-decision cost shrinks to the candidate's own
-    /// partition on partitionable workloads (experiment A5).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(
-            self.engine.is_none(),
-            "set shards before the first decision"
-        );
-        self.shards = shards;
-        self
-    }
-
     /// How many committed transactions the window has evicted so far.
     pub fn evicted_count(&self) -> usize {
         self.window.evicted_count()
     }
 
-    /// How many shard-group coalescences the backend has performed (0
-    /// for the unsharded engine).
-    pub fn merge_count(&self) -> u64 {
-        self.engine.as_ref().map(|e| e.merge_count()).unwrap_or(0)
-    }
-
     /// The engine's decision-cost counters so far (zeros before the
-    /// first decision); for a sharded backend, the sum over shards.
+    /// first decision).
     pub fn cost(&self) -> EngineCounters {
         self.engine
             .as_ref()
-            .map(|e| e.counters())
+            .map(|e| *e.counters())
             .unwrap_or_default()
     }
 
@@ -118,7 +89,6 @@ impl MlaDetect {
         MlaDetect {
             spec,
             engine: None,
-            shards: 0,
             window: LiveWindow::new(),
             policy,
             full_rebuild: false,
@@ -183,12 +153,11 @@ impl MlaDetect {
     }
 
     /// Catches the engine up on every step granted so far (certified
-    /// skips included): fresh backend, full journal replay. Called when
+    /// skips included): fresh engine, full journal replay. Called when
     /// an off-footprint stray disarms a universe whose steps the engine
     /// has never seen.
     fn catch_up_engine<V: AdmissionView + ?Sized>(&mut self, view: &V) {
-        let mut engine =
-            EngineBackend::with_shards(view.nest().clone(), self.spec.clone(), self.shards);
+        let mut engine = ClosureEngine::new(view.nest().clone(), self.spec.clone());
         for s in view.history_steps() {
             engine
                 .apply_step(s)
@@ -220,11 +189,7 @@ impl MlaDetect {
             }
         }
         if self.engine.is_none() {
-            self.engine = Some(EngineBackend::with_shards(
-                view.nest().clone(),
-                self.spec.clone(),
-                self.shards,
-            ));
+            self.engine = Some(ClosureEngine::new(view.nest().clone(), self.spec.clone()));
         }
         let engine = self.engine.as_mut().expect("just initialised");
         if self.full_rebuild {
@@ -234,7 +199,7 @@ impl MlaDetect {
         match engine.apply_step(candidate) {
             Ok(()) => {
                 engine.commit_step();
-                self.window.maintain_with_backend(engine, view);
+                self.window.maintain_with_engine(engine, view);
                 Decision::Grant
             }
             Err(witness) => {
@@ -299,13 +264,6 @@ impl Control for MlaDetect {
 
     fn decision_cost(&self) -> Option<EngineCounters> {
         Some(self.cost())
-    }
-
-    fn shard_decision_cost(&self) -> Vec<EngineCounters> {
-        self.engine
-            .as_ref()
-            .map(|e| e.shard_counters())
-            .unwrap_or_default()
     }
 
     fn certified_skips(&self) -> u64 {
@@ -508,107 +466,6 @@ mod tests {
         );
         assert_eq!(out.metrics.committed, 2);
         assert!(oracle::is_correctable_outcome(&out, &nest, &spec));
-    }
-
-    #[test]
-    fn sharded_backend_decides_identically_on_disjoint_partitions() {
-        // Two banking universes over disjoint accounts (entities split
-        // even/odd, so they land on different shards of a 2-way split):
-        // the sharded control must produce the byte-identical history,
-        // and the simulator must surface per-shard counters whose sum is
-        // the reported decision cost.
-        let k = 3;
-        let mk = |a: u32, b: u32| Arc::new(ScriptProgram::new(vec![Add(e(a), -1), Add(e(b), 1)]));
-        let bp: Arc<dyn RuntimeBreakpoints> = Arc::new(PhaseTable::new(k, [(1, 2)]));
-        let mut spec = RuntimeSpec::new(k);
-        let mut instances = Vec::new();
-        let mut paths = Vec::new();
-        for i in 0..6u32 {
-            let base = i % 2; // even txns on even entities, odd on odd
-            instances.push(TxnInstance::new(TxnId(i), mk(base, base + 2), bp.clone()));
-            spec.insert(TxnId(i), bp.clone());
-            paths.push(vec![base]);
-        }
-        let nest = Nest::new(k, paths).unwrap();
-        let initial: Vec<(EntityId, i64)> = (0..4).map(|a| (e(a), 100)).collect();
-        let arrivals: Vec<u64> = (0..6).map(|i| i * 2).collect();
-
-        let mut flat = MlaDetect::new(spec.clone(), VictimPolicy::FewestSteps);
-        let out_flat = run(
-            nest.clone(),
-            instances,
-            initial.clone(),
-            &arrivals,
-            &SimConfig::seeded(26),
-            &mut flat,
-        );
-        let mut instances = Vec::new();
-        for i in 0..6u32 {
-            let base = i % 2;
-            instances.push(TxnInstance::new(TxnId(i), mk(base, base + 2), bp.clone()));
-        }
-        let mut sharded = MlaDetect::new(spec.clone(), VictimPolicy::FewestSteps).with_shards(2);
-        let out_sharded = run(
-            nest.clone(),
-            instances,
-            initial,
-            &arrivals,
-            &SimConfig::seeded(26),
-            &mut sharded,
-        );
-        assert_eq!(out_sharded.metrics.aborts, 0);
-        assert_eq!(out_flat.execution.steps(), out_sharded.execution.steps());
-        assert_eq!(sharded.merge_count(), 0, "partitions are disjoint");
-        assert!(oracle::is_correctable_outcome(&out_sharded, &nest, &spec));
-        // Counter aggregation: the metrics carry one entry per shard
-        // group and their sum is the decision cost (satellite fix).
-        assert_eq!(out_sharded.metrics.shard_cost.len(), 2);
-        assert_eq!(
-            out_sharded
-                .metrics
-                .shard_cost
-                .iter()
-                .copied()
-                .sum::<EngineCounters>(),
-            out_sharded.metrics.decision_cost,
-        );
-        assert_eq!(out_sharded.metrics.decision_cost, sharded.cost());
-        assert_eq!(
-            out_flat.metrics.decision_cost.steps_applied,
-            out_sharded.metrics.decision_cost.steps_applied,
-        );
-    }
-
-    #[test]
-    fn sharded_backend_handles_contention_via_merging() {
-        // The full banking workload funnels every transfer through a
-        // shared account ring — shard groups must coalesce rather than
-        // miss cycles, and the outcome must stay correctable.
-        let (nest, instances, spec, initial) = banking_setup(8, 4);
-        let arrivals = vec![0u64; instances.len()];
-        let mut control = MlaDetect::new(spec.clone(), VictimPolicy::FewestSteps).with_shards(4);
-        let out = run(
-            nest.clone(),
-            instances,
-            initial,
-            &arrivals,
-            &SimConfig::seeded(21),
-            &mut control,
-        );
-        assert_eq!(out.metrics.committed, 9);
-        assert!(!out.metrics.timed_out);
-        assert!(oracle::is_correctable_outcome(&out, &nest, &spec));
-        let total: i64 = (0..4).map(|a| out.store.value(e(a))).sum();
-        assert_eq!(total, 400);
-        assert!(control.merge_count() > 0, "contended ring must coalesce");
-        assert_eq!(
-            out.metrics
-                .shard_cost
-                .iter()
-                .copied()
-                .sum::<EngineCounters>(),
-            out.metrics.decision_cost,
-        );
     }
 
     #[test]

@@ -14,17 +14,16 @@
 //! preventing blocking") a waits-for graph is maintained and a victim is
 //! rolled back whenever a wait would close a waits-for cycle.
 //!
-//! The closure is maintained incrementally behind an [`EngineBackend`]
-//! (one global engine, or sharded by entity partition via
-//! [`MlaPrevent::with_shards`]): each candidate is applied as a
-//! tentative delta, the blocker probe asks the backend for the
-//! candidate's closure predecessors — answered entirely by the shard
-//! group owning the candidate — and a deferred candidate is rolled back
-//! to be retried later; no batch recomputation on any path.
+//! The closure is maintained incrementally by one [`ClosureEngine`]:
+//! each candidate is applied as a tentative delta, the blocker probe
+//! asks the engine for the candidate's closure predecessors, and a
+//! deferred candidate is rolled back to be retried later; no batch
+//! recomputation on any path.
 
 use mla_core::cert::StaticCert;
 use mla_core::spec::BreakpointSpecification;
-use mla_core::{EngineBackend, EngineCounters};
+use mla_core::{ClosureEngine, EngineCounters};
+use mla_graph::IncrementalTopo;
 use mla_model::{Step, TxnId};
 use mla_sim::{Control, Decision, World};
 use mla_storage::StepRecord;
@@ -33,7 +32,6 @@ use mla_txn::RuntimeSpec;
 use crate::admission::AdmissionView;
 use crate::cert_guard::{CertAdmit, CertGuard};
 use crate::victim::VictimPolicy;
-use crate::waits::ShardedWaits;
 use crate::window::LiveWindow;
 
 /// The pessimistic multilevel-atomicity control.
@@ -41,16 +39,11 @@ pub struct MlaPrevent {
     spec: RuntimeSpec,
     /// The incremental closure over the live window, created on the
     /// first decision (the nest lives in the [`World`]).
-    engine: Option<EngineBackend<RuntimeSpec>>,
-    /// Entity partitions for the closure backend (0 = unsharded).
-    shards: usize,
+    engine: Option<ClosureEngine<RuntimeSpec>>,
     window: LiveWindow,
-    /// Waits-for bookkeeping, optionally sharded by entity partition
-    /// ([`MlaPrevent::with_wait_shards`]); one partition = the legacy
-    /// global graph, edge for edge.
-    waits: ShardedWaits,
-    /// Node capacity for rebuilding `waits` when re-sharded.
-    txn_count: usize,
+    /// The waits-for graph over transactions: one node per transaction,
+    /// an edge `t -> b` while `t` is deferred behind `b`.
+    waits: IncrementalTopo,
     policy: VictimPolicy,
     /// A §5 per-universe certificate lattice from `mla-lint` plus its
     /// armed/blamed state: while a universe is armed, its in-footprint
@@ -76,61 +69,43 @@ impl MlaPrevent {
     }
 
     fn clear_out_edges(&mut self, txn: TxnId) {
-        self.waits.clear_out_edges(txn.0);
+        let outs: Vec<u32> = self.waits.successors(txn.0).to_vec();
+        for o in outs {
+            self.waits.remove_edge(txn.0, o);
+        }
     }
 
-    /// Shards the waits-for bookkeeping across `partitions` entity
-    /// partitions (satellite to [`with_shards`](Self::with_shards)):
-    /// wait edges are attributed to the partition of the entity the
-    /// waiter stalled on, so fully partitioned workloads keep disjoint
-    /// wait graphs. Deadlock detection stays exact — groups coalesce
-    /// when a transaction waits across partitions. `partitions <= 1`
-    /// keeps the single global graph.
-    pub fn with_wait_shards(mut self, partitions: usize) -> Self {
-        assert_eq!(
-            self.waits.edge_count(),
-            0,
-            "set wait shards before the first deferral"
-        );
-        self.waits = ShardedWaits::new(self.txn_count, partitions);
+    /// A placeholder: the closure engine is not sharded, so `shards`
+    /// must be 0 (one engine). `perfbench/src/workloads.rs` calls it;
+    /// that call is its only reason to exist.
+    pub fn with_shards(self, shards: usize) -> Self {
+        assert_eq!(shards, 0, "the closure engine is not sharded");
         self
     }
 
-    /// How many wait-graph group coalescences have happened (0 on fully
-    /// partitionable workloads, and always 0 unsharded).
-    pub fn wait_merge_count(&self) -> u64 {
-        self.waits.merge_count()
-    }
-
-    /// Shards the closure engine across `shards` entity partitions
-    /// (`shards == 0` keeps the single global engine). See
-    /// [`crate::MlaDetect::with_shards`].
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        assert!(
-            self.engine.is_none(),
-            "set shards before the first decision"
-        );
-        self.shards = shards;
+    /// A placeholder: the waits-for graph is not partitioned, so
+    /// `partitions` must be 0 or 1 (one graph). `perfbench/src/workloads.rs`
+    /// calls it; that call is its only reason to exist.
+    pub fn with_wait_shards(self, partitions: usize) -> Self {
+        assert!(partitions <= 1, "the waits-for graph is not partitioned");
         self
     }
 
     /// The engine's decision-cost counters so far (zeros before the
-    /// first decision); for a sharded backend, the sum over shards.
+    /// first decision).
     pub fn cost(&self) -> EngineCounters {
         self.engine
             .as_ref()
-            .map(|e| e.counters())
+            .map(|e| *e.counters())
             .unwrap_or_default()
     }
 
-    /// Records the waits-for edges of a deferral (attributed to the
-    /// entity partition the requester stalled on); returns a rollback
+    /// Records the waits-for edges of a deferral; returns a rollback
     /// decision instead if an edge would close a waits-for cycle.
     fn defer_on<V: AdmissionView + ?Sized>(
         &mut self,
         txn: TxnId,
         blockers: &[TxnId],
-        wait_partition: usize,
         view: &V,
     ) -> Decision {
         self.breakpoint_waits += 1;
@@ -139,7 +114,7 @@ impl MlaPrevent {
         // waits on this one and hide wait cycles (livelock).
         self.clear_out_edges(txn);
         for b in blockers {
-            if let Err(cycle) = self.waits.add_edge(txn.0, b.0, wait_partition) {
+            if let Err(cycle) = self.waits.add_edge(txn.0, b.0) {
                 // A waits-for cycle: roll back a victim on it.
                 let candidates: Vec<TxnId> = cycle
                     .nodes()
@@ -164,10 +139,8 @@ impl MlaPrevent {
         MlaPrevent {
             spec,
             engine: None,
-            shards: 0,
             window: LiveWindow::new(),
-            waits: ShardedWaits::new(txn_count, 1),
-            txn_count,
+            waits: IncrementalTopo::new(txn_count),
             policy,
             guard: None,
             breakpoint_waits: 0,
@@ -235,10 +208,9 @@ impl MlaPrevent {
     }
 
     /// Catches the engine up on every step granted so far (certified
-    /// skips included): fresh backend, full journal replay.
+    /// skips included): fresh engine, full journal replay.
     fn catch_up_engine<V: AdmissionView + ?Sized>(&mut self, view: &V) {
-        let mut engine =
-            EngineBackend::with_shards(view.nest().clone(), self.spec.clone(), self.shards);
+        let mut engine = ClosureEngine::new(view.nest().clone(), self.spec.clone());
         for s in view.history_steps() {
             engine
                 .apply_step(s)
@@ -253,7 +225,6 @@ impl MlaPrevent {
     /// [`Control`] impl is a thin delegation to this.
     pub fn decide_view<V: AdmissionView + ?Sized>(&mut self, txn: TxnId, view: &V) -> Decision {
         let candidate = view.candidate(txn);
-        let wait_partition = candidate.entity.index();
         if let Some(guard) = self.guard.as_mut() {
             // Re-arm any voided universe whose blamed strays have all
             // drained: committed and evicted from the live window (or
@@ -272,11 +243,7 @@ impl MlaPrevent {
             }
         }
         if self.engine.is_none() {
-            self.engine = Some(EngineBackend::with_shards(
-                view.nest().clone(),
-                self.spec.clone(),
-                self.shards,
-            ));
+            self.engine = Some(ClosureEngine::new(view.nest().clone(), self.spec.clone()));
         }
         let engine = self.engine.as_mut().expect("just initialised");
         match engine.apply_step(candidate) {
@@ -284,10 +251,9 @@ impl MlaPrevent {
                 // Find blockers against the *tentative* closure (it now
                 // includes the candidate): live unfinished transactions
                 // whose last performed step precedes the candidate but is
-                // not at the required breakpoint. The backend answers
+                // not at the required breakpoint. The engine answers
                 // with the candidate's closure predecessors, ascending by
-                // transaction id — an order independent of engine layout,
-                // so sharded and unsharded runs wait identically.
+                // transaction id.
                 let blockers: Vec<TxnId> = engine
                     .pending_predecessors()
                     .into_iter()
@@ -304,12 +270,12 @@ impl MlaPrevent {
                     // suitable breakpoint, so performing now keeps the
                     // closure consistent with the performance order.
                     engine.commit_step();
-                    self.window.maintain_with_backend(engine, view);
+                    self.window.maintain_with_engine(engine, view);
                     self.clear_out_edges(txn);
                     return Decision::Grant;
                 }
                 engine.rollback_step();
-                self.defer_on(txn, &blockers, wait_partition, view)
+                self.defer_on(txn, &blockers, view)
             }
             Err(witness) => {
                 // The candidate would close a closure cycle — something
@@ -331,7 +297,7 @@ impl MlaPrevent {
                     })
                     .collect();
                 if !blockers.is_empty() {
-                    return self.defer_on(txn, &blockers, wait_partition, view);
+                    return self.defer_on(txn, &blockers, view);
                 }
                 self.prevention_misses += 1;
                 let mut candidates: Vec<TxnId> = witness
@@ -398,13 +364,6 @@ impl Control for MlaPrevent {
 
     fn decision_cost(&self) -> Option<EngineCounters> {
         Some(self.cost())
-    }
-
-    fn shard_decision_cost(&self) -> Vec<EngineCounters> {
-        self.engine
-            .as_ref()
-            .map(|e| e.shard_counters())
-            .unwrap_or_default()
     }
 
     fn certified_skips(&self) -> u64 {
@@ -547,39 +506,6 @@ mod tests {
             .map(|s| s.observed)
             .sum();
         assert_eq!(audit_reads, 100, "no money in transit was observed");
-    }
-
-    #[test]
-    fn sharded_prevention_matches_unsharded_outcome() {
-        // Prevention never aborts here (breakpoints make the weave
-        // legal), so the sharded backend must produce the identical
-        // history, wait for wait, to the global engine.
-        let (nest, instances, spec) = opposing_transfers(3, true);
-        let mut flat = MlaPrevent::new(2, spec.clone(), VictimPolicy::FewestSteps);
-        let out_flat = run(
-            nest.clone(),
-            instances,
-            [(e(0), 10), (e(1), 10)],
-            &[0, 0],
-            &SimConfig::seeded(31),
-            &mut flat,
-        );
-        let (_, instances, _) = opposing_transfers(3, true);
-        let mut sharded =
-            MlaPrevent::new(2, spec.clone(), VictimPolicy::FewestSteps).with_shards(4);
-        let out_sharded = run(
-            nest.clone(),
-            instances,
-            [(e(0), 10), (e(1), 10)],
-            &[0, 0],
-            &SimConfig::seeded(31),
-            &mut sharded,
-        );
-        assert_eq!(out_sharded.metrics.aborts, 0);
-        assert_eq!(out_flat.execution.steps(), out_sharded.execution.steps());
-        assert_eq!(flat.breakpoint_waits, sharded.breakpoint_waits);
-        assert_eq!(sharded.prevention_misses, 0);
-        assert!(oracle::is_correctable_outcome(&out_sharded, &nest, &spec));
     }
 
     #[test]

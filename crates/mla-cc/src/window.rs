@@ -29,7 +29,7 @@ use std::collections::HashSet;
 
 use mla_core::closure::CoherentClosure;
 use mla_core::spec::ExecContext;
-use mla_core::{BreakpointSpecification, ClosureEngine, EngineBackend};
+use mla_core::{BreakpointSpecification, ClosureEngine};
 use mla_model::{Execution, Step, TxnId};
 
 use crate::admission::AdmissionView;
@@ -151,23 +151,6 @@ impl LiveWindow {
             return;
         }
         for t in engine.evict_unreachable(|t| !view.is_committed(t)) {
-            self.evicted.insert(t);
-        }
-    }
-
-    /// [`maintain_with_engine`](Self::maintain_with_engine) over an
-    /// [`EngineBackend`]: the unsharded engine does the global scan, the
-    /// sharded one projects only the shard groups whose state changed
-    /// since the last maintenance pass — same evictions either way.
-    pub fn maintain_with_backend<S, V>(&mut self, backend: &mut EngineBackend<S>, view: &V)
-    where
-        S: BreakpointSpecification + Clone,
-        V: AdmissionView + ?Sized,
-    {
-        if !self.enabled {
-            return;
-        }
-        for t in backend.evict_unreachable(|t| !view.is_committed(t)) {
             self.evicted.insert(t);
         }
     }
@@ -377,24 +360,6 @@ mod tests {
         window.maintain_with_engine(&mut engine, &world);
         assert_eq!(window.evicted_count(), 1);
         assert_eq!(engine.live_count(), 1);
-    }
-
-    #[test]
-    fn backend_maintenance_matches_engine_rule() {
-        use mla_core::EngineBackend;
-        let world = world();
-        for shards in [0usize, 1, 2, 4] {
-            let mut window = LiveWindow::new();
-            let mut backend =
-                EngineBackend::with_shards(Nest::flat(2), RuntimeSpec::new(2), shards);
-            for r in world.store.journal() {
-                backend.apply_step(r.as_step()).expect("journal is acyclic");
-                backend.commit_step();
-            }
-            window.maintain_with_backend(&mut backend, &world);
-            assert_eq!(window.evicted_count(), 1, "shards={shards}");
-            assert_eq!(backend.live_count(), 1, "shards={shards}");
-        }
     }
 
     #[test]

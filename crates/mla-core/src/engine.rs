@@ -69,7 +69,7 @@
 //!
 //! [`needs_rebuild`]: ClosureEngine::rebuild_pending
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use mla_graph::topo::Cycle;
 use mla_graph::{BitSet, DenseMap, IncrementalTopo, PairSummary};
@@ -102,30 +102,13 @@ pub struct EngineCounters {
     pub rollbacks: u64,
 }
 
-impl std::ops::AddAssign for EngineCounters {
-    fn add_assign(&mut self, rhs: EngineCounters) {
-        self.steps_applied += rhs.steps_applied;
-        self.edges_inserted += rhs.edges_inserted;
-        self.rows_touched += rhs.rows_touched;
-        self.rebuilds += rhs.rebuilds;
-        self.rollbacks += rhs.rollbacks;
-    }
-}
-
-impl std::ops::Add for EngineCounters {
-    type Output = EngineCounters;
-
-    fn add(mut self, rhs: EngineCounters) -> EngineCounters {
-        self += rhs;
-        self
-    }
-}
-
-impl std::iter::Sum for EngineCounters {
-    fn sum<I: Iterator<Item = EngineCounters>>(iter: I) -> EngineCounters {
-        iter.fold(EngineCounters::default(), |acc, c| acc + c)
-    }
-}
+/// A placeholder with no producer: the closure engine is serial, so no
+/// engine reports worker-pool statistics. It exists only because the
+/// `parallel_stats` forwarder in `perfbench/src/adapter.rs` names it;
+/// it goes together with that forwarder and
+/// `mla_sim::Control::parallel_stats`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ParallelStats;
 
 /// A stable-identity snapshot of the maintained relation: for each live
 /// step `(txn, seq)`, the frontier entries `(other_txn, frontier_seq)`
@@ -288,41 +271,38 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         self.tentative = false;
     }
 
-    /// Replays a step through the full apply pipeline and commits it
-    /// immediately, *without* counting it as an offered decision
-    /// (`steps_applied` stays put). This is the shard-merge path: when
-    /// two shards coalesce, the destination engine absorbs the merged
-    /// stamped logs — known-acyclic history, not new scheduler traffic —
-    /// so the per-decision cost accounting stays comparable to an
-    /// unsharded engine fed the same decisions.
-    pub fn absorb_step(&mut self, step: Step) -> Result<(), CycleWitness> {
-        assert!(!self.tentative, "previous tentative step not resolved");
-        if self.needs_rebuild {
-            self.rebuild();
-        }
-        self.tentative = true;
-        match self.apply_inner(step) {
-            Ok(()) => {
-                self.journal.clear();
-                self.tentative = false;
-                Ok(())
+    /// Decides a whole stream under the batch poison rule: grants
+    /// auto-commit; a denial poisons its transaction for the rest of the
+    /// batch (later steps are denied with the same witness, never
+    /// applied — the transaction's `seq` chain is broken anyway).
+    pub fn decide_batch(&mut self, steps: &[Step]) -> Vec<Result<(), CycleWitness>> {
+        let mut poisoned: HashMap<TxnId, CycleWitness> = HashMap::new();
+        let mut verdicts = Vec::with_capacity(steps.len());
+        for &step in steps {
+            if let Some(w) = poisoned.get(&step.txn) {
+                verdicts.push(Err(w.clone()));
+                continue;
             }
-            Err(cycle) => {
-                let witness = self.witness_from(&cycle);
-                self.rollback_step();
-                Err(witness)
+            match self.apply_step(step) {
+                Ok(()) => {
+                    self.commit_step();
+                    verdicts.push(Ok(()));
+                }
+                Err(w) => {
+                    poisoned.insert(step.txn, w.clone());
+                    verdicts.push(Err(w));
+                }
             }
         }
+        verdicts
     }
 
     /// Closure predecessors of the *pending* step: live columns (other
     /// than the requester's) whose last live step is related before the
     /// tentative row in the maintained closure. This is the §6
-    /// prevention probe — one O(1) frontier lookup per column — hoisted
-    /// into the engine so a sharded backend can answer it from the one
-    /// shard holding the candidate. Returned ascending by `TxnId` so the
-    /// answer is independent of column-creation order (and hence of shard
-    /// count).
+    /// prevention probe — one O(1) frontier lookup per column. Returned
+    /// ascending by `TxnId` so the answer is independent of
+    /// column-creation order.
     pub fn pending_predecessors(&self) -> Vec<TxnId> {
         assert!(self.tentative, "no pending step to probe");
         let beta = self.steps.len() - 1;
@@ -1549,5 +1529,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn decide_batch_poisons_denied_transactions() {
+        // Eight transactions of four steps over six entities in clashing
+        // orders, randomly interleaved: genuine denials, with later
+        // offers from the denied transactions still in the stream. Even
+        // transactions are atomic; odd ones carry a level-2 breakpoint
+        // after their first step, so both grant rules are in play.
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0xD57);
+        let nest = Nest::new(3, (0..8).map(|t| vec![t % 3]).collect()).expect("depth k-2");
+        let scripts: Vec<Vec<u32>> = (0..8)
+            .map(|_| (0..4).map(|_| rng.gen_range(0..6u32)).collect())
+            .collect();
+        let mut next = [0u32; 8];
+        let mut schedule = Vec::new();
+        while schedule.len() < 32 {
+            let t = rng.gen_range(0..8usize);
+            if let Some(&x) = scripts[t].get(next[t] as usize) {
+                schedule.push(step(t as u32, next[t], x));
+                next[t] += 1;
+            }
+        }
+
+        let spec = PrefixSpec {
+            k: 3,
+            mids: (1..8).step_by(2).map(|t| (t, vec![vec![1]])).collect(),
+        };
+        let mut engine = ClosureEngine::new(nest, spec);
+        let verdicts = engine.decide_batch(&schedule);
+        let mut first: HashMap<TxnId, &CycleWitness> = HashMap::new();
+        let mut repeats = 0;
+        for (s, v) in schedule.iter().zip(&verdicts) {
+            let Err(w) = v else {
+                assert!(!first.contains_key(&s.txn), "{s:?} granted after a denial");
+                continue;
+            };
+            match first.get(&s.txn) {
+                Some(w0) => {
+                    assert_eq!((&w.steps, &w.txns), (&w0.steps, &w0.txns));
+                    repeats += 1;
+                }
+                None => {
+                    first.insert(s.txn, w);
+                }
+            }
+        }
+        assert!(repeats > 0, "a denied transaction must offer again");
+        // Denied offers were never applied: the history is exactly the
+        // granted offers, in offer order.
+        let granted: Vec<Step> = schedule
+            .iter()
+            .zip(&verdicts)
+            .filter_map(|(&s, v)| v.is_ok().then_some(s))
+            .collect();
+        assert_eq!(engine.execution().steps(), granted.as_slice());
     }
 }

@@ -64,7 +64,6 @@ pub mod extend;
 pub mod nest;
 pub mod relations;
 pub mod serializability;
-pub mod shard;
 pub mod spec;
 pub mod theorem;
 
@@ -72,9 +71,10 @@ pub use atomicity::{check_multilevel_atomic, is_multilevel_atomic, MlaCriterion}
 pub use breakpoints::BreakpointDescription;
 pub use cert::StaticCert;
 pub use closure::CoherentClosure;
-pub use engine::{ClosureEngine, CycleWitness, EngineCounters, PairProbe, RelationSignature};
+pub use engine::{
+    ClosureEngine, CycleWitness, EngineCounters, PairProbe, ParallelStats, RelationSignature,
+};
 pub use extend::{extend_to_total_order, witness_execution};
 pub use nest::{Nest, NestBuilder};
-pub use shard::{EngineBackend, ParallelStats, ShardedClosureEngine};
 pub use spec::{AtomicSpec, BreakpointSpecification, ExecContext, FixedSpec, FreeSpec};
 pub use theorem::{decide, is_correctable, Correctability};

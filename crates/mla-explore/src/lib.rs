@@ -2,7 +2,7 @@
 //! partial-order reduction (DPOR) with the coherent closure as the
 //! independence relation.
 //!
-//! The random harnesses (`sharded_engine_equivalence`,
+//! The random harnesses (`closure_engine_equivalence`,
 //! `check_differential`) sample schedules, so a bug that needs one
 //! specific interleaving can survive every run. This crate instead
 //! enumerates *every* schedule of a bounded nest up to

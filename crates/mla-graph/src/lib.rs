@@ -18,8 +18,7 @@
 //!   order maintenance, used by the cycle-detection schedulers to reject a
 //!   step the moment it would close a dependency cycle.
 //! * [`summary::PairSummary`] — deduplicated transaction-level pair sets
-//!   with forward reachability: what closure-engine shards exchange at
-//!   their boundary and what live-window eviction reaches over.
+//!   with forward reachability: what live-window eviction reaches over.
 //! * [`bitset::BitSet`] — a minimal fixed-capacity bitset (no external
 //!   dependency) shared by the above.
 //!

@@ -1,16 +1,11 @@
 //! Transaction-pair summaries: the deduplicated transaction-level edge
-//! sets that closure-engine shards exchange and that window eviction
-//! forward-reaches over.
+//! sets that window eviction forward-reaches over.
 //!
-//! A shard's maintained frontier induces a transaction-level relation
-//! ("some step of `u` precedes some step of `v`"). For eviction and for
-//! cross-shard aggregation only this summary matters, not the per-step
-//! frontier rows — so it is the unit shards hand across their boundary:
-//! each shard projects its frontier down to a [`PairSummary`], summaries
-//! [`merge`](PairSummary::merge) into the global transaction relation,
-//! and reachability over the merged summary equals reachability over the
-//! union of the per-shard closures (shards partition the entities, so
-//! every closure pair lives inside exactly one shard).
+//! The closure engine's maintained frontier induces a transaction-level
+//! relation ("some step of `u` precedes some step of `v`"). For
+//! eviction only this summary matters, not the per-step frontier rows,
+//! so the engine projects its frontier down to a [`PairSummary`] and
+//! keeps what is reachable from the live transactions.
 
 use std::collections::HashMap;
 
@@ -38,15 +33,6 @@ impl PairSummary {
         if !succ.contains(&v) {
             succ.push(v);
             self.edges += 1;
-        }
-    }
-
-    /// Folds another summary in (the cross-shard exchange step).
-    pub fn merge(&mut self, other: &PairSummary) {
-        for (&u, succ) in &other.adj {
-            for &v in succ {
-                self.add(u, v);
-            }
         }
     }
 
@@ -101,18 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_unions_edges() {
-        let mut a = PairSummary::new();
-        a.add(1, 2);
-        let mut b = PairSummary::new();
-        b.add(2, 3);
-        b.add(1, 2);
-        a.merge(&b);
-        assert_eq!(a.edge_count(), 2);
-        assert_eq!(a.reachable_from([1]), vec![1, 2, 3]);
-    }
-
-    #[test]
     fn reachability_follows_direction() {
         let mut s = PairSummary::new();
         s.add(1, 2);
@@ -121,17 +95,5 @@ mod tests {
         assert_eq!(s.reachable_from([1]), vec![1, 2, 4]);
         assert_eq!(s.reachable_from([4]), vec![4]);
         assert_eq!(s.reachable_from([5, 4]), vec![1, 2, 4, 5]);
-    }
-
-    #[test]
-    fn disjoint_summaries_stay_disjoint_after_merge() {
-        // The sharding picture: two shards over disjoint transactions.
-        let mut a = PairSummary::new();
-        a.add(0, 2);
-        let mut b = PairSummary::new();
-        b.add(1, 3);
-        a.merge(&b);
-        assert_eq!(a.reachable_from([0]), vec![0, 2]);
-        assert_eq!(a.reachable_from([1]), vec![1, 3]);
     }
 }

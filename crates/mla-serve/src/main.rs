@@ -11,15 +11,12 @@ const USAGE: &str = "mla-serve: concurrent transaction service demo
 USAGE: mla-serve [OPTIONS]
 
   --load partitioned|contended   workload shape        [contended]
-  --sessions N                   client sessions       [64]
-  --txns N                       txns per session      [32]
-  --accounts N                   shared accounts (contended) [16]
+  --sessions N                   client sessions, >= 1 [64]
+  --txns N                       txns per session, >= 1 [32]
+  --accounts N                   shared accounts, >= 2 (contended) [16]
   --audit-every N                audit txn cadence, 0=off (contended) [8]
   --sched detect|prevent         admission scheduler   [prevent]
   --workers N                    worker threads        [4]
-  --shards N                     closure-engine shards,
-                                 0 = one unsharded engine [0]
-  --wait-shards N                wait-graph partitions [1]
   --certified                    attach the static certificate if earned
   --no-gc                        disable the epoch GC thread
   --deadline-secs N              liveness backstop     [60]
@@ -34,6 +31,17 @@ fn parse_or_die<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
         eprintln!("bad or missing value for {flag}\n\n{USAGE}");
         std::process::exit(2);
     })
+}
+
+/// Parses a count flag's value, exiting with the usage unless it is at
+/// least `min`.
+fn count_or_die(flag: &str, v: Option<String>, min: usize) -> usize {
+    let n: usize = parse_or_die(flag, v);
+    if n < min {
+        eprintln!("{flag} must be at least {min}\n\n{USAGE}");
+        std::process::exit(2);
+    }
+    n
 }
 
 fn main() {
@@ -51,9 +59,9 @@ fn main() {
     while let Some(a) = args.next() {
         match a.as_str() {
             "--load" => load_kind = parse_or_die(&a, args.next()),
-            "--sessions" => sessions = parse_or_die(&a, args.next()),
-            "--txns" => txns = parse_or_die(&a, args.next()),
-            "--accounts" => accounts = parse_or_die(&a, args.next()),
+            "--sessions" => sessions = count_or_die(&a, args.next(), 1),
+            "--txns" => txns = count_or_die(&a, args.next(), 1),
+            "--accounts" => accounts = count_or_die(&a, args.next(), 2),
             "--audit-every" => audit_every = parse_or_die(&a, args.next()),
             "--sched" => {
                 config.sched = match args.next().as_deref() {
@@ -66,8 +74,6 @@ fn main() {
                 }
             }
             "--workers" => config.workers = parse_or_die(&a, args.next()),
-            "--shards" => config.shards = parse_or_die(&a, args.next()),
-            "--wait-shards" => config.wait_shards = parse_or_die(&a, args.next()),
             "--certified" => config.certified = true,
             "--no-gc" => config.gc_interval = None,
             "--deadline-secs" => {

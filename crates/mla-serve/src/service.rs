@@ -126,9 +126,13 @@ pub struct ServeConfig {
     /// Worker threads (thread-per-core front-end; sessions are dealt
     /// round-robin across them).
     pub workers: usize,
-    /// Closure-engine entity shards (0 = one unsharded engine).
+    /// A placeholder that must stay 0: the closure engine is not
+    /// sharded. `perfbench/src/workloads.rs` reads it; that is its only
+    /// reason to exist.
     pub shards: usize,
-    /// Wait-graph partitions for [`MlaPrevent`] (1 = one global graph).
+    /// A placeholder that must stay 1: the waits-for graph is not
+    /// partitioned. `perfbench/src/workloads.rs` reads it; that is its
+    /// only reason to exist.
     pub wait_shards: usize,
     /// Attach the workload's static certificate (when it earns one) so
     /// grants ride the certified fast path.
@@ -913,7 +917,14 @@ fn worker_loop(service: &Service, sessions: &[Vec<TxnId>], total_txns: u64) {
 }
 
 /// Runs `load` to completion under `config` and reports.
+///
+/// Panics if `config.shards` or `config.wait_shards` is not at its
+/// default.
 pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
+    assert!(
+        config.shards == 0 && config.wait_shards == 1,
+        "shards and wait_shards are placeholders: keep them at 0 and 1"
+    );
     let workload = &load.workload;
     let txn_count = workload.txn_count();
     let sessions = load.session_txns.len();
@@ -931,17 +942,14 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
     let certified = cert.is_some();
     let sched = match config.sched {
         SchedKind::Detect => {
-            let mut s =
-                MlaDetect::new(spec, mla_cc::VictimPolicy::FewestSteps).with_shards(config.shards);
+            let mut s = MlaDetect::new(spec, mla_cc::VictimPolicy::FewestSteps);
             if let Some(c) = cert.clone() {
                 s = s.with_static_cert(c);
             }
             Sched::Detect(s)
         }
         SchedKind::Prevent => {
-            let mut s = MlaPrevent::new(txn_count, spec, mla_cc::VictimPolicy::FewestSteps)
-                .with_shards(config.shards)
-                .with_wait_shards(config.wait_shards);
+            let mut s = MlaPrevent::new(txn_count, spec, mla_cc::VictimPolicy::FewestSteps);
             if let Some(c) = cert.clone() {
                 s = s.with_static_cert(c);
             }

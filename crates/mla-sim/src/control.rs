@@ -60,12 +60,10 @@ pub trait Control {
         None
     }
 
-    /// Per-shard decision-cost counters, one entry per closure-engine
-    /// shard, for controls running a sharded backend. The simulator
-    /// records the vector in [`crate::Metrics::shard_cost`] and reports
-    /// their *sum* as [`crate::Metrics::decision_cost`] — a single
-    /// shard's counters must never masquerade as the run total.
-    /// Unsharded and classical controls keep the default empty vector.
+    /// A placeholder: the closure engine is not sharded, so no control
+    /// overrides this and the simulator never reads it. The forwarder
+    /// in `perfbench/src/adapter.rs` is its only reason to exist; it
+    /// goes together with that forwarder.
     fn shard_decision_cost(&self) -> Vec<EngineCounters> {
         Vec::new()
     }

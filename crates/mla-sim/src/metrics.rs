@@ -32,15 +32,8 @@ pub struct Metrics {
     pub timed_out: bool,
     /// Closure decision-cost counters reported by the control at the end
     /// of the run (all zeros for controls that do not maintain an
-    /// incremental closure engine). For sharded controls this is always
-    /// the **sum** over [`shard_cost`](Self::shard_cost), never a single
-    /// shard's counters.
+    /// incremental closure engine).
     pub decision_cost: EngineCounters,
-    /// Per-shard decision-cost counters for controls running a sharded
-    /// closure backend (empty otherwise). Each entry includes the work
-    /// of any engines that shard group absorbed by coalescing, so the
-    /// entries always sum to the whole run's closure work.
-    pub shard_cost: Vec<EngineCounters>,
     /// Decisions granted on a static-certificate fast path, skipping
     /// closure maintenance entirely (0 for controls without an
     /// `mla-lint` `StaticCert`).
@@ -112,13 +105,6 @@ impl Metrics {
         }
         self.decision_cost.rows_touched as f64 / self.decision_cost.steps_applied as f64
     }
-
-    /// The sum of the per-shard counters — what
-    /// [`decision_cost`](Self::decision_cost) is set to when the control
-    /// reports a sharded backend.
-    pub fn summed_shard_cost(&self) -> EngineCounters {
-        self.shard_cost.iter().copied().sum()
-    }
 }
 
 #[cfg(test)]
@@ -148,52 +134,6 @@ mod tests {
         assert_eq!(m.latency_percentile(0.5), 0);
         assert_eq!(m.max_cascade(), 0);
         assert_eq!(m.wasted_work(), 0.0);
-    }
-
-    #[test]
-    fn shard_cost_aggregates_by_field_wise_sum() {
-        // Pin the aggregation rule: the reported decision cost for a
-        // sharded run is the field-wise sum over every shard's counters,
-        // not any single shard's.
-        let a = EngineCounters {
-            steps_applied: 1,
-            edges_inserted: 2,
-            rows_touched: 3,
-            rebuilds: 4,
-            rollbacks: 5,
-        };
-        let b = EngineCounters {
-            steps_applied: 10,
-            edges_inserted: 20,
-            rows_touched: 30,
-            rebuilds: 40,
-            rollbacks: 50,
-        };
-        let c = EngineCounters {
-            steps_applied: 100,
-            edges_inserted: 200,
-            rows_touched: 300,
-            rebuilds: 400,
-            rollbacks: 500,
-        };
-        let m = Metrics {
-            shard_cost: vec![a, b, c],
-            ..Metrics::default()
-        };
-        let total = m.summed_shard_cost();
-        assert_eq!(
-            total,
-            EngineCounters {
-                steps_applied: 111,
-                edges_inserted: 222,
-                rows_touched: 333,
-                rebuilds: 444,
-                rollbacks: 555,
-            }
-        );
-        assert_ne!(total, a, "a single shard must not stand in for the run");
-        let empty = Metrics::default();
-        assert_eq!(empty.summed_shard_cost(), EngineCounters::default());
     }
 
     #[test]

@@ -238,17 +238,10 @@ pub fn run(
     }
 
     world.metrics.makespan = world.clock;
-    world.metrics.shard_cost = control.shard_decision_cost();
     world.metrics.certified_skips = control.certified_skips();
     world.metrics.certified_skips_per_universe = control.certified_skips_per_universe();
     world.metrics.cert_re_arms = control.cert_re_arms();
-    // A sharded control's run total is the sum over its shards; taking
-    // any single engine's counters here would under-report the run.
-    world.metrics.decision_cost = if world.metrics.shard_cost.is_empty() {
-        control.decision_cost().unwrap_or_default()
-    } else {
-        world.metrics.summed_shard_cost()
-    };
+    world.metrics.decision_cost = control.decision_cost().unwrap_or_default();
     world.metrics.commit_latencies = committed_at
         .iter()
         .zip(arrivals)

@@ -13,8 +13,8 @@
 //!   length, Zipf-skewed entity selection, and per-level breakpoint
 //!   densities: the sweep axes of experiments E1–E3, E5, E8.
 //! * [`partitioned`] — independent entity universes with long-lived
-//!   scanners pinning each universe's live window: the A5 stress case
-//!   for the entity-sharded closure engine.
+//!   scanners pinning each universe's live window: the certified fast
+//!   path's showcase (A7).
 //! * [`mixed`] — one 4-nest whose universes each carry a *different*
 //!   k-level of interleaving freedom (atomic / subgroup-only / whole
 //!   universe): the MLA analogue of mixed isolation levels.

@@ -14,9 +14,9 @@
 //!   same-universe transaction may weave inside.
 //!
 //! Universes are entity-disjoint (universe `u` owns residue class
-//! `u mod universes`, the partitioned-workload convention, so shard
-//! splits line up), and every transaction opens and closes on its
-//! universe's shared entity with a private step in between — enough
+//! `u mod universes`, the partitioned-workload convention), and every
+//! transaction opens and closes on its universe's shared entity with a
+//! private step in between — enough
 //! conflict structure that the degrees actually bite: free universes
 //! admit weaves the atomic ones deny.
 

@@ -1,11 +1,9 @@
-//! The partitioned "scanner" workload: experiment A5's stress case for
-//! the sharded closure engine.
+//! The partitioned "scanner" workload: independent universes that never
+//! share an entity — the certified fast path's showcase (A7).
 //!
 //! `partitions` independent universes of entities, with entity ids
 //! chosen so that universe `p` is exactly the residue class `p mod
-//! partitions` — a shard-count that divides `partitions` therefore never
-//! coalesces shard groups, while a larger one splits universes and
-//! exercises the coalescing path.
+//! partitions`.
 //!
 //! Each universe runs:
 //!
@@ -23,10 +21,9 @@
 //!
 //! The conflict structure is a forward chain per universe (scanner
 //! first, then the short transactions in shared-entity order), so every
-//! run is cycle-free: all controls grant every step and histories are
-//! identical whatever the backend — which is what lets A5 assert
-//! byte-identical histories across shard counts while the *cost* of
-//! deciding scales with the window each backend actually scans.
+//! run is cycle-free: all controls grant every step, which is what lets
+//! A7 assert byte-identical histories between the closure engine and
+//! the certificate guard while only the *cost* of deciding moves.
 
 use std::sync::Arc;
 
@@ -257,12 +254,12 @@ mod tests {
                 assert_eq!(s.entity, script[i]);
             }
         }
-        // Every offer grants: replay through the batch oracle backend.
-        let mut backend = mla_core::EngineBackend::unsharded(wl.nest.clone(), wl.spec());
-        for verdict in backend.decide_batch(&stream) {
+        // Every offer grants: replay through the closure engine.
+        let mut engine = mla_core::ClosureEngine::new(wl.nest.clone(), wl.spec());
+        for verdict in engine.decide_batch(&stream) {
             assert!(verdict.is_ok(), "the stream must be conflict-chain shaped");
         }
-        assert_eq!(backend.execution().steps(), stream.as_slice());
+        assert_eq!(engine.execution().steps(), stream.as_slice());
     }
 
     #[test]

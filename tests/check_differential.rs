@@ -3,8 +3,7 @@
 //! multilevel atomicity:
 //!
 //! 1. **Schedulers.** Every history `MlaDetect` and `MlaPrevent` admit
-//!    — across the three backend shapes of the differential harness and
-//!    across `mla-serve` live runs — must pass `mla-check` after a trip
+//!    — in the simulator and across `mla-serve` live runs — must pass `mla-check` after a trip
 //!    through the text format, and the returned witness must actually
 //!    be an equivalent multilevel-atomic execution.
 //! 2. **The Theorem 2 oracle.** On generated random histories (both
@@ -97,12 +96,8 @@ fn random_workload(rng: &mut SmallRng) -> Workload {
     }
 }
 
-/// The three backend shapes, as `MlaDetect` shard counts: 0 is the
-/// unsharded engine.
-const SHAPES: [usize; 3] = [0, 1, 4];
-
-fn shaped(wl: &Workload, shards: usize) -> MlaDetect {
-    MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps).with_shards(shards)
+fn detector(wl: &Workload) -> MlaDetect {
+    MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps)
 }
 
 fn sim_run(
@@ -156,11 +151,8 @@ fn detect_admitted_histories_pass_across_all_backends() {
     for seed in 0..12u64 {
         let mut rng = SmallRng::seed_from_u64(0xD1FF_0000 + seed);
         let wl = random_workload(&mut rng);
-        for shards in SHAPES {
-            let mut c = shaped(&wl, shards);
-            let out = sim_run(&wl, &mut c, seed);
-            assert_admitted(&wl, &out, &format!("detect x{shards} seed {seed}"));
-        }
+        let out = sim_run(&wl, &mut detector(&wl), seed);
+        assert_admitted(&wl, &out, &format!("detect seed {seed}"));
     }
 }
 
@@ -169,14 +161,9 @@ fn prevent_admitted_histories_pass() {
     for seed in 0..12u64 {
         let mut rng = SmallRng::seed_from_u64(0xD1FF_1000 + seed);
         let wl = random_workload(&mut rng);
-        for shards in [0usize, 4] {
-            let mut c = MlaPrevent::new(wl.txn_count(), wl.spec(), VictimPolicy::FewestSteps);
-            if shards > 0 {
-                c = c.with_shards(shards);
-            }
-            let out = sim_run(&wl, &mut c, seed);
-            assert_admitted(&wl, &out, &format!("prevent x{shards} seed {seed}"));
-        }
+        let mut c = MlaPrevent::new(wl.txn_count(), wl.spec(), VictimPolicy::FewestSteps);
+        let out = sim_run(&wl, &mut c, seed);
+        assert_admitted(&wl, &out, &format!("prevent seed {seed}"));
     }
 }
 
@@ -342,8 +329,8 @@ fn weak_mode_never_contradicts_a_strong_pass() {
 }
 
 /// Every universe in one nest at a *different* k-level — the mixed
-/// isolation family — driven through the simulator across all three
-/// backend shapes; every admitted history must survive the full
+/// isolation family — driven through the simulator; every admitted
+/// history must survive the full
 /// pipeline (text round-trip, `mla-check`, Theorem 2 witness).
 #[test]
 fn mixed_isolation_histories_pass_across_all_backends() {
@@ -369,11 +356,8 @@ fn mixed_isolation_histories_pass_across_all_backends() {
         );
         let wl = &generated.workload;
         for seed in [3u64, 11] {
-            for shards in SHAPES {
-                let mut c = shaped(wl, shards);
-                let out = sim_run(wl, &mut c, seed);
-                assert_admitted(wl, &out, &format!("{} x{shards} seed {seed}", wl.name));
-            }
+            let out = sim_run(wl, &mut detector(wl), seed);
+            assert_admitted(wl, &out, &format!("{} seed {seed}", wl.name));
         }
     }
 }
@@ -431,7 +415,7 @@ fn mixed_dpor(cfg: MixedConfig, expect_reps: u64) {
 }
 
 /// Tier-1 bound: one free and one atomic universe of two transactions
-/// each (the classmates degree rides in the backend sweep above and in
+/// each (the classmates degree rides in the simulator sweep above and in
 /// the nightly instance — adding its universe here multiplies the
 /// denial-rich tree past the tier-1 budget). 336 representatives: the
 /// free pair's 6 shared-step weaves times the atomic pair's 56
@@ -470,10 +454,7 @@ fn unbounded_random_differential() {
     for seed in 100..130u64 {
         let mut rng = SmallRng::seed_from_u64(0xD1FF_2000 + seed);
         let wl = random_workload(&mut rng);
-        for shards in SHAPES {
-            let mut c = shaped(&wl, shards);
-            let out = sim_run(&wl, &mut c, seed);
-            assert_admitted(&wl, &out, &format!("nightly detect x{shards} {seed}"));
-        }
+        let out = sim_run(&wl, &mut detector(&wl), seed);
+        assert_admitted(&wl, &out, &format!("nightly detect {seed}"));
     }
 }

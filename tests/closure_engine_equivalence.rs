@@ -15,6 +15,12 @@
 //! maintenance paths between decisions; after each run the engine's
 //! maintained relation is compared pairwise against the batch closure
 //! of the surviving execution.
+//!
+//! Two exhaustive checks replace sampling with enumeration: every
+//! Mazurkiewicz-trace representative of a few bounded nests, as
+//! `mla-explore` enumerates them, is replayed through the engine step by
+//! step and through [`ClosureEngine::decide_batch`], and must reproduce
+//! the explored verdicts and history byte for byte.
 
 use std::sync::Arc;
 
@@ -22,6 +28,7 @@ use multilevel_atomicity::core::closure::CoherentClosure;
 use multilevel_atomicity::core::nest::Nest;
 use multilevel_atomicity::core::spec::ExecContext;
 use multilevel_atomicity::core::ClosureEngine;
+use multilevel_atomicity::explore::{explore, BoundedNest, Schedule};
 use multilevel_atomicity::model::{EntityId, Execution, Step, TxnId};
 use multilevel_atomicity::txn::{PhaseTable, RuntimeBreakpoints, RuntimeSpec};
 use proptest::prelude::*;
@@ -191,4 +198,178 @@ proptest! {
             }
         }
     }
+}
+
+/// A [`RuntimeSpec`] assigning each transaction a [`PhaseTable`] with
+/// the given `(position, level)` marks.
+fn phase_spec(k: usize, marks: &[&[(usize, usize)]]) -> RuntimeSpec {
+    let mut spec = RuntimeSpec::new(k);
+    for (t, m) in marks.iter().enumerate() {
+        let bp: Arc<dyn RuntimeBreakpoints> = Arc::new(PhaseTable::new(k, m.to_vec()));
+        spec.insert(TxnId(t as u32), bp);
+    }
+    spec
+}
+
+/// Replays one explored trace representative through the engine: it
+/// must reproduce the recorded verdict for every offer (denials abort
+/// the requester, as during exploration), and the surviving execution
+/// must equal the representative's byte for byte.
+fn lockstep_replay(nest: &Nest, spec: &RuntimeSpec, schedule: &Schedule) {
+    let mut engine = ClosureEngine::new(nest.clone(), spec.clone());
+    for (offer, &granted) in schedule.offers.iter().zip(&schedule.verdicts) {
+        match engine.apply_step(*offer) {
+            Ok(()) => {
+                assert!(
+                    granted,
+                    "engine granted what exploration denied at {:?}",
+                    offer.key()
+                );
+                engine.commit_step();
+            }
+            Err(witness) => {
+                assert!(
+                    !granted,
+                    "engine denied what exploration granted at {:?}",
+                    offer.key()
+                );
+                assert!(!witness.txns.is_empty());
+                engine.remove_txn(offer.txn);
+            }
+        }
+    }
+    engine.flush_rebuild();
+    assert_eq!(
+        engine.execution().steps(),
+        schedule.exec.steps(),
+        "engine history diverged from the explored representative"
+    );
+}
+
+/// Exhaustive lockstep: every Mazurkiewicz-trace representative of four
+/// fixed nests is replayed through the engine. The first three nests
+/// are the hand-counted fixtures from `mla-explore` (their explored
+/// counts are re-pinned here); the fourth spreads entities over two
+/// classes with mid-level breakpoints so denials occur under exhaustive
+/// — not sampled — scheduling.
+#[test]
+fn exhaustive_lockstep_covers_every_trace_representative() {
+    // Nest 1: disjoint pair under flat serializability — one trace.
+    let input = BoundedNest {
+        nest: Nest::flat(2),
+        spec: phase_spec(2, &[&[], &[]]),
+        scripts: vec![vec![EntityId(0); 2], vec![EntityId(1); 2]],
+    };
+    let stats = explore(&input, |s| lockstep_replay(&input.nest, &input.spec, s));
+    assert_eq!(stats.explored, 1);
+
+    // Nest 2: the same shape contending on one entity — six schedules,
+    // four of them carrying a denial.
+    let input = BoundedNest {
+        nest: Nest::flat(2),
+        spec: phase_spec(2, &[&[], &[]]),
+        scripts: vec![vec![EntityId(5); 2], vec![EntityId(5); 2]],
+    };
+    let mut denials = 0usize;
+    let stats = explore(&input, |s| {
+        denials += usize::from(!s.all_granted());
+        lockstep_replay(&input.nest, &input.spec, s);
+    });
+    assert_eq!(stats.explored, 6);
+    assert_eq!(denials, 4);
+
+    // Nest 3: free weaving at k = 3 (a level-2 breakpoint between the
+    // two steps of every transaction), t0/t1 contended, t2 independent.
+    let nest = Nest::new(3, vec![vec![0], vec![0], vec![0]]).unwrap();
+    let input = BoundedNest {
+        nest,
+        spec: phase_spec(3, &[&[(1, 2)], &[(1, 2)], &[(1, 2)]]),
+        scripts: vec![
+            vec![EntityId(0); 2],
+            vec![EntityId(0); 2],
+            vec![EntityId(1); 2],
+        ],
+    };
+    let stats = explore(&input, |s| lockstep_replay(&input.nest, &input.spec, s));
+    assert_eq!(stats.explored, 6);
+
+    // Nest 4: four transactions in two k=3 classes over entities 0, 1,
+    // 4 and 5, breakpoints mixed per transaction. In each class a
+    // breakpointed transaction conflicts with an atomic one that
+    // revisits its entity, so some weaves close a coherence cycle and
+    // are denied. The count is pinned from the deterministic
+    // exploration rather than hand-computed.
+    let nest = Nest::new(3, vec![vec![0], vec![0], vec![1], vec![1]]).unwrap();
+    let input = BoundedNest {
+        nest,
+        spec: phase_spec(3, &[&[(1, 2)], &[], &[(1, 2)], &[]]),
+        scripts: vec![
+            vec![EntityId(0), EntityId(4)],
+            vec![EntityId(4), EntityId(4)],
+            vec![EntityId(1), EntityId(5)],
+            vec![EntityId(5), EntityId(5)],
+        ],
+    };
+    let mut verdict_mix = (0usize, 0usize);
+    let stats = explore(&input, |s| {
+        if s.all_granted() {
+            verdict_mix.0 += 1;
+        } else {
+            verdict_mix.1 += 1;
+        }
+        lockstep_replay(&input.nest, &input.spec, s);
+    });
+    assert_eq!(stats.explored, 38);
+    assert_eq!(verdict_mix, (4, 34), "(all-grant, with-denial) split");
+    assert!(stats.sleep_skips > 0, "cross-class independence pruned");
+    assert!(stats.cache_hits > 0, "memoized probe answers were reused");
+}
+
+/// The batch path under every commit ordering: instead of *sampling*
+/// orders, enumerate them. Every Mazurkiewicz-trace representative of
+/// an all-grant bounded nest (two contended pairs in separate k=3
+/// classes, level-2 breakpoints throughout) is fed to the engine as one
+/// `decide_batch`. Verdicts and history must agree with exploration.
+#[test]
+fn batch_sequencer_agrees_on_every_commit_ordering() {
+    let k = 3;
+    let nest =
+        Nest::new(k, vec![vec![0], vec![0], vec![1], vec![1]]).expect("paths have depth k-2");
+    let spec = phase_spec(k, &[&[(1, 2)], &[(1, 2)], &[(1, 2)], &[(1, 2)]]);
+    let input = BoundedNest {
+        nest: nest.clone(),
+        spec: spec.clone(),
+        scripts: vec![
+            vec![EntityId(0), EntityId(4)],
+            vec![EntityId(4), EntityId(0)],
+            vec![EntityId(1), EntityId(5)],
+            vec![EntityId(5), EntityId(1)],
+        ],
+    };
+
+    let mut representatives = 0usize;
+    let stats = explore(&input, |schedule| {
+        assert!(
+            schedule.all_granted(),
+            "free weaving must grant every offer (the test relies on it: \
+             exploration aborts deniers, decide_batch poisons them)"
+        );
+        representatives += 1;
+        let mut engine = ClosureEngine::new(nest.clone(), spec.clone());
+        let verdicts = engine.decide_batch(&schedule.offers);
+        assert!(
+            verdicts.iter().all(|v| v.is_ok()),
+            "the engine denied an offer exploration granted"
+        );
+        assert_eq!(
+            engine.execution().steps(),
+            schedule.exec.steps(),
+            "engine history diverged from exploration"
+        );
+    });
+    assert_eq!(representatives as u64, stats.explored);
+    // Each pair's two conflict pairs admit three consistent
+    // orientations (both forward, both reversed, or the fully
+    // interleaved middle class), independently per class: 3² traces.
+    assert_eq!(stats.explored, 9);
 }

@@ -105,18 +105,3 @@ fn contended_histories_pass_the_oracle_and_conserve_money() {
         assert_eq!(total, load.initial_total, "ring total must be conserved");
     }
 }
-
-#[test]
-fn sharded_admission_histories_still_pass_the_oracle() {
-    // The sharded closure engine and partitioned wait queues behind the
-    // same gate: history-level guarantees must be layout-independent.
-    let load = contended_load(4, 6, 4, 0);
-    let mut cfg = config(SchedKind::Prevent);
-    cfg.shards = 4;
-    cfg.wait_shards = 4;
-    let report = run(&load, &cfg);
-    assert!(report.clean);
-    assert_eq!(report.committed, 24);
-    let audit = audit_full(&report.history, &load.workload.nest, &load.workload.spec());
-    assert!(audit.passed());
-}

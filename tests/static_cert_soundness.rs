@@ -14,11 +14,9 @@
 //!    One counterexample falsifies the certificate.
 //! 2. **Byte-identical histories.** The certified `MlaDetect` fast path
 //!    must be observationally invisible: its simulated history equals
-//!    the uncertified control's, and the uncertified control itself is
-//!    run across the three backend shapes of the differential harness —
-//!    unsharded, sharded ×1 and sharded ×4 — all of which must agree. (On a certified workload
-//!    no decision is ever denied, so no victim policy fires and every
-//!    shape walks the same grant sequence.)
+//!    the uncertified control's. (On a certified workload no decision
+//!    is ever denied, so no victim policy fires and both runs walk the
+//!    same grant sequence.)
 //!
 //! Denied workloads are exercised too: denial must come with a concrete
 //! mixed-cycle witness diagnostic, never silently.
@@ -26,7 +24,7 @@
 //! Since the pass became a per-universe lattice, three more families of
 //! checks ride along: partially-certified workloads must skip *only*
 //! for their certified universes while still matching the uncertified
-//! backends byte-for-byte; random **sub-lattices** (certified universes
+//! control byte-for-byte; random **sub-lattices** (certified universes
 //! arbitrarily demoted to condemned — always sound, the lattice is
 //! monotone) must never change a history; and the `mixed` workload
 //! family — whose all-or-nothing certificate was always `None` — must
@@ -38,7 +36,7 @@ use std::sync::Arc;
 
 use multilevel_atomicity::cc::{oracle, MlaDetect, MlaPrevent, VictimPolicy};
 use multilevel_atomicity::core::theorem::is_correctable;
-use multilevel_atomicity::core::{EngineBackend, StaticCert};
+use multilevel_atomicity::core::{ClosureEngine, StaticCert};
 use multilevel_atomicity::explore::{explore, BoundedNest};
 use multilevel_atomicity::lint::{certify_workload, Code};
 use multilevel_atomicity::model::program::{ScriptOp, ScriptProgram};
@@ -148,12 +146,8 @@ fn detect_run(wl: &Workload, control: &mut MlaDetect, seed: u64) -> SimOutcome {
     )
 }
 
-/// The three backend shapes of the differential harness, as `MlaDetect`
-/// shard counts: 0 is the unsharded engine.
-const SHAPES: [usize; 3] = [0, 1, 4];
-
-fn shaped(wl: &Workload, shards: usize) -> MlaDetect {
-    MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps).with_shards(shards)
+fn detector(wl: &Workload) -> MlaDetect {
+    MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps)
 }
 
 /// A random sound weakening of a certificate lattice: every condemned
@@ -223,9 +217,8 @@ fn certificates_are_sound_on_random_workloads() {
                 "seed {seed}: partial certification still carries the MLA021 witness"
             );
         }
-        // 2. The certified fast path is history-invisible, across all
-        //    three uncertified backend shapes — for full *and* partial
-        //    lattices.
+        // 2. The certified fast path is history-invisible against the
+        //    uncertified control — for full *and* partial lattices.
         let cert = certification.cert.expect("any_certified implies a cert");
         let mut fast = MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps).with_static_cert(cert);
         let out_fast = detect_run(&wl, &mut fast, seed);
@@ -254,25 +247,22 @@ fn certificates_are_sound_on_random_workloads() {
             &wl.nest,
             &wl.spec()
         ));
-        for shards in SHAPES {
-            let mut base = shaped(&wl, shards);
-            let out_base = detect_run(&wl, &mut base, seed);
-            if fully {
-                assert_eq!(
-                    out_base.metrics.aborts, 0,
-                    "seed {seed}: certified workload aborted on shape x{shards}"
-                );
-            }
+        let out_base = detect_run(&wl, &mut detector(&wl), seed);
+        if fully {
             assert_eq!(
-                out_base.execution.steps(),
-                out_fast.execution.steps(),
-                "seed {seed}: shape x{shards} history diverged from the certified run"
-            );
-            assert_eq!(
-                out_base.metrics.aborts, out_fast.metrics.aborts,
-                "seed {seed}: shape x{shards} verdicts diverged from the certified run"
+                out_base.metrics.aborts, 0,
+                "seed {seed}: certified workload aborted uncertified"
             );
         }
+        assert_eq!(
+            out_base.execution.steps(),
+            out_fast.execution.steps(),
+            "seed {seed}: uncertified history diverged from the certified run"
+        );
+        assert_eq!(
+            out_base.metrics.aborts, out_fast.metrics.aborts,
+            "seed {seed}: uncertified verdicts diverged from the certified run"
+        );
         // 3. Random sound weakenings of the lattice change nothing.
         for _ in 0..2 {
             let sub = random_sub_lattice(&lattice, &mut rng);
@@ -313,15 +303,8 @@ fn certified_partitioned_history_is_identical_across_backends() {
         out_fast.metrics.certified_skips_per_universe,
         fast.certified_skips_per_universe()
     );
-    for shards in SHAPES {
-        let mut base = shaped(wl, shards);
-        let out_base = detect_run(wl, &mut base, 7);
-        assert_eq!(
-            out_base.execution.steps(),
-            out_fast.execution.steps(),
-            "shape x{shards}"
-        );
-    }
+    let out_base = detect_run(wl, &mut detector(wl), 7);
+    assert_eq!(out_base.execution.steps(), out_fast.execution.steps());
 }
 
 /// The mixed family is the lattice's reason to exist: its Free universe
@@ -329,7 +312,7 @@ fn certified_partitioned_history_is_identical_across_backends() {
 /// all-or-nothing certificate was `None` and `certified_skips` was
 /// pinned at zero. Per-universe certification must now skip for every
 /// certifiable universe — under both schedulers — without moving a
-/// single byte of history relative to the three uncertified backends, and
+/// single byte of history relative to the uncertified control, and
 /// every admission stays inside Theorem 2.
 #[test]
 fn mixed_partial_certificate_skips_and_stays_sound() {
@@ -359,16 +342,13 @@ fn mixed_partial_certificate_skips_and_stays_sound() {
         oracle::is_correctable_outcome(&out_fast, &wl.nest, &wl.spec()),
         "every certified admission must stay inside Theorem 2"
     );
-    for shards in SHAPES {
-        let mut base = shaped(&wl, shards);
-        let out_base = detect_run(&wl, &mut base, 11);
-        assert_eq!(
-            out_base.execution.steps(),
-            out_fast.execution.steps(),
-            "shape x{shards} history diverged from the partially certified run"
-        );
-        assert_eq!(out_base.metrics.aborts, out_fast.metrics.aborts);
-    }
+    let out_base = detect_run(&wl, &mut detector(&wl), 11);
+    assert_eq!(
+        out_base.execution.steps(),
+        out_fast.execution.steps(),
+        "uncertified history diverged from the partially certified run"
+    );
+    assert_eq!(out_base.metrics.aborts, out_fast.metrics.aborts);
 
     // MlaPrevent: same partial fast path, same history as its own
     // uncertified reference.
@@ -444,8 +424,8 @@ fn dpor_sweep_certified_omission_engine_agrees_on_every_representative() {
     let mut certified_offers = 0u64;
     let stats = explore(&input, |schedule| {
         reps += 1;
-        let mut full = EngineBackend::unsharded(wl.nest.clone(), wl.spec());
-        let mut partial = EngineBackend::unsharded(wl.nest.clone(), wl.spec());
+        let mut full = ClosureEngine::new(wl.nest.clone(), wl.spec());
+        let mut partial = ClosureEngine::new(wl.nest.clone(), wl.spec());
         for (offer, &granted) in schedule.offers.iter().zip(&schedule.verdicts) {
             let certified_step = cert
                 .universe_of(offer.txn)
