@@ -488,6 +488,49 @@ mod tests {
         assert_eq!(total, 300);
     }
 
+    #[test]
+    fn eviction_passes_follow_commits_and_aborts() {
+        // The §2 banking load: eviction is offered after every grant, but
+        // a full reachability pass runs only when a commit or an abort
+        // could free a transaction.
+        let b = mla_workload::banking::generate(mla_workload::banking::BankingConfig {
+            families: 4,
+            accounts_per_family: 4,
+            transfers: 256,
+            sources_min: 1,
+            sources_max: 3,
+            seed: 5,
+            ..mla_workload::banking::BankingConfig::default()
+        });
+        let wl = &b.workload;
+        let mut control = MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps);
+        let out = run(
+            wl.nest.clone(),
+            wl.instances(),
+            wl.initial.iter().copied(),
+            &wl.arrivals,
+            &SimConfig::seeded(5),
+            &mut control,
+        );
+        assert!(!out.metrics.timed_out);
+        let m = &out.metrics;
+        let cost = control.cost();
+        assert!(m.aborts > 0, "the load must exercise aborts");
+        assert!(control.evicted_count() > 0);
+        // A pass follows a commit, an abort or a rebuild, or is the
+        // first. Commits landing between two grants share one pass,
+        // which keeps this replay within the bound despite the passes
+        // that dead-row compaction rebuilds add.
+        assert!(
+            cost.evict_scans <= m.committed + m.aborts + 1,
+            "{} passes for {} commits and {} aborts",
+            cost.evict_scans,
+            m.committed,
+            m.aborts
+        );
+        assert!(cost.evict_scans * 2 < cost.steps_applied);
+    }
+
     fn small_partitioned() -> mla_workload::partitioned::Partitioned {
         mla_workload::partitioned::generate(mla_workload::partitioned::PartitionedConfig {
             partitions: 2,

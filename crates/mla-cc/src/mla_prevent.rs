@@ -61,13 +61,6 @@ pub struct MlaPrevent {
 }
 
 impl MlaPrevent {
-    /// Disables window eviction (the A2 ablation: pay for checking the
-    /// full history on every decision).
-    pub fn without_eviction(mut self) -> Self {
-        self.window.set_eviction(false);
-        self
-    }
-
     fn clear_out_edges(&mut self, txn: TxnId) {
         let outs: Vec<u32> = self.waits.successors(txn.0).to_vec();
         for o in outs {

@@ -72,7 +72,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use mla_graph::topo::Cycle;
-use mla_graph::{BitSet, DenseMap, IncrementalTopo, PairSummary};
+use mla_graph::{BitSet, DenseMap, IncrementalTopo};
 use mla_model::{EntityId, Execution, Step, TxnId};
 
 use crate::breakpoints::BreakpointDescription;
@@ -81,6 +81,73 @@ use crate::spec::BreakpointSpecification;
 
 /// Sentinel for "no related predecessor from this transaction".
 const NONE: i64 = -1;
+
+/// The frontier matrix `m[v][t]` in one flat buffer: row `v` starts at
+/// `v * stride`, and the stride doubles when a new column does not fit,
+/// so appending a row or a column allocates only on growth. Cells past
+/// the column count hold `NONE`.
+#[derive(Clone, Debug, PartialEq)]
+struct Frontier {
+    cells: Vec<i64>,
+    stride: usize,
+    cols: usize,
+}
+
+impl Default for Frontier {
+    fn default() -> Self {
+        Frontier {
+            cells: Vec::new(),
+            stride: 8,
+            cols: 0,
+        }
+    }
+}
+
+impl Frontier {
+    fn row(&self, v: usize) -> &[i64] {
+        &self.cells[v * self.stride..][..self.cols]
+    }
+
+    fn get(&self, v: usize, t: usize) -> i64 {
+        self.cells[v * self.stride + t]
+    }
+
+    fn set(&mut self, v: usize, t: usize, s: i64) {
+        self.cells[v * self.stride + t] = s;
+    }
+
+    fn push_row(&mut self) {
+        self.cells.resize(self.cells.len() + self.stride, NONE);
+    }
+
+    fn pop_row(&mut self) {
+        self.cells.truncate(self.cells.len() - self.stride);
+    }
+
+    fn push_col(&mut self) {
+        if self.cols == self.stride {
+            let stride = 2 * self.stride;
+            let mut cells = vec![NONE; self.cells.len() * 2];
+            for (old, new) in self.cells.chunks(self.stride).zip(cells.chunks_mut(stride)) {
+                new[..self.stride].copy_from_slice(old);
+            }
+            self.cells = cells;
+            self.stride = stride;
+        }
+        self.cols += 1;
+    }
+
+    /// Drops the last column, whose raises the journal already undid.
+    fn pop_col(&mut self) {
+        self.cols -= 1;
+        debug_assert!(self.cells.chunks(self.stride).all(|r| r[self.cols] == NONE));
+    }
+
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.cols = 0;
+    }
+}
 
 /// Work counters the engine accumulates; schedulers surface these as
 /// decision-cost metrics.
@@ -100,6 +167,10 @@ pub struct EngineCounters {
     /// Tentative steps rolled back (cycle rejections and scheduler
     /// defers).
     pub rollbacks: u64,
+    /// Full reachability passes of
+    /// [`ClosureEngine::evict_unreachable`]; the other calls returned
+    /// early because no live transaction had stopped being a source.
+    pub evict_scans: u64,
 }
 
 /// A placeholder with no producer: the closure engine is serial, so no
@@ -187,7 +258,7 @@ pub struct ClosureEngine<S> {
     /// Column -> current breakpoint description of its subsequence.
     bds: Vec<BreakpointDescription>,
     /// The frontier matrix (see `closure.rs`).
-    m: Vec<Vec<i64>>,
+    m: Frontier,
     /// `dependents[u]` = rows that unioned row `u` (re-processed when
     /// `u`'s row grows). Bitset rows: registering a dependent is one bit
     /// test instead of a linear scan of the row's dependents. Entries may
@@ -207,6 +278,17 @@ pub struct ClosureEngine<S> {
     journal: Vec<Op>,
     queue: VecDeque<u32>,
     in_queue: Vec<bool>,
+    /// Append buffers, reused so a grant allocates nothing of its own:
+    /// the subsequence handed to `spec.describe` and the successor rows
+    /// seeding the worklist.
+    sub: Vec<Step>,
+    seeds: Vec<u32>,
+    /// Column -> its `is_source` verdict at the last
+    /// [`evict_unreachable`](ClosureEngine::evict_unreachable) call.
+    source_flags: Vec<bool>,
+    /// Whether every live column was a source or reached from one at
+    /// that call, with no pair dropped since.
+    sources_valid: bool,
     counters: EngineCounters,
 }
 
@@ -223,7 +305,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
             step_seq: Vec::new(),
             txn_steps: Vec::new(),
             bds: Vec::new(),
-            m: Vec::new(),
+            m: Frontier::default(),
             dependents: Vec::new(),
             topo: IncrementalTopo::new(0),
             entity_rows: Vec::new(),
@@ -234,6 +316,10 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
             journal: Vec::new(),
             queue: VecDeque::new(),
             in_queue: Vec::new(),
+            sub: Vec::new(),
+            seeds: Vec::new(),
+            source_flags: Vec::new(),
+            sources_valid: false,
             counters: EngineCounters::default(),
         }
     }
@@ -329,53 +415,77 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     }
 
     /// Applies the live-window eviction rule directly on the maintained
-    /// state: build the transaction-level pair summary of the live
-    /// frontier, forward-reach from every transaction `is_source` keeps
-    /// alive (the uncommitted ones, for the window), and
+    /// state: forward-reach, over the transaction-level pair relation of
+    /// the live frontier, from every transaction `is_source` keeps alive
+    /// (the uncommitted ones, for the window), and
     /// [`evict`](Self::evict) each live column that is neither a source
-    /// nor reached. Returns the evicted `TxnId`s. Sound by the same
-    /// argument as the window rule: once no live transaction reaches a
-    /// committed one in the closure, nothing ever will again.
+    /// nor reached. Returns the evicted `TxnId`s in column order. Sound
+    /// by the same argument as the window rule: once no live transaction
+    /// reaches a committed one in the closure, nothing ever will again.
+    ///
+    /// After a pass every live column is a source or reached from one,
+    /// and only a lost source can break that: grants only add pairs, and
+    /// rollbacks restore a state that already held it. So the call costs
+    /// O(columns) and evicts nothing unless a live column stopped being a
+    /// source (a new column counts as one until it is seen) or
+    /// [`evict`](Self::evict), [`remove_txn`](Self::remove_txn) or a
+    /// rebuild dropped pairs since the last pass. Passes are counted in
+    /// [`EngineCounters::evict_scans`].
     pub fn evict_unreachable(&mut self, is_source: impl Fn(TxnId) -> bool) -> Vec<TxnId> {
         assert!(!self.tentative, "resolve the pending step before eviction");
         let tc = self.txns.len();
-        let mut live_col = vec![false; tc];
-        for (lt, col) in live_col.iter_mut().enumerate() {
-            *col = self.txn_steps[lt].iter().any(|&r| !self.dead[r]);
-        }
-        let mut pairs = PairSummary::new();
-        for v in 0..self.steps.len() {
-            if self.dead[v] {
-                continue;
+        self.source_flags.resize(tc, true);
+        let mut lost = !self.sources_valid;
+        for lt in 0..tc {
+            if self.col_live(lt) {
+                let src = is_source(self.txns[lt]);
+                lost |= std::mem::replace(&mut self.source_flags[lt], src) && !src;
             }
-            let tv = self.step_txn[v];
-            for t in 0..tc {
-                // Columns without live rows are inert either way (their
-                // stale frontier entries are cleared on eviction and
-                // compacted on rebuild); skip them so the summary speaks
-                // only about window members.
-                if t != tv && live_col[t] && self.m[v][t] != NONE {
-                    pairs.add(self.txns[t].0, self.txns[tv].0);
+        }
+        if !lost {
+            return Vec::new();
+        }
+        self.counters.evict_scans += 1;
+        // Pair adjacency between live columns as dense bitset rows:
+        // t -> u when u's frontier includes t. A frontier only grows
+        // along its transaction's intra chain, so the last row of a
+        // column holds the pairs of all its rows.
+        let live: Vec<bool> = (0..tc).map(|lt| self.col_live(lt)).collect();
+        let words = tc.div_ceil(64);
+        let mut succ = vec![0u64; tc * words];
+        for u in (0..tc).filter(|&u| live[u]) {
+            let last = *self.txn_steps[u].last().expect("a live column has rows");
+            for (t, &f) in self.m.row(last).iter().enumerate() {
+                if f != NONE && t != u && live[t] {
+                    succ[t * words + u / 64] |= 1 << (u % 64);
                 }
             }
         }
-        let keep = pairs.reachable_from(
-            (0..tc)
-                .filter(|&lt| live_col[lt] && is_source(self.txns[lt]))
-                .map(|lt| self.txns[lt].0),
-        );
-        let mut evicted: Vec<TxnId> = Vec::new();
-        for lt in 0..tc {
-            let t = self.txns[lt];
-            if live_col[lt] && !is_source(t) && keep.binary_search(&t.0).is_err() {
-                evicted.push(t);
+        let mut keep = vec![0u64; words];
+        let mut stack: Vec<usize> = (0..tc)
+            .filter(|&lt| live[lt] && self.source_flags[lt])
+            .collect();
+        for &lt in &stack {
+            keep[lt / 64] |= 1 << (lt % 64);
+        }
+        while let Some(t) = stack.pop() {
+            for (w, kept) in keep.iter_mut().enumerate() {
+                let mut fresh = succ[t * words + w] & !*kept;
+                *kept |= fresh;
+                while fresh != 0 {
+                    stack.push(w * 64 + fresh.trailing_zeros() as usize);
+                    fresh &= fresh - 1;
+                }
             }
         }
-        for &t in &evicted {
-            let lt = self.local.get(t.0).expect("evicted txn has a column") as usize;
+        let evicted: Vec<usize> = (0..tc)
+            .filter(|&lt| live[lt] && keep[lt / 64] & (1 << (lt % 64)) == 0)
+            .collect();
+        for &lt in &evicted {
             self.evict(lt);
         }
-        evicted
+        self.sources_valid = true;
+        evicted.into_iter().map(|lt| self.txns[lt]).collect()
     }
 
     /// Undoes the pending step by replaying the journal in reverse. The
@@ -386,7 +496,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         self.counters.rollbacks += 1;
         while let Some(op) = self.journal.pop() {
             match op {
-                Op::Frontier { row, col, old } => self.m[row as usize][col as usize] = old,
+                Op::Frontier { row, col, old } => self.m.set(row as usize, col as usize, old),
                 Op::EdgeInserted { from, to } => {
                     let removed = self.topo.remove_edge(from, to);
                     debug_assert!(removed, "journaled edge vanished");
@@ -404,7 +514,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
                     let lt = self.step_txn.pop().expect("journal/arena desync");
                     self.step_seq.pop();
                     self.txn_steps[lt].pop();
-                    self.m.pop();
+                    self.m.pop_row();
                     self.dependents.pop();
                     self.dead.pop();
                     let rows = &mut self.entity_rows[step.entity.index()];
@@ -419,9 +529,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
                     self.local.remove(t.0);
                     self.txn_steps.pop();
                     self.bds.pop();
-                    for row in &mut self.m {
-                        row.pop();
-                    }
+                    self.m.pop_col();
                 }
             }
         }
@@ -472,6 +580,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
             }
         }
         self.needs_rebuild = true;
+        self.sources_valid = false;
     }
 
     /// Projects a *committed* transaction (by column index) out of the
@@ -494,12 +603,13 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         }
         for v in 0..self.steps.len() {
             if !self.dead[v] {
-                self.m[v][lt] = NONE;
+                self.m.set(v, lt, NONE);
             }
         }
         if let Some(t) = self.txns.get(lt) {
             self.local.remove(t.0);
         }
+        self.sources_valid = false;
         if self.dead_count > 64 && self.dead_count > self.steps.len() - self.dead_count {
             self.needs_rebuild = true;
         }
@@ -512,6 +622,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     pub fn force_rebuild(&mut self) {
         assert!(!self.tentative, "resolve the pending step first");
         self.needs_rebuild = true;
+        self.sources_valid = false;
     }
 
     /// Performs any scheduled rebuild immediately. Rebuilds normally run
@@ -592,34 +703,13 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     /// if none) — same encoding as
     /// [`CoherentClosure::frontier`](crate::closure::CoherentClosure::frontier).
     pub fn frontier(&self, row: usize) -> &[i64] {
-        &self.m[row]
+        self.m.row(row)
     }
 
     /// Whether row `u` is related strictly before row `v` in the
     /// maintained closure.
     pub fn related(&self, u: usize, v: usize) -> bool {
-        self.m[v][self.step_txn[u]] >= self.step_seq[u] as i64
-    }
-
-    /// Transaction-level successor adjacency derived from the live
-    /// frontier: an edge `t -> txn(v)` for every live row `v` whose
-    /// frontier includes column `t`. This is what the live-window
-    /// eviction rule forward-reaches over.
-    pub fn txn_frontier_adj(&self) -> Vec<Vec<usize>> {
-        let tc = self.txns.len();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); tc];
-        for v in 0..self.steps.len() {
-            if self.dead[v] {
-                continue;
-            }
-            let tv = self.step_txn[v];
-            for (t, adj_t) in adj.iter_mut().enumerate() {
-                if t != tv && self.m[v][t] != NONE && !adj_t.contains(&tv) {
-                    adj_t.push(tv);
-                }
-            }
-        }
-        adj
+        self.m.get(v, self.step_txn[u]) >= self.step_seq[u] as i64
     }
 
     /// The live steps as an [`Execution`] (arena order = performance
@@ -643,18 +733,14 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
             !self.needs_rebuild,
             "flush_rebuild before taking a relation signature"
         );
-        let live_col: Vec<bool> = self
-            .txn_steps
-            .iter()
-            .map(|rows| rows.iter().any(|&r| !self.dead[r]))
-            .collect();
+        let live_col: Vec<bool> = (0..self.txns.len()).map(|lt| self.col_live(lt)).collect();
         let mut sig: RelationSignature = Vec::with_capacity(self.live_count());
         for v in 0..self.steps.len() {
             if self.dead[v] {
                 continue;
             }
             let mut row: Vec<(u32, i64)> = Vec::new();
-            for (t, &f) in self.m[v].iter().enumerate() {
+            for (t, &f) in self.m.row(v).iter().enumerate() {
                 if f != NONE && live_col[t] {
                     row.push((self.txns[t].0, f));
                 }
@@ -745,6 +831,10 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
             journal: Vec::new(),
             queue: VecDeque::new(),
             in_queue: vec![false; self.in_queue.len()],
+            sub: Vec::new(),
+            seeds: Vec::new(),
+            source_flags: self.source_flags.clone(),
+            sources_valid: self.sources_valid,
             counters: self.counters,
         }
     }
@@ -758,6 +848,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     fn rebuild(&mut self) {
         self.counters.rebuilds += 1;
         self.needs_rebuild = false;
+        self.sources_valid = false;
         let live: Vec<Step> = (0..self.steps.len())
             .filter(|&v| !self.dead[v])
             .map(|v| self.steps[v])
@@ -795,9 +886,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
                 self.txn_steps.push(Vec::new());
                 self.bds
                     .push(BreakpointDescription::atomic(self.nest.k(), 0));
-                for row in &mut self.m {
-                    row.push(NONE);
-                }
+                self.m.push_col();
                 self.journal.push(Op::NewTxn);
                 lt
             }
@@ -812,7 +901,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         self.step_txn.push(lt);
         self.step_seq.push(s);
         self.txn_steps[lt].push(w);
-        self.m.push(vec![NONE; self.txns.len()]);
+        self.m.push_row();
         self.dependents.push(BitSet::default());
         self.dead.push(false);
         self.topo.ensure_nodes(w + 1);
@@ -826,8 +915,10 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         // Refresh the transaction's breakpoint description over its grown
         // subsequence (§6 compatibility: only the last segment can have
         // changed, which the trigger seeding below relies on).
-        let sub: Vec<Step> = self.txn_steps[lt].iter().map(|&i| self.steps[i]).collect();
-        let bd = self.spec.describe(step.txn, &sub);
+        self.sub.clear();
+        self.sub
+            .extend(self.txn_steps[lt].iter().map(|&i| self.steps[i]));
+        let bd = self.spec.describe(step.txn, &self.sub);
         debug_assert_eq!(bd.k(), self.nest.k(), "spec depth must match nest");
         debug_assert_eq!(bd.step_count(), s + 1);
         let old = std::mem::replace(&mut self.bds[lt], bd);
@@ -845,7 +936,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         if let Some(u) = self.last_live_on_entity(step.entity, w) {
             let tu = self.step_txn[u];
             let su = self.step_seq[u] as i64;
-            if self.m[w][tu] < su {
+            if self.m.get(w, tu) < su {
                 self.raise(w, tu, su)?;
             }
         }
@@ -855,12 +946,21 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         // are exactly the topo successors of the previous step).
         self.push_queue(w);
         if let Some(p) = prev {
-            let succ: Vec<u32> = self.topo.successors(p as u32).to_vec();
-            for v in succ {
+            let mut seeds = std::mem::take(&mut self.seeds);
+            seeds.clear();
+            seeds.extend_from_slice(self.topo.successors(p as u32));
+            for &v in &seeds {
                 self.push_queue(v as usize);
             }
+            self.seeds = seeds;
         }
         self.drain_queue()
+    }
+
+    /// Whether a column still has live rows. Rows die a whole column at
+    /// a time (eviction, abort), so its last row decides.
+    fn col_live(&self, lt: usize) -> bool {
+        self.txn_steps[lt].last().is_some_and(|&r| !self.dead[r])
     }
 
     /// Last live arena row touching `entity`, excluding `w` itself.
@@ -877,14 +977,14 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     /// implied by the new edge plus the intra chain) and the new edge
     /// inserted. A rejected insertion *is* the closure cycle.
     fn raise(&mut self, v: usize, col: usize, new_s: i64) -> Result<(), Cycle> {
-        let old = self.m[v][col];
+        let old = self.m.get(v, col);
         debug_assert!(new_s > old);
         self.journal.push(Op::Frontier {
             row: v as u32,
             col: col as u32,
             old,
         });
-        self.m[v][col] = new_s;
+        self.m.set(v, col, new_s);
         let u_new = self.txn_steps[col][new_s as usize];
         if u_new == v {
             // The step would precede itself (m[v][tv] = seq(v)).
@@ -960,7 +1060,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         let tcount = self.txns.len();
         let mut changed = false;
         for t in 0..tcount {
-            let s = self.m[v][t];
+            let s = self.m.get(v, t);
             if s == NONE {
                 continue;
             }
@@ -997,8 +1097,8 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         self.dependents[u].insert(v);
         let mut changed = false;
         for t in 0..self.txns.len() {
-            let uw = self.m[u][t];
-            if uw > self.m[v][t] {
+            let uw = self.m.get(u, t);
+            if uw > self.m.get(v, t) {
                 self.raise(v, t, uw)?;
                 changed = true;
             }

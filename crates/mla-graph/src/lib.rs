@@ -17,8 +17,6 @@
 //! * [`incremental::IncrementalTopo`] — Pearce–Kelly online topological
 //!   order maintenance, used by the cycle-detection schedulers to reject a
 //!   step the moment it would close a dependency cycle.
-//! * [`summary::PairSummary`] — deduplicated transaction-level pair sets
-//!   with forward reachability: what live-window eviction reaches over.
 //! * [`bitset::BitSet`] — a minimal fixed-capacity bitset (no external
 //!   dependency) shared by the above.
 //!
@@ -35,7 +33,6 @@ pub mod digraph;
 pub mod incremental;
 pub mod reach;
 pub mod scc;
-pub mod summary;
 pub mod topo;
 
 pub use bitset::BitSet;
@@ -43,5 +40,4 @@ pub use dense::DenseMap;
 pub use digraph::DiGraph;
 pub use incremental::IncrementalTopo;
 pub use scc::{tarjan, Condensation};
-pub use summary::PairSummary;
 pub use topo::{find_cycle, topo_sort, Cycle, TopoResult};

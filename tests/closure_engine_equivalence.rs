@@ -16,6 +16,11 @@
 //! maintained relation is compared pairwise against the batch closure
 //! of the surviving execution.
 //!
+//! The eviction cases check [`ClosureEngine::evict_unreachable`], which
+//! skips its reachability pass when no source was lost, against a
+//! full-scan reference of the same rule after every grant, and pin each
+//! path that must force the pass.
+//!
 //! Two exhaustive checks replace sampling with enumeration: every
 //! Mazurkiewicz-trace representative of a few bounded nests, as
 //! `mla-explore` enumerates them, is replayed through the engine step by
@@ -198,6 +203,234 @@ proptest! {
             }
         }
     }
+}
+
+/// The live-window eviction rule by full scan, with no early return and
+/// no per-column shortcut: the transaction-level pair relation of every
+/// live row's frontier, forward reachability from the live sources, and
+/// every live non-source column not reached, in column order.
+fn reference_evictions(
+    engine: &ClosureEngine<RuntimeSpec>,
+    is_source: &dyn Fn(TxnId) -> bool,
+) -> Vec<TxnId> {
+    let tc = engine.txn_count();
+    let live: Vec<bool> = (0..tc)
+        .map(|lt| engine.steps_of(lt).iter().any(|&r| engine.is_live(r)))
+        .collect();
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); tc];
+    for tv in 0..tc {
+        for &v in engine.steps_of(tv) {
+            if !engine.is_live(v) {
+                continue;
+            }
+            for (t, &f) in engine.frontier(v).iter().enumerate() {
+                if f != -1 && t != tv && live[t] && !succ[t].contains(&tv) {
+                    succ[t].push(tv);
+                }
+            }
+        }
+    }
+    let mut keep = vec![false; tc];
+    let mut stack: Vec<usize> = (0..tc)
+        .filter(|&lt| live[lt] && is_source(engine.txn_id(lt)))
+        .collect();
+    for &lt in &stack {
+        keep[lt] = true;
+    }
+    while let Some(u) = stack.pop() {
+        for &w in &succ[u] {
+            if !std::mem::replace(&mut keep[w], true) {
+                stack.push(w);
+            }
+        }
+    }
+    (0..tc)
+        .filter(|&lt| live[lt] && !keep[lt])
+        .map(|lt| engine.txn_id(lt))
+        .collect()
+}
+
+/// Calls `evict_unreachable` and asserts it evicts exactly what the
+/// full-scan reference evicts on the same state, in the same order.
+fn evict_checked(
+    engine: &mut ClosureEngine<RuntimeSpec>,
+    is_source: &dyn Fn(TxnId) -> bool,
+) -> Vec<TxnId> {
+    let expected = reference_evictions(engine, is_source);
+    let evicted = engine.evict_unreachable(is_source);
+    assert_eq!(evicted, expected, "eviction diverged from the full scan");
+    evicted
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Scheduler-shaped random runs: eviction after every grant, finished
+    /// transactions count as committed, aborts (denial victims and
+    /// spontaneous ones, committed transactions included) restart the
+    /// transaction from its first step up to twice, and rebuilds are
+    /// flushed at random. Every eviction must equal the full-scan
+    /// reference, and the surviving execution must be exactly the granted
+    /// steps of unevicted, unaborted incarnations.
+    #[test]
+    fn eviction_matches_full_scan_reference(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let setup = random_setup(&mut rng);
+        let n = setup.scripts.len();
+        let mut engine = ClosureEngine::new(setup.nest.clone(), setup.spec.clone());
+        let mut accepted: Vec<Step> = Vec::new();
+        let mut next_seq = vec![0u32; n];
+        let mut restarts = vec![0u32; n];
+        let mut alive = vec![true; n];
+        let mut abort = |t: TxnId,
+                         engine: &mut ClosureEngine<RuntimeSpec>,
+                         accepted: &mut Vec<Step>,
+                         next_seq: &mut [u32],
+                         alive: &mut [bool]| {
+            engine.remove_txn(t);
+            accepted.retain(|s| s.txn != t);
+            next_seq[t.index()] = 0;
+            restarts[t.index()] += 1;
+            alive[t.index()] = restarts[t.index()] <= 2;
+        };
+        for _ in 0..200 {
+            let runnable: Vec<usize> = (0..n)
+                .filter(|&t| alive[t] && (next_seq[t] as usize) < setup.scripts[t].len())
+                .collect();
+            if runnable.is_empty() {
+                break;
+            }
+            if rng.gen_bool(0.08) {
+                engine.flush_rebuild();
+            }
+            if !accepted.is_empty() && rng.gen_bool(0.06) {
+                let t = accepted[rng.gen_range(0..accepted.len())].txn;
+                abort(t, &mut engine, &mut accepted, &mut next_seq, &mut alive);
+                continue;
+            }
+            let t = runnable[rng.gen_range(0..runnable.len())];
+            let candidate = Step {
+                txn: TxnId(t as u32),
+                seq: next_seq[t],
+                entity: setup.scripts[t][next_seq[t] as usize],
+                observed: 0,
+                wrote: 0,
+            };
+            match engine.apply_step(candidate) {
+                Ok(()) => {
+                    engine.commit_step();
+                    accepted.push(candidate);
+                    next_seq[t] += 1;
+                    let is_source = |u: TxnId| {
+                        alive[u.index()]
+                            && (next_seq[u.index()] as usize) < setup.scripts[u.index()].len()
+                    };
+                    let evicted = evict_checked(&mut engine, &is_source);
+                    accepted.retain(|s| !evicted.contains(&s.txn));
+                }
+                Err(witness) => {
+                    let v = witness.txns[rng.gen_range(0..witness.txns.len())];
+                    abort(v, &mut engine, &mut accepted, &mut next_seq, &mut alive);
+                }
+            }
+        }
+        engine.flush_rebuild();
+        let survived = engine.execution();
+        prop_assert_eq!(survived.steps(), accepted.as_slice());
+    }
+}
+
+fn step(txn: u32, seq: u32, entity: u32) -> Step {
+    Step {
+        txn: TxnId(txn),
+        seq,
+        entity: EntityId(entity),
+        observed: 0,
+        wrote: 0,
+    }
+}
+
+/// A flat two-level engine fed `steps` in order, every one granted.
+fn granted(txns: usize, steps: &[Step]) -> ClosureEngine<RuntimeSpec> {
+    let mut engine = ClosureEngine::new(Nest::flat(txns), phase_spec(2, &vec![&[][..]; txns]));
+    for &s in steps {
+        engine.apply_step(s).expect("the fixture is acyclic");
+        engine.commit_step();
+    }
+    engine
+}
+
+/// A pass is made on the first call, skipped while every source stays
+/// a source, and forced again by a commit.
+#[test]
+fn eviction_rescans_after_a_commit() {
+    // t0 and t1 on disjoint entities: neither reaches the other.
+    let mut engine = granted(2, &[step(0, 0, 0), step(1, 0, 1)]);
+    let running = |_: TxnId| true;
+    assert!(evict_checked(&mut engine, &running).is_empty());
+    assert_eq!(engine.counters().evict_scans, 1);
+    assert!(evict_checked(&mut engine, &running).is_empty());
+    assert_eq!(engine.counters().evict_scans, 1, "nothing changed: no pass");
+    // t0 commits: no source reaches it any more.
+    let t0_committed = |t: TxnId| t != TxnId(0);
+    assert_eq!(evict_checked(&mut engine, &t0_committed), vec![TxnId(0)]);
+    assert_eq!(engine.counters().evict_scans, 2);
+    // A new transaction that arrives already committed forces a pass.
+    engine.apply_step(step(2, 0, 2)).unwrap();
+    engine.commit_step();
+    let t2_committed = |t: TxnId| t == TxnId(1);
+    assert_eq!(evict_checked(&mut engine, &t2_committed), vec![TxnId(2)]);
+    assert_eq!(engine.counters().evict_scans, 3);
+}
+
+/// An abort after a pass removes pairs without any source status
+/// changing; the pass must still run.
+#[test]
+fn eviction_rescans_after_remove_txn() {
+    // t0 -> t1 -> t2 along entities 0 and 1; t1 and t2 are committed and
+    // kept only because the running t0 reaches them.
+    let mut engine = granted(
+        3,
+        &[step(0, 0, 0), step(1, 0, 0), step(1, 1, 1), step(2, 0, 1)],
+    );
+    let only_t0 = |t: TxnId| t == TxnId(0);
+    assert!(evict_checked(&mut engine, &only_t0).is_empty());
+    assert_eq!(engine.counters().evict_scans, 1);
+    engine.remove_txn(TxnId(0));
+    assert_eq!(
+        evict_checked(&mut engine, &only_t0),
+        vec![TxnId(1), TxnId(2)]
+    );
+    assert_eq!(engine.counters().evict_scans, 2);
+}
+
+/// A commit rolled back makes its column a source again without a pass;
+/// committing it again, or restarting it as a new incarnation, brings the
+/// pass back.
+#[test]
+fn eviction_after_commit_rollback_resumes_source_status() {
+    // t0 -> t1 along entity 0.
+    let mut engine = granted(2, &[step(0, 0, 0), step(1, 0, 0)]);
+    let only_t0 = |t: TxnId| t == TxnId(0);
+    let both = |_: TxnId| true;
+    assert!(evict_checked(&mut engine, &only_t0).is_empty());
+    // t1's commit is rolled back: it is a source again, which can only
+    // keep more, so no pass is needed.
+    assert!(evict_checked(&mut engine, &both).is_empty());
+    assert_eq!(engine.counters().evict_scans, 1);
+    // It commits again: a lost source, so a pass (t0 still reaches it).
+    assert!(evict_checked(&mut engine, &only_t0).is_empty());
+    assert_eq!(engine.counters().evict_scans, 2);
+    // The rollback as the scheduler performs it: t1 leaves the engine and
+    // restarts from its first step. Now t0 commits, and t1's new
+    // incarnation is the only source.
+    engine.remove_txn(TxnId(1));
+    engine.apply_step(step(1, 0, 1)).unwrap();
+    engine.commit_step();
+    let only_t1 = |t: TxnId| t == TxnId(1);
+    assert_eq!(evict_checked(&mut engine, &only_t1), vec![TxnId(0)]);
+    assert_eq!(engine.counters().evict_scans, 3);
+    assert_eq!(engine.execution().steps(), [step(1, 0, 1)]);
 }
 
 /// A [`RuntimeSpec`] assigning each transaction a [`PhaseTable`] with
