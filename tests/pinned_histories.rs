@@ -1,0 +1,119 @@
+//! Byte-identical decisions: replays of the `replay_audit` banking shape
+//! under both §6 schedulers must keep producing exactly the recorded
+//! histories. Any change to the closure engine, the Pearce–Kelly order
+//! or a scheduler rule that moves a single grant, defer or victim moves
+//! a hash or a count here, and any change to the work a decision does
+//! moves the closure engine's row and edge counters.
+
+mod common;
+
+use multilevel_atomicity::cc::{MlaDetect, MlaPrevent, VictimPolicy};
+use multilevel_atomicity::sim::{run, Control, SimConfig, SimOutcome};
+
+/// Transfers per replay (one bank and two credit audits ride along).
+const TRANSFERS: usize = 512;
+
+/// `(seed, history hash, commits, aborts, defers, rows touched, edges
+/// inserted)` under `MlaDetect`.
+const DETECT: [(u64, u64, u64, u64, u64, u64, u64); 8] = [
+    (1, 13007645284252365900, 515, 62, 0, 2985, 3323),
+    (2, 17378994795600343332, 515, 37, 0, 3408, 5345),
+    (3, 4809312223094042827, 515, 125, 0, 3425, 4067),
+    (4, 5467942433295742187, 515, 76, 0, 4113, 5585),
+    (5, 5184705673934757935, 515, 85, 0, 4047, 5358),
+    (6, 252127855636301996, 515, 24, 0, 2813, 3214),
+    (7, 16780792341176625393, 515, 37, 0, 3277, 4098),
+    (8, 13559745852072462157, 515, 80, 0, 3875, 5024),
+];
+
+/// `(seed, history hash, commits, aborts, defers, rows touched, edges
+/// inserted)` under `MlaPrevent`.
+const PREVENT: [(u64, u64, u64, u64, u64, u64, u64); 8] = [
+    (1, 309615343605190379, 515, 20, 144, 3385, 4699),
+    (2, 7699278550475662923, 515, 10, 138, 3174, 3821),
+    (3, 13680357443307172917, 515, 21, 119, 2928, 3725),
+    (4, 15463424761573474667, 515, 9, 125, 2715, 3145),
+    (5, 6344479900936969878, 515, 18, 132, 3050, 4298),
+    (6, 11958736019825280014, 515, 13, 135, 2736, 3404),
+    (7, 11461585263562559111, 515, 23, 147, 3033, 3616),
+    (8, 9010442171637633277, 515, 16, 127, 3051, 3971),
+];
+
+/// FNV-1a over every surviving step's identity and values, in
+/// performance order.
+fn history_hash(out: &SimOutcome) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for s in out.execution.steps() {
+        let words = [
+            u64::from(s.txn.0),
+            u64::from(s.seq),
+            u64::from(s.entity.0),
+            s.observed as u64,
+            s.wrote as u64,
+        ];
+        for w in words {
+            for b in w.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+fn replay(seed: u64, control: &mut dyn Control) -> [u64; 6] {
+    let banking = common::replay_audit_banking(TRANSFERS, seed);
+    let w = &banking.workload;
+    let out = run(
+        w.nest.clone(),
+        w.instances(),
+        w.initial.iter().copied(),
+        &w.arrivals,
+        &SimConfig::seeded(seed),
+        control,
+    );
+    assert!(!out.metrics.timed_out, "seed {seed}: timed out");
+    let m = &out.metrics;
+    let cost = control.decision_cost().expect("an engine-backed control");
+    [
+        history_hash(&out),
+        m.committed,
+        m.aborts,
+        m.defers,
+        cost.rows_touched,
+        cost.edges_inserted,
+    ]
+}
+
+fn check(
+    label: &str,
+    pinned: &[(u64, u64, u64, u64, u64, u64, u64)],
+    mut make: impl FnMut(u64) -> Box<dyn Control>,
+) {
+    let got: Vec<(u64, u64, u64, u64, u64, u64, u64)> = (1..=8)
+        .map(|seed| {
+            let [hash, commits, aborts, defers, rows, edges] = replay(seed, make(seed).as_mut());
+            (seed, hash, commits, aborts, defers, rows, edges)
+        })
+        .collect();
+    assert_eq!(got, pinned, "{label}: histories moved");
+}
+
+#[test]
+fn detect_histories_are_pinned() {
+    check("MlaDetect", &DETECT, |seed| {
+        let w = common::replay_audit_banking(TRANSFERS, seed).workload;
+        Box::new(MlaDetect::new(w.spec(), VictimPolicy::FewestSteps))
+    });
+}
+
+#[test]
+fn prevent_histories_are_pinned() {
+    check("MlaPrevent", &PREVENT, |seed| {
+        let w = common::replay_audit_banking(TRANSFERS, seed).workload;
+        Box::new(MlaPrevent::new(
+            w.txn_count(),
+            w.spec(),
+            VictimPolicy::FewestSteps,
+        ))
+    });
+}
