@@ -38,11 +38,12 @@ pub struct BreakpointDescription {
     k: usize,
     n: usize,
     /// `seg_end[i][s]` is the last step index of the level-`i+1` segment
-    /// containing step `s` (precomputed for O(1) coherence queries).
+    /// containing step `s` (precomputed for O(1) coherence queries). It
+    /// also encodes the breakpoints: one sits before step `p` at level
+    /// `i+1` iff `seg_end[i][p - 1] == p - 1`. No other state, so two
+    /// descriptions are equal iff `(k, n, seg_end)` are, whatever their
+    /// buffers' capacities.
     seg_end: Vec<Vec<u32>>,
-    /// `bounds[i]` is the breakpoint set of level `i+1`, as positions in
-    /// `1 ..= n-1`.
-    bounds: Vec<BitSet>,
 }
 
 /// Errors from [`BreakpointDescription::from_mid_levels`].
@@ -154,7 +155,7 @@ impl BreakpointDescription {
                 }
             }
         }
-        Ok(Self::finish(k, n, bounds))
+        Ok(Self::finish(k, n, &bounds))
     }
 
     /// A description with no mid-level breakpoints: the transaction is
@@ -176,9 +177,9 @@ impl BreakpointDescription {
             .expect("free description is always well-formed")
     }
 
-    fn finish(k: usize, n: usize, bounds: Vec<BitSet>) -> Self {
+    fn finish(k: usize, n: usize, bounds: &[BitSet]) -> Self {
         let mut seg_end = Vec::with_capacity(k);
-        for set in &bounds {
+        for set in bounds {
             // Walk right-to-left: the segment end of step s is s if a
             // breakpoint follows s (or s is the last step), else the
             // segment end of s+1.
@@ -192,12 +193,66 @@ impl BreakpointDescription {
             }
             seg_end.push(ends);
         }
-        BreakpointDescription {
-            k,
-            n,
-            seg_end,
-            bounds,
+        BreakpointDescription { k, n, seg_end }
+    }
+
+    /// Appends one step. `level` is the coarsest level whose breakpoints
+    /// separate the new step from the previous one (every deeper level
+    /// breaks there too; see
+    /// [`BreakpointSpecification::boundary_level`](crate::spec::BreakpointSpecification::boundary_level));
+    /// it is ignored for a first step. Under the §6 compatibility
+    /// condition this extends the description of a prefix to that of
+    /// the grown subsequence: at each level the new step either opens a
+    /// segment or joins the last one, so only the last segment's
+    /// `seg_end` entries change.
+    pub(crate) fn push_step(&mut self, level: usize) {
+        let n = self.n;
+        debug_assert!(
+            n == 0 || (2..=self.k).contains(&level),
+            "boundary level {level}"
+        );
+        for (i, ends) in self.seg_end.iter_mut().enumerate() {
+            if n > 0 && i + 1 < level {
+                for end in ends.iter_mut().rev() {
+                    if *end as usize != n - 1 {
+                        break;
+                    }
+                    *end = n as u32;
+                }
+            }
+            ends.push(n as u32);
         }
+        self.n += 1;
+    }
+
+    /// Drops the last step: the exact inverse of
+    /// [`push_step`](Self::push_step).
+    pub(crate) fn pop_step(&mut self) {
+        assert!(self.n > 0, "pop_step on an empty description");
+        self.n -= 1;
+        let last = self.n;
+        for ends in &mut self.seg_end {
+            ends.pop();
+            for end in ends.iter_mut().rev() {
+                if *end as usize != last {
+                    break;
+                }
+                *end = last as u32 - 1;
+            }
+        }
+    }
+
+    /// Empties the description (zero steps, same depth), keeping its
+    /// buffers for reuse.
+    pub(crate) fn reset(&mut self) {
+        self.n = 0;
+        self.seg_end.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Whether a level-`level` breakpoint sits before step `p`
+    /// (`1 <= p < n`).
+    fn breaks_before(&self, level: usize, p: usize) -> bool {
+        self.seg_end[level - 1][p - 1] as usize == p - 1
     }
 
     /// The nest depth.
@@ -215,7 +270,7 @@ impl BreakpointDescription {
     /// finished transaction is interruptible everywhere).
     pub fn breakpoint_after(&self, level: usize, seq: usize) -> bool {
         self.check_level(level);
-        seq + 1 >= self.n || self.bounds[level - 1].contains(seq + 1)
+        seq + 1 >= self.n || self.breaks_before(level, seq + 1)
     }
 
     /// The last step index of the level-`level` segment containing `seq`.
@@ -231,7 +286,7 @@ impl BreakpointDescription {
         self.check_level(level);
         assert!(seq < self.n, "step {seq} out of range 0..{}", self.n);
         let mut start = seq;
-        while start > 0 && !self.bounds[level - 1].contains(start) {
+        while start > 0 && !self.breaks_before(level, start) {
             start -= 1;
         }
         (start, self.seg_end[level - 1][seq] as usize)
@@ -240,7 +295,9 @@ impl BreakpointDescription {
     /// The breakpoint positions of a level, ascending.
     pub fn boundaries(&self, level: usize) -> Vec<usize> {
         self.check_level(level);
-        self.bounds[level - 1].iter().collect()
+        (1..self.n)
+            .filter(|&p| self.breaks_before(level, p))
+            .collect()
     }
 
     /// The segments of a level, as `(start, end)` inclusive index pairs in
@@ -376,5 +433,74 @@ mod tests {
         let empty = BreakpointDescription::atomic(3, 0);
         assert_eq!(empty.segments(2), Vec::<(usize, usize)>::new());
         assert_eq!(empty.step_count(), 0);
+    }
+
+    /// `mids[j]` restricted to positions below `n`, as `from_mid_levels`
+    /// takes them.
+    fn clipped(k: usize, n: usize, mids: &[Vec<usize>]) -> BreakpointDescription {
+        let mids: Vec<Vec<usize>> = mids
+            .iter()
+            .map(|l| l.iter().copied().filter(|&p| p < n).collect())
+            .collect();
+        BreakpointDescription::from_mid_levels(k, n, &mids).unwrap()
+    }
+
+    /// The coarsest level breaking before step `p` under `mids` (`k` if
+    /// only the finest level does).
+    fn level_before(k: usize, mids: &[Vec<usize>], p: usize) -> usize {
+        (0..k - 2)
+            .find(|&j| mids[j].contains(&p))
+            .map_or(k, |j| j + 2)
+    }
+
+    #[test]
+    fn equality_ignores_buffer_capacity() {
+        // Grown step by step after holding a longer description: the
+        // buffers are larger, the description is the same.
+        let mut grown = BreakpointDescription::free(4, 40);
+        grown.reset();
+        for level in [4, 4, 2, 3] {
+            grown.push_step(level);
+        }
+        let built = BreakpointDescription::from_mid_levels(4, 4, &[vec![2], vec![2, 3]]).unwrap();
+        assert_eq!(grown, built);
+        assert_eq!(grown.boundaries(3), vec![2, 3]);
+        grown.pop_step();
+        assert_ne!(grown, built);
+        assert_eq!(grown, clipped(4, 3, &[vec![2], vec![2, 3]]));
+    }
+
+    #[test]
+    fn push_and_pop_track_from_mid_levels() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(29);
+        for _ in 0..200 {
+            let k = rng.gen_range(2..6usize);
+            let len = rng.gen_range(0..12usize);
+            // Refining random mid levels over positions 1..len.
+            let mut mids: Vec<Vec<usize>> = Vec::new();
+            let mut prev: Vec<usize> = Vec::new();
+            for _ in 0..k - 2 {
+                let mut cur = prev.clone();
+                cur.extend((1..len).filter(|p| !prev.contains(p) && rng.gen_bool(0.3)));
+                cur.sort_unstable();
+                mids.push(cur.clone());
+                prev = cur;
+            }
+            let mut bd = BreakpointDescription::atomic(k, 0);
+            let mut n = 0;
+            for _ in 0..3 * len {
+                if n < len && (n == 0 || rng.gen_bool(0.6)) {
+                    bd.push_step(level_before(k, &mids, n));
+                    n += 1;
+                } else if n > 0 {
+                    bd.pop_step();
+                    n -= 1;
+                }
+                assert_eq!(bd, clipped(k, n, &mids), "k {k}, mids {mids:?}, n {n}");
+            }
+            bd.reset();
+            assert_eq!(bd, BreakpointDescription::atomic(k, 0));
+        }
     }
 }

@@ -61,11 +61,25 @@
 //! * Aborted transactions schedule [`needs_rebuild`]; the rebuild is lazy
 //!   (performed at the next [`ClosureEngine::apply_step`]) and compacts
 //!   dead rows out of the arena.
-//! * Breakpoint descriptions are refreshed per append from the *stored*
-//!   steps, whose values [`ClosureEngine::performed`] keeps in sync with
-//!   the store — so a position-based specification sees exactly what the
-//!   batch checker would. Value-*dependent* specifications are outside
-//!   the engine's contract (debug builds assert against them).
+//! * Breakpoint descriptions are *extended* per append, never rebuilt.
+//!   By the §6 compatibility condition the description of a prefix is a
+//!   prefix of the description of every extension, so appending step `s`
+//!   adds only the boundary before `s`: one
+//!   [`boundary_level`](BreakpointSpecification::boundary_level) call
+//!   on the *stored* steps, whose values [`ClosureEngine::performed`]
+//!   keeps in sync with the store, so a position-based specification
+//!   sees exactly what the batch checker would. A rollback pops the step
+//!   again. Specifications that break compatibility, or whose
+//!   description depends on the last step's values, are outside the
+//!   engine's contract: debug builds check every extension against
+//!   `describe`, and every backfill too.
+//! * Appends, rollbacks, rebuilds and eviction passes allocate nothing of
+//!   their own in steady state. Columns, rows and entity lists keep their
+//!   buffers when they are rolled back or rebuilt, and so do the rebuild
+//!   replay, the eviction pass and the topo's Pearce–Kelly searches.
+//!   What is left is amortised growth and the witness of a rejected
+//!   step: `tests/engine_allocations.rs` holds a banking replay under
+//!   `MlaDetect` to two allocations per applied step in release builds.
 //!
 //! [`needs_rebuild`]: ClosureEngine::rebuild_pending
 
@@ -218,22 +232,32 @@ pub struct CycleWitness {
 /// Undo-journal entries for one tentative [`ClosureEngine::apply_step`].
 /// Replayed in reverse by [`ClosureEngine::rollback_step`].
 enum Op {
-    /// `txns`/`local`/`txn_steps`/`bds` grew by one and every frontier
-    /// row gained a trailing column.
+    /// `txns`/`local` grew by one, the column took its (empty) step list
+    /// and description, and every frontier row gained a trailing column.
     NewTxn,
     /// The step arena (and all row-parallel vectors) grew by one.
     NewRow,
-    /// A transaction's breakpoint description was refreshed.
-    BdChanged {
-        txn: usize,
-        old: BreakpointDescription,
-    },
+    /// A transaction's breakpoint description gained its new last step.
+    BdPushed { txn: usize },
     /// `m[row][col]` was raised from `old`.
     Frontier { row: u32, col: u32, old: i64 },
     /// Edge inserted into the topo.
     EdgeInserted { from: u32, to: u32 },
     /// Superseded frontier edge removed from the topo.
     EdgeRemoved { from: u32, to: u32 },
+}
+
+/// Buffers of one [`ClosureEngine::evict_unreachable`] pass.
+#[derive(Default)]
+struct EvictBufs {
+    /// Column -> whether it has live rows.
+    live: Vec<bool>,
+    /// Pair adjacency between live columns, one bitset row per column.
+    succ: Vec<u64>,
+    /// Columns a source reaches (sources included).
+    keep: Vec<u64>,
+    stack: Vec<usize>,
+    evicted: Vec<usize>,
 }
 
 /// Incremental coherent-closure maintenance: per-step delta cost instead
@@ -253,9 +277,13 @@ pub struct ClosureEngine<S> {
     steps: Vec<Step>,
     step_txn: Vec<usize>,
     step_seq: Vec<usize>,
-    /// Column -> its arena rows, ascending.
+    /// Column -> its arena rows, ascending. Slots past the column count
+    /// are empty spares: rollbacks and rebuilds keep them, with their
+    /// capacity, for the next new column.
     txn_steps: Vec<Vec<usize>>,
-    /// Column -> current breakpoint description of its subsequence.
+    /// Column -> current breakpoint description of its subsequence,
+    /// extended in place per append. Spare slots past the column count
+    /// are empty, as for `txn_steps`.
     bds: Vec<BreakpointDescription>,
     /// The frontier matrix (see `closure.rs`).
     m: Frontier,
@@ -263,6 +291,8 @@ pub struct ClosureEngine<S> {
     /// `u`'s row grows). Bitset rows: registering a dependent is one bit
     /// test instead of a linear scan of the row's dependents. Entries may
     /// go stale after rollbacks; stale rows are skipped at pop time.
+    /// Slots past the arena are spares, cleared when a new row takes
+    /// them.
     dependents: Vec<BitSet>,
     /// One node per arena row; edges mirror the maintained frontier plus
     /// intra chains. Rejecting an insertion = closure cycle.
@@ -270,6 +300,7 @@ pub struct ClosureEngine<S> {
     /// Entity -> arena rows that touched it, ascending (dead rows are
     /// skipped when seeding base conflicts). Indexed by `EntityId` —
     /// entity spaces are dense, so the per-append lookup is a load.
+    /// Rebuilds empty the lists and keep them.
     entity_rows: Vec<Vec<u32>>,
     dead: Vec<bool>,
     dead_count: usize,
@@ -279,10 +310,15 @@ pub struct ClosureEngine<S> {
     queue: VecDeque<u32>,
     in_queue: Vec<bool>,
     /// Append buffers, reused so a grant allocates nothing of its own:
-    /// the subsequence handed to `spec.describe` and the successor rows
-    /// seeding the worklist.
+    /// the subsequence handed to `spec.boundary_level` and the successor
+    /// rows seeding the worklist.
     sub: Vec<Step>,
     seeds: Vec<u32>,
+    /// The surviving steps a rebuild replays, kept between rebuilds.
+    replay: Vec<Step>,
+    /// [`evict_unreachable`](ClosureEngine::evict_unreachable)'s buffers,
+    /// kept between passes.
+    evict_bufs: EvictBufs,
     /// Column -> its `is_source` verdict at the last
     /// [`evict_unreachable`](ClosureEngine::evict_unreachable) call.
     source_flags: Vec<bool>,
@@ -318,6 +354,8 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
             in_queue: Vec::new(),
             sub: Vec::new(),
             seeds: Vec::new(),
+            replay: Vec::new(),
+            evict_bufs: EvictBufs::default(),
             source_flags: Vec::new(),
             sources_valid: false,
             counters: EngineCounters::default(),
@@ -436,8 +474,11 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         let tc = self.txns.len();
         self.source_flags.resize(tc, true);
         let mut lost = !self.sources_valid;
+        self.evict_bufs.live.clear();
         for lt in 0..tc {
-            if self.col_live(lt) {
+            let live = self.col_live(lt);
+            self.evict_bufs.live.push(live);
+            if live {
                 let src = is_source(self.txns[lt]);
                 lost |= std::mem::replace(&mut self.source_flags[lt], src) && !src;
             }
@@ -450,42 +491,48 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         // t -> u when u's frontier includes t. A frontier only grows
         // along its transaction's intra chain, so the last row of a
         // column holds the pairs of all its rows.
-        let live: Vec<bool> = (0..tc).map(|lt| self.col_live(lt)).collect();
+        let b = &mut self.evict_bufs;
         let words = tc.div_ceil(64);
-        let mut succ = vec![0u64; tc * words];
-        for u in (0..tc).filter(|&u| live[u]) {
+        b.succ.clear();
+        b.succ.resize(tc * words, 0);
+        for u in (0..tc).filter(|&u| b.live[u]) {
             let last = *self.txn_steps[u].last().expect("a live column has rows");
             for (t, &f) in self.m.row(last).iter().enumerate() {
-                if f != NONE && t != u && live[t] {
-                    succ[t * words + u / 64] |= 1 << (u % 64);
+                if f != NONE && t != u && b.live[t] {
+                    b.succ[t * words + u / 64] |= 1 << (u % 64);
                 }
             }
         }
-        let mut keep = vec![0u64; words];
-        let mut stack: Vec<usize> = (0..tc)
-            .filter(|&lt| live[lt] && self.source_flags[lt])
-            .collect();
-        for &lt in &stack {
-            keep[lt / 64] |= 1 << (lt % 64);
+        b.keep.clear();
+        b.keep.resize(words, 0);
+        b.stack.clear();
+        b.stack
+            .extend((0..tc).filter(|&lt| b.live[lt] && self.source_flags[lt]));
+        for &lt in &b.stack {
+            b.keep[lt / 64] |= 1 << (lt % 64);
         }
-        while let Some(t) = stack.pop() {
-            for (w, kept) in keep.iter_mut().enumerate() {
-                let mut fresh = succ[t * words + w] & !*kept;
+        while let Some(t) = b.stack.pop() {
+            for (w, kept) in b.keep.iter_mut().enumerate() {
+                let mut fresh = b.succ[t * words + w] & !*kept;
                 *kept |= fresh;
                 while fresh != 0 {
-                    stack.push(w * 64 + fresh.trailing_zeros() as usize);
+                    b.stack.push(w * 64 + fresh.trailing_zeros() as usize);
                     fresh &= fresh - 1;
                 }
             }
         }
-        let evicted: Vec<usize> = (0..tc)
-            .filter(|&lt| live[lt] && keep[lt / 64] & (1 << (lt % 64)) == 0)
-            .collect();
-        for &lt in &evicted {
-            self.evict(lt);
+        b.evicted.clear();
+        b.evicted
+            .extend((0..tc).filter(|&lt| b.live[lt] && b.keep[lt / 64] & (1 << (lt % 64)) == 0));
+        for i in 0..self.evict_bufs.evicted.len() {
+            self.evict(self.evict_bufs.evicted[i]);
         }
         self.sources_valid = true;
-        evicted.into_iter().map(|lt| self.txns[lt]).collect()
+        self.evict_bufs
+            .evicted
+            .iter()
+            .map(|&lt| self.txns[lt])
+            .collect()
     }
 
     /// Undoes the pending step by replaying the journal in reverse. The
@@ -508,14 +555,13 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
                         "re-adding a journaled edge must succeed"
                     );
                 }
-                Op::BdChanged { txn, old } => self.bds[txn] = old,
+                Op::BdPushed { txn } => self.bds[txn].pop_step(),
                 Op::NewRow => {
                     let step = self.steps.pop().expect("journal/arena desync");
                     let lt = self.step_txn.pop().expect("journal/arena desync");
                     self.step_seq.pop();
                     self.txn_steps[lt].pop();
                     self.m.pop_row();
-                    self.dependents.pop();
                     self.dead.pop();
                     let rows = &mut self.entity_rows[step.entity.index()];
                     debug_assert_eq!(rows.last().copied(), Some(self.steps.len() as u32));
@@ -527,8 +573,11 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
                 Op::NewTxn => {
                     let t = self.txns.pop().expect("journal/txn desync");
                     self.local.remove(t.0);
-                    self.txn_steps.pop();
-                    self.bds.pop();
+                    // The column's rows and description steps were
+                    // undone before it; its slots stay as spares.
+                    let lt = self.txns.len();
+                    debug_assert!(self.txn_steps[lt].is_empty());
+                    debug_assert_eq!(self.bds[lt].step_count(), 0);
                     self.m.pop_col();
                 }
             }
@@ -592,8 +641,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     /// next rebuild (one is scheduled when they outnumber live rows).
     pub fn evict(&mut self, lt: usize) {
         assert!(!self.tentative, "resolve the pending step before eviction");
-        let rows = self.txn_steps[lt].clone();
-        for r in rows {
+        for &r in &self.txn_steps[lt] {
             if !self.dead[r] {
                 self.dead[r] = true;
                 self.dead_count += 1;
@@ -677,6 +725,12 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     /// Arena rows of a column, ascending.
     pub fn steps_of(&self, lt: usize) -> &[usize] {
         &self.txn_steps[lt]
+    }
+
+    /// The breakpoint description of a column's subsequence, as the
+    /// engine extends it per append.
+    pub fn description(&self, lt: usize) -> &BreakpointDescription {
+        &self.bds[lt]
     }
 
     /// Whether an arena row is live.
@@ -833,6 +887,8 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
             in_queue: vec![false; self.in_queue.len()],
             sub: Vec::new(),
             seeds: Vec::new(),
+            replay: Vec::new(),
+            evict_bufs: EvictBufs::default(),
             source_flags: self.source_flags.clone(),
             sources_valid: self.sources_valid,
             counters: self.counters,
@@ -849,31 +905,37 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         self.counters.rebuilds += 1;
         self.needs_rebuild = false;
         self.sources_valid = false;
-        let live: Vec<Step> = (0..self.steps.len())
-            .filter(|&v| !self.dead[v])
-            .map(|v| self.steps[v])
-            .collect();
+        let mut replay = std::mem::take(&mut self.replay);
+        replay.clear();
+        replay.extend(
+            (0..self.steps.len())
+                .filter(|&v| !self.dead[v])
+                .map(|v| self.steps[v]),
+        );
         self.txns.clear();
         self.local.clear();
         self.steps.clear();
         self.step_txn.clear();
         self.step_seq.clear();
-        self.txn_steps.clear();
-        self.bds.clear();
+        // Per-column, per-row and per-entity buffers are emptied in place
+        // (`dependents` when a new row takes its slot) so the replay
+        // reuses them.
+        self.txn_steps.iter_mut().for_each(Vec::clear);
+        self.bds.iter_mut().for_each(BreakpointDescription::reset);
         self.m.clear();
-        self.dependents.clear();
         self.dead.clear();
         self.dead_count = 0;
-        self.entity_rows.clear();
+        self.entity_rows.iter_mut().for_each(Vec::clear);
         self.topo.reset();
-        for step in live {
-            let replay = self.apply_inner(step);
+        for &step in &replay {
+            let replayed = self.apply_inner(step);
             debug_assert!(
-                replay.is_ok(),
+                replayed.is_ok(),
                 "replaying an acyclic live history cannot create a cycle"
             );
             self.journal.clear();
         }
+        self.replay = replay;
     }
 
     fn apply_inner(&mut self, step: Step) -> Result<(), Cycle> {
@@ -883,9 +945,11 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
                 let lt = self.txns.len();
                 self.txns.push(step.txn);
                 self.local.insert(step.txn.0, lt as u32);
-                self.txn_steps.push(Vec::new());
-                self.bds
-                    .push(BreakpointDescription::atomic(self.nest.k(), 0));
+                if lt == self.txn_steps.len() {
+                    self.txn_steps.push(Vec::new());
+                    self.bds
+                        .push(BreakpointDescription::atomic(self.nest.k(), 0));
+                }
                 self.m.push_col();
                 self.journal.push(Op::NewTxn);
                 lt
@@ -902,7 +966,10 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         self.step_seq.push(s);
         self.txn_steps[lt].push(w);
         self.m.push_row();
-        self.dependents.push(BitSet::default());
+        match self.dependents.get_mut(w) {
+            Some(deps) => deps.clear(),
+            None => self.dependents.push(BitSet::default()),
+        }
         self.dead.push(false);
         self.topo.ensure_nodes(w + 1);
         let e = step.entity.index();
@@ -912,17 +979,23 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         self.entity_rows[e].push(w as u32);
         self.journal.push(Op::NewRow);
 
-        // Refresh the transaction's breakpoint description over its grown
-        // subsequence (§6 compatibility: only the last segment can have
-        // changed, which the trigger seeding below relies on).
+        // Extend the transaction's breakpoint description by the new step.
+        // §6 compatibility: the description of the grown subsequence
+        // keeps the prefix's breakpoints and adds only the boundary before
+        // the new step, so only the last segment can change (which the
+        // trigger seeding below relies on too).
         self.sub.clear();
         self.sub
             .extend(self.txn_steps[lt].iter().map(|&i| self.steps[i]));
-        let bd = self.spec.describe(step.txn, &self.sub);
-        debug_assert_eq!(bd.k(), self.nest.k(), "spec depth must match nest");
-        debug_assert_eq!(bd.step_count(), s + 1);
-        let old = std::mem::replace(&mut self.bds[lt], bd);
-        self.journal.push(Op::BdChanged { txn: lt, old });
+        let level = self.spec.boundary_level(step.txn, &self.sub);
+        self.bds[lt].push_step(level);
+        self.journal.push(Op::BdPushed { txn: lt });
+        debug_assert_eq!(
+            self.bds[lt],
+            self.spec.describe(step.txn, &self.sub),
+            "the specification breaks the §6 compatibility condition, or its \
+             depth does not match the nest"
+        );
 
         // Base relation seeds: intra predecessor and last live step on
         // the same entity (mirrors Execution::dependency_graph).

@@ -33,6 +33,23 @@ pub trait BreakpointSpecification {
     /// order). The result must describe `steps.len()` steps and use depth
     /// [`BreakpointSpecification::k`].
     fn describe(&self, t: TxnId, steps: &[Step]) -> BreakpointDescription;
+
+    /// The coarsest level whose breakpoints separate the last two of
+    /// `steps`, or `k` when there are fewer than two (level `k` breaks
+    /// everywhere). Under the §6 compatibility condition this is all
+    /// that appending the last step adds to the description of the
+    /// others, which is how [`ClosureEngine`](crate::ClosureEngine)
+    /// extends descriptions in place. The default reads it off
+    /// [`describe`](Self::describe); specifications that know the
+    /// breakpoint after a prefix directly should override it.
+    fn boundary_level(&self, t: TxnId, steps: &[Step]) -> usize {
+        let k = self.k();
+        let Some(prev) = steps.len().checked_sub(2) else {
+            return k;
+        };
+        let bd = self.describe(t, steps);
+        (1..k).find(|&l| bd.breakpoint_after(l, prev)).unwrap_or(k)
+    }
 }
 
 /// The specification making every transaction atomic at every mid level:

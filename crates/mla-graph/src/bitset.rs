@@ -43,9 +43,12 @@ impl BitSet {
         fresh
     }
 
-    /// Removes `i`, returning whether it was present.
+    /// Removes `i`, returning whether it was present. Like
+    /// [`BitSet::contains`], an index past the capacity is simply absent.
     pub fn remove(&mut self, i: usize) -> bool {
-        assert!(i < self.len, "bit {i} out of capacity {}", self.len);
+        if i >= self.len {
+            return false;
+        }
         let block = &mut self.blocks[i / BLOCK_BITS];
         let mask = 1u64 << (i % BLOCK_BITS);
         let present = *block & mask != 0;
@@ -211,6 +214,15 @@ mod tests {
         let s = BitSet::new(10);
         assert!(!s.contains(10));
         assert!(!s.contains(1000));
+    }
+
+    #[test]
+    fn out_of_range_remove_is_false() {
+        let mut s = BitSet::new(10);
+        s.insert(9);
+        assert!(!s.remove(10));
+        assert!(!s.remove(1000));
+        assert_eq!(s.count(), 1);
     }
 
     #[test]

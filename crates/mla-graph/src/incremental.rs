@@ -35,9 +35,58 @@ pub struct IncrementalTopo {
     succ: Vec<Vec<NodeId>>,
     pred: Vec<Vec<NodeId>>,
     /// `ord[v]` is the position of `v` in the maintained topological order:
-    /// for every edge `(u, v)`, `ord[u] < ord[v]`.
+    /// for every edge `(u, v)`, `ord[u] < ord[v]`. Always a permutation of
+    /// `0..node_count`: reordering only redistributes positions.
     ord: Vec<u64>,
     edge_count: usize,
+    /// Pearce–Kelly search buffers, kept between insertions. Boxed so
+    /// that every holder of a topo does not grow by their size.
+    search: Box<Search>,
+}
+
+/// `parent` of the forward search's root.
+const NO_PARENT: NodeId = NodeId::MAX;
+
+/// The buffers of one Pearce–Kelly insertion: the two region searches
+/// and the position pool they are reordered over.
+#[derive(Clone, Debug, Default)]
+struct Search {
+    /// `mark[w] == epoch` iff the current search has visited `w`, so
+    /// starting a search clears nothing.
+    mark: Vec<u32>,
+    epoch: u32,
+    /// Forward-search tree parent of each visited node (the witness path).
+    parent: Vec<NodeId>,
+    stack: Vec<NodeId>,
+    /// Forward region (from the edge's head) and backward region (to its
+    /// tail).
+    delta_f: Vec<NodeId>,
+    delta_b: Vec<NodeId>,
+    pool: Vec<u64>,
+}
+
+impl Search {
+    /// Starts a search over `n` nodes from `root`: only `root` is marked.
+    fn begin(&mut self, n: usize, root: NodeId) {
+        if self.mark.len() < n {
+            self.mark.resize(n, 0);
+            self.parent.resize(n, NO_PARENT);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.mark.fill(0);
+            self.epoch = 1;
+        }
+        self.mark[root as usize] = self.epoch;
+        self.parent[root as usize] = NO_PARENT;
+        self.stack.clear();
+        self.stack.push(root);
+    }
+
+    /// Marks `w`, returning whether the current search had not visited it.
+    fn visit(&mut self, w: NodeId) -> bool {
+        std::mem::replace(&mut self.mark[w as usize], self.epoch) != self.epoch
+    }
 }
 
 impl IncrementalTopo {
@@ -48,6 +97,7 @@ impl IncrementalTopo {
             pred: vec![Vec::new(); n],
             ord: (0..n as u64).collect(),
             edge_count: 0,
+            search: Box::default(),
         }
     }
 
@@ -65,10 +115,9 @@ impl IncrementalTopo {
     pub fn add_node(&mut self) -> NodeId {
         self.succ.push(Vec::new());
         self.pred.push(Vec::new());
-        // New nodes take a position beyond all existing ones. Positions are
-        // not compacted; u64 gives ample headroom.
-        let max = self.ord.iter().copied().max().map_or(0, |m| m + 1);
-        self.ord.push(max);
+        // New nodes take the position beyond all existing ones, which is
+        // the node count (positions are a permutation of `0..n`).
+        self.ord.push(self.ord.len() as u64);
         (self.succ.len() - 1) as NodeId
     }
 
@@ -113,9 +162,9 @@ impl IncrementalTopo {
         // Affected region: positions in [lb, ub]. Forward-search from v
         // within the region; touching u means a v ->* u path exists and the
         // new edge would close a cycle.
-        let delta_f = self.forward_region(v, u, ub)?;
-        let delta_b = self.backward_region(u, lb);
-        self.reorder(delta_b, delta_f);
+        self.forward_region(v, u, ub)?;
+        self.backward_region(u, lb);
+        self.reorder();
         self.insert_raw(u, v);
         Ok(true)
     }
@@ -134,18 +183,19 @@ impl IncrementalTopo {
     }
 
     /// Detaches `v` from the graph: removes all incident edges. The node id
-    /// remains valid (and isolated) so dense external indexing stays intact.
+    /// remains valid (and isolated) so dense external indexing stays intact;
+    /// its edge lists keep their capacity.
     pub fn detach_node(&mut self, v: NodeId) {
-        let outs = std::mem::take(&mut self.succ[v as usize]);
-        for w in outs {
-            self.pred[w as usize].retain(|&x| x != v);
-            self.edge_count -= 1;
+        let v = v as usize;
+        for &w in &self.succ[v] {
+            self.pred[w as usize].retain(|&x| x as usize != v);
         }
-        let ins = std::mem::take(&mut self.pred[v as usize]);
-        for w in ins {
-            self.succ[w as usize].retain(|&x| x != v);
-            self.edge_count -= 1;
+        for &w in &self.pred[v] {
+            self.succ[w as usize].retain(|&x| x as usize != v);
         }
+        self.edge_count -= self.succ[v].len() + self.pred[v].len();
+        self.succ[v].clear();
+        self.pred[v].clear();
     }
 
     /// Grows the graph until it has at least `n` nodes, appending fresh
@@ -194,73 +244,78 @@ impl IncrementalTopo {
         self.edge_count += 1;
     }
 
-    /// DFS forward from `v` restricted to positions `<= ub`. Errors with a
-    /// concrete cycle if `target` (= the edge's source `u`) is reached.
-    fn forward_region(&self, v: NodeId, target: NodeId, ub: u64) -> Result<Vec<NodeId>, Cycle> {
-        let mut parent: Vec<Option<NodeId>> = vec![None; self.node_count()];
-        let mut region = Vec::new();
-        let mut seen = vec![false; self.node_count()];
-        let mut stack = vec![v];
-        seen[v as usize] = true;
-        while let Some(w) = stack.pop() {
-            region.push(w);
+    /// DFS forward from `v` restricted to positions `<= ub`, collecting
+    /// the region into `search.delta_f`. Errors with a concrete cycle if
+    /// `target` (= the edge's source `u`) is reached.
+    fn forward_region(&mut self, v: NodeId, target: NodeId, ub: u64) -> Result<(), Cycle> {
+        let sr = &mut *self.search;
+        sr.begin(self.succ.len(), v);
+        sr.delta_f.clear();
+        while let Some(w) = sr.stack.pop() {
+            sr.delta_f.push(w);
             for &x in &self.succ[w as usize] {
                 if x == target {
                     // Witness: v -> ... -> w -> target over existing edges;
                     // the wrap-around pair (target, v) is the rejected edge.
                     let mut path = vec![w];
                     let mut cur = w;
-                    while let Some(p) = parent[cur as usize] {
-                        path.push(p);
-                        cur = p;
+                    while sr.parent[cur as usize] != NO_PARENT {
+                        cur = sr.parent[cur as usize];
+                        path.push(cur);
                     }
                     path.reverse(); // v, ..., w
                     path.push(target);
                     return Err(Cycle(path));
                 }
-                if self.ord[x as usize] <= ub && !seen[x as usize] {
-                    seen[x as usize] = true;
-                    parent[x as usize] = Some(w);
-                    stack.push(x);
+                if self.ord[x as usize] <= ub && sr.visit(x) {
+                    sr.parent[x as usize] = w;
+                    sr.stack.push(x);
                 }
             }
         }
-        Ok(region)
+        Ok(())
     }
 
-    /// DFS backward from `u` restricted to positions `>= lb`.
-    fn backward_region(&self, u: NodeId, lb: u64) -> Vec<NodeId> {
-        let mut region = Vec::new();
-        let mut seen = vec![false; self.node_count()];
-        let mut stack = vec![u];
-        seen[u as usize] = true;
-        while let Some(w) = stack.pop() {
-            region.push(w);
+    /// DFS backward from `u` restricted to positions `>= lb`, collecting
+    /// the region into `search.delta_b`.
+    fn backward_region(&mut self, u: NodeId, lb: u64) {
+        let sr = &mut *self.search;
+        sr.begin(self.pred.len(), u);
+        sr.delta_b.clear();
+        while let Some(w) = sr.stack.pop() {
+            sr.delta_b.push(w);
             for &x in &self.pred[w as usize] {
-                if self.ord[x as usize] >= lb && !seen[x as usize] {
-                    seen[x as usize] = true;
-                    stack.push(x);
+                if self.ord[x as usize] >= lb && sr.visit(x) {
+                    sr.stack.push(x);
                 }
             }
         }
-        region
     }
 
     /// Pearce–Kelly reordering: the backward region (ending at `u`) must
     /// precede the forward region (starting at `v`). Pool the positions of
     /// both regions and redistribute them: backward nodes first, forward
     /// nodes second, each sub-list keeping its existing relative order.
-    fn reorder(&mut self, mut delta_b: Vec<NodeId>, mut delta_f: Vec<NodeId>) {
-        delta_b.sort_unstable_by_key(|&w| self.ord[w as usize]);
-        delta_f.sort_unstable_by_key(|&w| self.ord[w as usize]);
-        let mut pool: Vec<u64> = delta_b
-            .iter()
-            .chain(delta_f.iter())
-            .map(|&w| self.ord[w as usize])
-            .collect();
+    fn reorder(&mut self) {
+        let Search {
+            delta_b,
+            delta_f,
+            pool,
+            ..
+        } = &mut *self.search;
+        let ord = &mut self.ord;
+        delta_b.sort_unstable_by_key(|&w| ord[w as usize]);
+        delta_f.sort_unstable_by_key(|&w| ord[w as usize]);
+        pool.clear();
+        pool.extend(
+            delta_b
+                .iter()
+                .chain(delta_f.iter())
+                .map(|&w| ord[w as usize]),
+        );
         pool.sort_unstable();
-        for (slot, &w) in pool.iter().zip(delta_b.iter().chain(delta_f.iter())) {
-            self.ord[w as usize] = *slot;
+        for (&slot, &w) in pool.iter().zip(delta_b.iter().chain(delta_f.iter())) {
+            ord[w as usize] = slot;
         }
     }
 
@@ -421,6 +476,21 @@ mod tests {
         assert_eq!(t.add_edge(1, 2), Ok(true));
         assert!(t.add_edge(2, 0).is_err());
         assert!(t.check_invariants());
+    }
+
+    #[test]
+    fn search_marks_survive_epoch_wraparound() {
+        // Searches across the wrap of the visit epoch: stale marks from
+        // before it must not read as visited.
+        let mut t = IncrementalTopo::new(4);
+        t.search.epoch = u32::MAX - 1;
+        t.add_edge(2, 1).unwrap(); // reorders: one search each way
+        t.add_edge(3, 2).unwrap();
+        assert!(t.search.epoch < 8, "the epoch wrapped");
+        assert!(t.add_edge(1, 3).is_err());
+        t.add_edge(1, 0).unwrap();
+        assert!(t.check_invariants());
+        assert!(t.position(3) < t.position(2) && t.position(1) < t.position(0));
     }
 
     #[test]

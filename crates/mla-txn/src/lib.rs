@@ -455,6 +455,20 @@ impl BreakpointSpecification for RuntimeSpec {
             None => BreakpointDescription::atomic(self.k, steps.len()),
         }
     }
+
+    /// One [`RuntimeBreakpoints::min_level_after`] call on the prefix
+    /// before the last step: exactly what
+    /// [`RuntimeBreakpoints::to_description`] records at that position
+    /// (a level outside `2..k` breaks there as its nearest mid level
+    /// would, `None` only at level `k`).
+    fn boundary_level(&self, t: TxnId, steps: &[Step]) -> usize {
+        match (self.map.get(&t), steps.len().checked_sub(1)) {
+            (Some(bp), Some(last)) if last > 0 => bp
+                .min_level_after(&steps[..last])
+                .map_or(self.k, |level| level.clamp(2, self.k)),
+            _ => self.k,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -676,5 +690,129 @@ mod tests {
         );
         txn.perform(0);
         txn.perform(0);
+    }
+
+    /// Random position-based runtime breakpoints of depth `k`.
+    fn random_breakpoints(rng: &mut impl rand::Rng, k: usize) -> Arc<dyn RuntimeBreakpoints> {
+        if k == 2 {
+            return Arc::new(NoBreakpoints { k });
+        }
+        match rng.gen_range(0..3) {
+            0 => Arc::new(NoBreakpoints { k }),
+            1 => Arc::new(EveryStep {
+                k,
+                level: rng.gen_range(2..k),
+            }),
+            _ => {
+                let mut table = Vec::new();
+                for p in 1..8 {
+                    if rng.gen_bool(0.5) {
+                        table.push((p, rng.gen_range(2..k)));
+                    }
+                }
+                Arc::new(PhaseTable::new(k, table))
+            }
+        }
+    }
+
+    /// Every column's in-place description equals `RuntimeSpec::describe`
+    /// of the subsequence the engine stores for it.
+    fn assert_descriptions_match(
+        engine: &mla_core::ClosureEngine<RuntimeSpec>,
+        spec: &RuntimeSpec,
+    ) {
+        for lt in 0..engine.txn_count() {
+            let sub: Vec<Step> = engine
+                .steps_of(lt)
+                .iter()
+                .map(|&r| *engine.step(r))
+                .collect();
+            assert_eq!(
+                engine.description(lt),
+                &spec.describe(engine.txn_id(lt), &sub),
+                "column {lt} after {} steps",
+                sub.len()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The closure engine extends a description by one step per
+        /// append (through `boundary_level`) and pops it on rollback.
+        /// Random appends, single and paired rollbacks and abort
+        /// rebuilds over random `PhaseTable` / `EveryStep` /
+        /// `NoBreakpoints` transactions: after every operation each
+        /// description equals `describe` of its prefix, and a rollback
+        /// restores the previous description exactly. Transactions touch
+        /// disjoint entities, so no step is ever denied.
+        #[test]
+        fn in_place_descriptions_match_describe(seed in proptest::prelude::any::<u64>()) {
+            use mla_core::nest::Nest;
+            use mla_core::ClosureEngine;
+            use rand::{rngs::SmallRng, Rng, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let k = rng.gen_range(2..6usize);
+            let txns = rng.gen_range(1..4u32);
+            let mut spec = RuntimeSpec::new(k);
+            for t in 0..txns {
+                // The last transaction sometimes stays unmapped (atomic).
+                if t + 1 < txns || rng.gen_bool(0.7) {
+                    spec.insert(TxnId(t), random_breakpoints(&mut rng, k));
+                }
+            }
+            let nest = Nest::new(k, vec![vec![0; k - 2]; txns as usize]).unwrap();
+            let mut engine = ClosureEngine::new(nest, spec.clone());
+            let mut next = vec![0u32; txns as usize];
+            let step_of = |t: u32, seq: u32| Step {
+                txn: TxnId(t),
+                seq,
+                entity: EntityId(t),
+                observed: 0,
+                wrote: 0,
+            };
+            for _ in 0..40 {
+                let t = rng.gen_range(0..txns);
+                let lt = engine.local_of(TxnId(t));
+                let before = lt.map(|lt| engine.description(lt).clone());
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        engine.apply_step(step_of(t, next[t as usize])).unwrap();
+                        engine.commit_step();
+                        next[t as usize] += 1;
+                    }
+                    5..=6 => {
+                        engine.apply_step(step_of(t, next[t as usize])).unwrap();
+                        assert_descriptions_match(&engine, &spec);
+                        engine.rollback_step();
+                    }
+                    7..=8 if txns > 1 => {
+                        let u = (t + 1) % txns;
+                        let probe =
+                            engine.probe_pair(step_of(t, next[t as usize]), step_of(u, next[u as usize]));
+                        assert!(probe.first_ok && probe.second_ok);
+                    }
+                    _ => {
+                        engine.remove_txn(TxnId(t));
+                        engine.flush_rebuild();
+                        next[t as usize] = 0;
+                        assert_descriptions_match(&engine, &spec);
+                        continue;
+                    }
+                }
+                assert_descriptions_match(&engine, &spec);
+                // A rollback left the previous description, and a first
+                // step rolled back left no column at all.
+                if let (Some(lt), Some(before)) = (lt, &before) {
+                    if engine.steps_of(lt).len() == before.step_count() {
+                        assert_eq!(engine.description(lt), before);
+                    }
+                }
+                if lt.is_none() && next[t as usize] == 0 {
+                    assert_eq!(engine.local_of(TxnId(t)), None);
+                }
+            }
+        }
     }
 }
