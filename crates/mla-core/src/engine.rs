@@ -80,6 +80,16 @@
 //!   What is left is amortised growth and the witness of a rejected
 //!   step: `tests/engine_allocations.rs` holds a banking replay under
 //!   `MlaDetect` to two allocations per applied step in release builds.
+//! * Every frontier row keeps an occupancy mask beside its cells: bit
+//!   `t` is set iff `m[v][t] != NONE`. The one cell writer keeps the two
+//!   in step, so journal rollback, rebuilds and eviction keep it too, and
+//!   debug builds check it after each of them. The closure pass over a
+//!   row, the pointwise union, the eviction pass, [`ClosureEngine::evict`]
+//!   and [`ClosureEngine::pending_predecessors`] walk rows through their
+//!   masks, so a row costs O(its non-empty cells), not O(columns).
+//!   Columns are still never compacted or reused outside a rebuild:
+//!   column order fixes the order of raises, which fixes the order of
+//!   Pearce–Kelly insertions, which fixes the witnesses.
 //!
 //! [`needs_rebuild`]: ClosureEngine::rebuild_pending
 
@@ -100,10 +110,18 @@ const NONE: i64 = -1;
 /// `v * stride`, and the stride doubles when a new column does not fit,
 /// so appending a row or a column allocates only on growth. Cells past
 /// the column count hold `NONE`.
+///
+/// Each row also keeps an occupancy mask of `words` `u64`s at
+/// `v * words`: bit `t` is set iff `m[v][t] != NONE`. [`set`](Self::set)
+/// keeps the two in step, so the undo journal restores both. The
+/// closure passes walk a row through its mask and pay for its non-empty
+/// cells only; the cells stay dense, so a lookup is still one load.
 #[derive(Clone, Debug, PartialEq)]
 struct Frontier {
     cells: Vec<i64>,
+    masks: Vec<u64>,
     stride: usize,
+    words: usize,
     cols: usize,
 }
 
@@ -111,7 +129,9 @@ impl Default for Frontier {
     fn default() -> Self {
         Frontier {
             cells: Vec::new(),
+            masks: Vec::new(),
             stride: 8,
+            words: 1,
             cols: 0,
         }
     }
@@ -128,14 +148,47 @@ impl Frontier {
 
     fn set(&mut self, v: usize, t: usize, s: i64) {
         self.cells[v * self.stride + t] = s;
+        let word = &mut self.masks[v * self.words + t / 64];
+        if s == NONE {
+            *word &= !(1 << (t % 64));
+        } else {
+            *word |= 1 << (t % 64);
+        }
+    }
+
+    /// Row `v`'s occupancy mask.
+    fn mask(&self, v: usize) -> &[u64] {
+        &self.masks[v * self.words..][..self.words]
+    }
+
+    /// Whether `m[v][t] != NONE`, read from the mask.
+    fn has(&self, v: usize, t: usize) -> bool {
+        self.mask(v)[t / 64] >> (t % 64) & 1 == 1
+    }
+
+    /// The first column at or after `from` where row `v` is not `NONE`,
+    /// read from the row as it is now.
+    fn next_col(&self, v: usize, from: usize) -> Option<usize> {
+        let mask = self.mask(v);
+        let mut w = from / 64;
+        let mut bits = *mask.get(w)? & (u64::MAX << (from % 64));
+        loop {
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            bits = *mask.get(w)?;
+        }
     }
 
     fn push_row(&mut self) {
         self.cells.resize(self.cells.len() + self.stride, NONE);
+        self.masks.resize(self.masks.len() + self.words, 0);
     }
 
     fn pop_row(&mut self) {
         self.cells.truncate(self.cells.len() - self.stride);
+        self.masks.truncate(self.masks.len() - self.words);
     }
 
     fn push_col(&mut self) {
@@ -147,6 +200,15 @@ impl Frontier {
             }
             self.cells = cells;
             self.stride = stride;
+            let words = stride.div_ceil(64);
+            if words != self.words {
+                let mut masks = vec![0; self.masks.len() / self.words * words];
+                for (old, new) in self.masks.chunks(self.words).zip(masks.chunks_mut(words)) {
+                    new[..self.words].copy_from_slice(old);
+                }
+                self.masks = masks;
+                self.words = words;
+            }
         }
         self.cols += 1;
     }
@@ -159,8 +221,38 @@ impl Frontier {
 
     fn clear(&mut self) {
         self.cells.clear();
+        self.masks.clear();
         self.cols = 0;
     }
+
+    /// Debug builds: every row's mask mirrors its cells.
+    fn debug_check_masks(&self) {
+        if cfg!(debug_assertions) {
+            for (v, row) in self.cells.chunks(self.stride).enumerate() {
+                for (t, &s) in row.iter().enumerate() {
+                    assert_eq!(
+                        self.has(v, t),
+                        s != NONE,
+                        "frontier mask out of step at [{v}][{t}]"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The set bits of a mask, ascending.
+fn ones(mask: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    mask.iter().enumerate().flat_map(|(w, &word)| {
+        let mut bits = word;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let t = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                t
+            })
+        })
+    })
 }
 
 /// Work counters the engine accumulates; schedulers surface these as
@@ -424,7 +516,8 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     /// Closure predecessors of the *pending* step: live columns (other
     /// than the requester's) whose last live step is related before the
     /// tentative row in the maintained closure. This is the §6
-    /// prevention probe — one O(1) frontier lookup per column. Returned
+    /// prevention probe — one O(1) frontier lookup per non-empty cell of
+    /// the pending row (an empty cell relates nothing). Returned
     /// ascending by `TxnId` so the answer is independent of
     /// column-creation order.
     pub fn pending_predecessors(&self) -> Vec<TxnId> {
@@ -432,7 +525,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         let beta = self.steps.len() - 1;
         let requester = self.step_txn[beta];
         let mut preds: Vec<TxnId> = Vec::new();
-        for lt in 0..self.txns.len() {
+        for lt in ones(self.m.mask(beta)) {
             if lt == requester {
                 continue;
             }
@@ -497,8 +590,8 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         b.succ.resize(tc * words, 0);
         for u in (0..tc).filter(|&u| b.live[u]) {
             let last = *self.txn_steps[u].last().expect("a live column has rows");
-            for (t, &f) in self.m.row(last).iter().enumerate() {
-                if f != NONE && t != u && b.live[t] {
+            for t in ones(self.m.mask(last)) {
+                if t != u && b.live[t] {
                     b.succ[t * words + u / 64] |= 1 << (u % 64);
                 }
             }
@@ -582,6 +675,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
                 }
             }
         }
+        self.m.debug_check_masks();
         self.tentative = false;
     }
 
@@ -650,10 +744,11 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
             }
         }
         for v in 0..self.steps.len() {
-            if !self.dead[v] {
+            if self.m.has(v, lt) && !self.dead[v] {
                 self.m.set(v, lt, NONE);
             }
         }
+        self.m.debug_check_masks();
         if let Some(t) = self.txns.get(lt) {
             self.local.remove(t.0);
         }
@@ -936,6 +1031,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
             self.journal.clear();
         }
         self.replay = replay;
+        self.m.debug_check_masks();
     }
 
     fn apply_inner(&mut self, step: Step) -> Result<(), Cycle> {
@@ -1126,17 +1222,19 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     }
 
     /// One pass of the closure rules over row `v` (the batch fixpoint's
-    /// inner loop). Returns whether the row grew.
+    /// inner loop), over its non-empty cells in ascending column order.
+    /// Returns whether the row grew.
+    ///
+    /// The row grows during the pass, so each next cell is looked up on
+    /// the row as it is then: a cell to the right raised mid-pass is
+    /// visited, exactly as a dense left-to-right scan would see it.
     fn process(&mut self, v: usize) -> Result<bool, Cycle> {
         let tv = self.step_txn[v];
         let sv = self.step_seq[v];
-        let tcount = self.txns.len();
         let mut changed = false;
-        for t in 0..tcount {
+        let mut next = self.m.next_col(v, 0);
+        while let Some(t) = next {
             let s = self.m.get(v, t);
-            if s == NONE {
-                continue;
-            }
             if t == tv {
                 // Own transaction: keep the row monotone along the intra
                 // chain. (A frontier at or past v itself is impossible
@@ -1145,35 +1243,44 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
                     let u = self.txn_steps[t][sv - 1];
                     changed |= self.union_from(v, u)?;
                 }
-                continue;
+            } else {
+                // Condition (b): lift the frontier to its segment end at
+                // level(t, tv).
+                let level = self.nest.level(self.txns[t], self.txns[tv]);
+                let end = self.bds[t].segment_end(level, s as usize) as i64;
+                if end > s {
+                    self.raise(v, t, end)?;
+                    changed = true;
+                }
+                // Transitivity through t's frontier step.
+                let u = self.txn_steps[t][end as usize];
+                changed |= self.union_from(v, u)?;
             }
-            // Condition (b): lift the frontier to its segment end at
-            // level(t, tv).
-            let level = self.nest.level(self.txns[t], self.txns[tv]);
-            let end = self.bds[t].segment_end(level, s as usize) as i64;
-            if end > s {
-                self.raise(v, t, end)?;
-                changed = true;
-            }
-            // Transitivity through t's frontier step.
-            let u = self.txn_steps[t][end as usize];
-            changed |= self.union_from(v, u)?;
+            next = self.m.next_col(v, t + 1);
         }
         Ok(changed)
     }
 
-    /// `m[v] |= m[u]` pointwise, registering `v` as a dependent of `u`.
+    /// `m[v] |= m[u]` pointwise over `u`'s non-empty cells, registering
+    /// `v` as a dependent of `u`. `raise` writes row `v` only, so `u`'s
+    /// mask can be read a word at a time.
     fn union_from(&mut self, v: usize, u: usize) -> Result<bool, Cycle> {
+        debug_assert_ne!(u, v);
         if self.dependents[u].capacity() <= v {
             self.dependents[u].grow(self.steps.len());
         }
         self.dependents[u].insert(v);
         let mut changed = false;
-        for t in 0..self.txns.len() {
-            let uw = self.m.get(u, t);
-            if uw > self.m.get(v, t) {
-                self.raise(v, t, uw)?;
-                changed = true;
+        for w in 0..self.m.words {
+            let mut bits = self.m.mask(u)[w];
+            while bits != 0 {
+                let t = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let uw = self.m.get(u, t);
+                if uw > self.m.get(v, t) {
+                    self.raise(v, t, uw)?;
+                    changed = true;
+                }
             }
         }
         Ok(changed)
@@ -1251,8 +1358,38 @@ mod tests {
         spec: &(impl BreakpointSpecification + Clone),
         order: &[(u32, u32, u32)],
     ) -> usize {
+        check_against_batch_churned(nest, spec, order, None).0
+    }
+
+    /// [`check_against_batch`] with churn when `rng` is given, each with
+    /// probability 1/3: a granted step is first rolled back (a scheduler
+    /// defer) and offered again; after a grant,
+    /// [`ClosureEngine::evict_unreachable`] projects out every finished
+    /// transaction no unfinished one reaches; a rejected transaction is
+    /// aborted. The batch closure is taken over the surviving steps.
+    /// Returns the accepted step count and the engine.
+    fn check_against_batch_churned<S: BreakpointSpecification + Clone>(
+        nest: &Nest,
+        spec: &S,
+        order: &[(u32, u32, u32)],
+        mut rng: Option<&mut rand::rngs::SmallRng>,
+    ) -> (usize, ClosureEngine<S>) {
+        use rand::Rng;
+        let mut churn = || rng.as_mut().is_some_and(|r| r.gen_range(0..3) == 0);
+        let batch_of = |steps: &[Step]| {
+            let exec = Execution::new(steps.to_vec()).unwrap();
+            let batch = CoherentClosure::compute(&ExecContext::new(&exec, nest, spec).unwrap());
+            (exec, batch)
+        };
+        let assert_matches = |engine: &ClosureEngine<S>, (exec, batch): &(Execution, _)| {
+            assert_engine_matches(engine, &ExecContext::new(exec, nest, spec).unwrap(), batch);
+        };
+        let last_seq: HashMap<u32, u32> = order.iter().map(|&(t, s, _)| (t, s)).collect();
         let mut engine = ClosureEngine::new(nest.clone(), spec.clone());
-        let mut accepted: Vec<Step> = Vec::new();
+        // The steps the engine should hold, tracked apart from it.
+        let mut live: Vec<Step> = Vec::new();
+        let mut accepted = 0;
+        let mut finished: std::collections::HashSet<u32> = std::collections::HashSet::new();
         let mut blocked: std::collections::HashSet<u32> = std::collections::HashSet::new();
         for &(t, s, x) in order {
             if blocked.contains(&t) {
@@ -1262,38 +1399,56 @@ mod tests {
                 continue;
             }
             let candidate = step(t, s, x);
-            let mut with: Vec<Step> = accepted.clone();
-            with.push(candidate);
-            let exec = Execution::new(with).unwrap();
-            let ctx = ExecContext::new(&exec, nest, spec).unwrap();
-            let batch = CoherentClosure::compute(&ctx);
+            live.push(candidate);
+            let with = batch_of(&live);
             match engine.apply_step(candidate) {
                 Ok(()) => {
-                    engine.commit_step();
                     assert!(
-                        batch.is_partial_order(),
+                        with.1.is_partial_order(),
                         "engine accepted a step the batch closure rejects"
                     );
-                    accepted.push(candidate);
-                    assert_engine_matches(&engine, &ctx, &batch);
+                    if churn() {
+                        engine.rollback_step();
+                        assert_matches(&engine, &batch_of(&live[..live.len() - 1]));
+                        engine
+                            .apply_step(candidate)
+                            .expect("a deferred grant grants again");
+                    }
+                    engine.commit_step();
+                    accepted += 1;
+                    assert_matches(&engine, &with);
+                    if last_seq[&t] == s {
+                        finished.insert(t);
+                    }
+                    if churn() {
+                        let evicted = engine.evict_unreachable(|t| !finished.contains(&t.0));
+                        live.retain(|s| !evicted.contains(&s.txn));
+                        engine.flush_rebuild();
+                        assert_matches(&engine, &batch_of(&live));
+                    }
                 }
                 Err(witness) => {
+                    live.pop();
                     blocked.insert(t);
                     assert!(
-                        !batch.is_partial_order(),
+                        !with.1.is_partial_order(),
                         "engine rejected a step the batch closure accepts"
                     );
                     assert!(!witness.txns.is_empty());
                     // The engine rolled back: it must still match the
-                    // batch closure of the accepted prefix.
-                    let exec = Execution::new(accepted.clone()).unwrap();
-                    let ctx = ExecContext::new(&exec, nest, spec).unwrap();
-                    let batch = CoherentClosure::compute(&ctx);
-                    assert_engine_matches(&engine, &ctx, &batch);
+                    // batch closure of the accepted prefix. Under churn
+                    // the rejected transaction is aborted instead, which
+                    // rebuilds the engine without it.
+                    if churn() {
+                        engine.remove_txn(TxnId(t));
+                        live.retain(|s| s.txn != TxnId(t));
+                        engine.flush_rebuild();
+                    }
+                    assert_matches(&engine, &batch_of(&live));
                 }
             }
         }
-        accepted.len()
+        (accepted, engine)
     }
 
     /// Frontier-for-frontier comparison keyed by stable identities
@@ -1404,6 +1559,40 @@ mod tests {
         };
         let accepted = check_against_batch(&nest, &spec, &order);
         assert!(accepted < order.len(), "R3 must be rejected somewhere");
+    }
+
+    #[test]
+    fn frontier_masks_span_a_second_word() {
+        // 70 two-step transactions whose first steps all come first, so
+        // the frontier holds 70 columns and each row's mask two words;
+        // then the second steps in random order, with defers and
+        // evictions mixed in. Odd transactions break between their
+        // steps at level 2.
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x6_4B17);
+        let txns = 70u32;
+        let nest = Nest::new(3, (0..txns).map(|t| vec![t % 4]).collect()).unwrap();
+        let spec = PrefixSpec {
+            k: 3,
+            mids: (1..txns).step_by(2).map(|t| (t, vec![vec![1]])).collect(),
+        };
+        let mut order: Vec<(u32, u32, u32)> =
+            (0..txns).map(|t| (t, 0, rng.gen_range(0..12))).collect();
+        let mut seconds: Vec<(u32, u32, u32)> =
+            (0..txns).map(|t| (t, 1, rng.gen_range(0..12))).collect();
+        for i in (1..seconds.len()).rev() {
+            seconds.swap(i, rng.gen_range(0..=i));
+        }
+        order.extend(seconds);
+        let (accepted, engine) = check_against_batch_churned(&nest, &spec, &order, Some(&mut rng));
+        assert!(engine.m.words >= 2, "the masks never needed a second word");
+        assert!(accepted > order.len() / 2);
+        let c = engine.counters();
+        assert!(
+            c.rollbacks > 0 && c.evict_scans > 0 && c.rebuilds > 0,
+            "{c:?}"
+        );
+        engine.m.debug_check_masks();
     }
 
     #[test]

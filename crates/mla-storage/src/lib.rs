@@ -203,12 +203,19 @@ impl Store {
     ///
     /// On error the store is left with all records preceding the failing
     /// one already undone.
+    ///
+    /// The journal is sorted by id, so each record is found by binary
+    /// search; the undone records are marked and the journal is compacted
+    /// once, from the earliest of them, at the end.
     pub fn undo(&mut self, records: &[StepRecord]) -> Result<(), UndoError> {
-        for r in records {
+        let mut undone = vec![0u64; self.journal.len().div_ceil(64)];
+        let mut first = self.journal.len();
+        let result = records.iter().try_for_each(|r| {
             let pos = self
                 .journal
-                .iter()
-                .rposition(|j| j.id == r.id)
+                .binary_search_by_key(&r.id, |j| j.id)
+                .ok()
+                .filter(|&pos| undone[pos / 64] & 1 << (pos % 64) == 0)
                 .ok_or(UndoError::NotLive { id: r.id })?;
             let live = self.journal[pos];
             if live.wrote != live.observed {
@@ -222,20 +229,20 @@ impl Store {
                 }
                 self.values.insert(live.entity, live.observed);
             }
-            self.journal.remove(pos);
+            undone[pos / 64] |= 1 << (pos % 64);
+            first = first.min(pos);
             self.undone_count += 1;
+            Ok(())
+        });
+        let mut kept = first;
+        for pos in first..self.journal.len() {
+            if undone[pos / 64] & 1 << (pos % 64) == 0 {
+                self.journal[kept] = self.journal[pos];
+                kept += 1;
+            }
         }
-        Ok(())
-    }
-
-    /// All records of a transaction still live in the journal, in
-    /// performance order.
-    pub fn live_records_of(&self, txn: TxnId) -> Vec<StepRecord> {
-        self.journal
-            .iter()
-            .copied()
-            .filter(|r| r.txn == txn)
-            .collect()
+        self.journal.truncate(kept);
+        result
     }
 
     /// The latest live access to `entity`, if any.
@@ -247,17 +254,8 @@ impl Store {
             .copied()
     }
 
-    /// Every live record with id >= `from`, in performance order. This is
-    /// the tail a cascading rollback must consider.
-    pub fn live_records_since(&self, from: u64) -> Vec<StepRecord> {
-        self.journal
-            .iter()
-            .copied()
-            .filter(|r| r.id >= from)
-            .collect()
-    }
-
-    /// The live journal, in performance order.
+    /// The live journal, in performance order, which is ascending id
+    /// order.
     pub fn journal(&self) -> &[StepRecord] {
         &self.journal
     }
@@ -359,16 +357,64 @@ mod tests {
     }
 
     #[test]
-    fn cascade_queries() {
+    fn latest_access_is_the_last_live_record() {
         let mut s = Store::new([]);
-        let r0 = s.perform(t(0), 0, e(0), |_| 1);
+        s.perform(t(0), 0, e(0), |_| 1);
         let r1 = s.perform(t(1), 0, e(0), |_| 2);
-        let r2 = s.perform(t(1), 1, e(1), |_| 3);
-        assert_eq!(s.live_records_of(t(1)), vec![r1, r2]);
-        assert_eq!(s.live_records_since(r1.id), vec![r1, r2]);
+        s.perform(t(1), 1, e(1), |_| 3);
         assert_eq!(s.latest_access(e(0)), Some(r1));
         assert_eq!(s.latest_access(e(2)), None);
-        let _ = r0;
+    }
+
+    #[test]
+    fn failed_batch_leaves_exactly_the_earlier_records_undone() {
+        let mut s = Store::new([]);
+        let a = s.perform(t(0), 0, e(0), |_| 1);
+        let b = s.perform(t(1), 0, e(1), |_| 2);
+        let c = s.perform(t(2), 0, e(1), |_| 3);
+        let d = s.perform(t(3), 0, e(2), |_| 4);
+        // `b` is not the latest write to e1 (`c` is, and `c` is not in
+        // the batch): `d` is undone, `b` fails, `a` is never reached.
+        assert_eq!(
+            s.undo(&[d, b, a]).unwrap_err(),
+            UndoError::NotLatest {
+                id: b.id,
+                current: 3,
+                wrote: 2,
+            }
+        );
+        assert_eq!(s.journal(), &[a, b, c]);
+        assert_eq!((s.value(e(0)), s.value(e(1)), s.value(e(2))), (1, 3, 0));
+        assert_eq!(s.undone_count(), 1);
+    }
+
+    #[test]
+    fn mid_journal_read_is_removed_without_touching_values() {
+        let mut s = Store::new([(e(0), 5)]);
+        let w0 = s.perform(t(0), 0, e(0), |v| v + 1);
+        let read = s.perform(t(1), 0, e(0), |v| v);
+        let w2 = s.perform(t(2), 0, e(0), |v| v * 2);
+        let w3 = s.perform(t(3), 0, e(1), |_| 9);
+        s.undo(&[read]).unwrap();
+        assert_eq!(s.journal(), &[w0, w2, w3]);
+        assert_eq!((s.value(e(0)), s.value(e(1))), (12, 9));
+        // The survivors still undo in cascade order.
+        s.undo(&[w3, w2, w0]).unwrap();
+        assert_eq!((s.value(e(0)), s.value(e(1))), (5, 0));
+        assert!(s.journal().is_empty());
+    }
+
+    #[test]
+    fn record_repeated_within_a_batch_is_not_live() {
+        let mut s = Store::new([]);
+        let a = s.perform(t(0), 0, e(0), |_| 1);
+        let b = s.perform(t(0), 1, e(1), |_| 2);
+        assert_eq!(
+            s.undo(&[b, b, a]).unwrap_err(),
+            UndoError::NotLive { id: b.id }
+        );
+        assert_eq!(s.journal(), &[a]);
+        assert_eq!((s.value(e(0)), s.value(e(1))), (1, 0));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! stay opt-in (`cargo test --release -- --ignored`); the nightly CI
 //! job runs them.
 
+mod common;
+
 use multilevel_atomicity::cc::{oracle, MlaDetect, MlaPrevent, VictimPolicy};
 use multilevel_atomicity::model::Value;
 use multilevel_atomicity::sim::{run, SimConfig};
@@ -180,4 +182,41 @@ fn stress_cad_prevent_many_seeds() {
             "seed {seed}"
         );
     }
+}
+
+/// The 4,096-transfer `replay_audit` banking seed whose replay turns
+/// into a rollback storm under `MlaDetect`: tens of thousands of aborts,
+/// a third of them undoing commits. Pinned at its recorded counts so a
+/// liveness fix has a fixed target and an engine change that moves a
+/// decision shows here.
+#[test]
+#[ignore = "stress: a rollback-storm replay, about 30 s in release"]
+fn stress_banking_storm_seed_detect() {
+    const SEED: u64 = 876_045_703_028_766_174;
+    let banking = common::replay_audit_banking(4096, SEED);
+    let wl = &banking.workload;
+    let mut detect = MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps);
+    let out = run(
+        wl.nest.clone(),
+        wl.instances(),
+        wl.initial.iter().copied(),
+        &wl.arrivals,
+        &SimConfig::seeded(SEED),
+        &mut detect,
+    );
+    let m = &out.metrics;
+    assert!(!m.timed_out);
+    let rebuilds = detect.cost().rebuilds;
+    assert_eq!(
+        (
+            m.committed,
+            m.aborts,
+            m.commit_rollbacks,
+            rebuilds,
+            m.steps_performed
+        ),
+        (4_120, 21_857, 10_370, 2_819, 50_732)
+    );
+    let total: Value = banking.accounts.iter().map(|&a| out.store.value(a)).sum();
+    assert_eq!(total, banking.total_money());
 }
