@@ -111,13 +111,15 @@ impl History {
                 nest_txns,
             });
         }
+        let mut lens = vec![0usize; nest_txns];
         for s in exec.steps() {
-            if s.txn.index() >= nest_txns {
+            let Some(len) = lens.get_mut(s.txn.index()) else {
                 return Err(HistoryError::TxnOutsideNest {
                     txn: s.txn,
                     nest_txns,
                 });
-            }
+            };
+            *len += 1;
         }
         let mut dense = vec![vec![Vec::new(); k - 2]; nest_txns];
         for (t, levels) in marks.into_iter().enumerate() {
@@ -143,7 +145,7 @@ impl History {
             if canon.iter().all(|l| l.is_empty()) {
                 continue;
             }
-            let len = exec.txn_steps(txn).len();
+            let len = lens[t];
             if len == 0 {
                 return Err(HistoryError::MarksWithoutSteps { txn });
             }
@@ -179,13 +181,29 @@ impl History {
         spec: &dyn BreakpointSpecification,
     ) -> Result<Self, HistoryError> {
         let k = nest.k();
-        let mut marks = vec![Vec::new(); nest.txn_count()];
-        for t in exec.txns() {
-            let steps: Vec<Step> = exec.txn_steps(t).iter().map(|&i| exec.steps()[i]).collect();
-            let bd = spec.describe(t, &steps);
-            assert_eq!(bd.k(), k, "spec depth must match nest depth");
-            marks[t.index()] = (2..k).map(|lvl| bd.boundaries(lvl)).collect();
+        let nest_txns = nest.txn_count();
+        let mut by_txn: Vec<Vec<Step>> = vec![Vec::new(); nest_txns];
+        for &s in exec.steps() {
+            let Some(steps) = by_txn.get_mut(s.txn.index()) else {
+                return Err(HistoryError::TxnOutsideNest {
+                    txn: s.txn,
+                    nest_txns,
+                });
+            };
+            steps.push(s);
         }
+        let marks = by_txn
+            .iter()
+            .enumerate()
+            .map(|(t, steps)| {
+                if steps.is_empty() {
+                    return Vec::new();
+                }
+                let bd = spec.describe(TxnId(t as u32), steps);
+                assert_eq!(bd.k(), k, "spec depth must match nest depth");
+                (2..k).map(|lvl| bd.boundaries(lvl)).collect()
+            })
+            .collect();
         History::new(nest.clone(), marks, Vec::new(), exec.clone())
     }
 
@@ -306,5 +324,18 @@ mod tests {
         let h = History::from_execution(&exec, &nest, &AtomicSpec { k: 2 }).unwrap();
         assert_eq!(h.exec(), &exec);
         assert_eq!(h.marks(TxnId(0)), &[] as &[Vec<usize>]);
+    }
+
+    #[test]
+    fn from_execution_rejects_a_txn_outside_the_nest() {
+        let exec = Execution::new(vec![step(0, 0, 0), step(2, 0, 0), step(1, 0, 1)]).unwrap();
+        let err = History::from_execution(&exec, &Nest::flat(2), &AtomicSpec { k: 2 }).unwrap_err();
+        assert_eq!(
+            err,
+            HistoryError::TxnOutsideNest {
+                txn: TxnId(2),
+                nest_txns: 2
+            }
+        );
     }
 }

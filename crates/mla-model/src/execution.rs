@@ -1,6 +1,6 @@
 //! Executions and the dependency partial order `<=_e` (§3.1).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 
 use mla_graph::DiGraph;
@@ -94,13 +94,12 @@ impl Execution {
 
     /// Transactions in order of first appearance.
     pub fn txns(&self) -> Vec<TxnId> {
-        let mut seen = Vec::new();
-        for s in &self.steps {
-            if !seen.contains(&s.txn) {
-                seen.push(s.txn);
-            }
-        }
-        seen
+        let mut seen = HashSet::new();
+        self.steps
+            .iter()
+            .map(|s| s.txn)
+            .filter(|&t| seen.insert(t))
+            .collect()
     }
 
     /// Global step indices belonging to `txn`, in execution order (which,
@@ -461,6 +460,14 @@ mod tests {
         assert_eq!(e.txn_steps(TxnId(1)), vec![1, 3]);
         assert_eq!(e.entity_steps(EntityId(2)), vec![1]);
         assert!(e.entity_steps(EntityId(9)).is_empty());
+
+        // Many transactions, first appearing out of id order and
+        // revisited after later ones start.
+        let ids: Vec<u32> = (0..64).map(|i| (i * 37) % 64).collect();
+        let mut steps: Vec<Step> = ids.iter().map(|&t| step(t, 0, t, 0, 0)).collect();
+        steps.extend(ids.iter().rev().map(|&t| step(t, 1, t, 0, 0)));
+        let e = Execution::new(steps).unwrap();
+        assert_eq!(e.txns(), ids.iter().map(|&t| TxnId(t)).collect::<Vec<_>>());
     }
 
     #[test]

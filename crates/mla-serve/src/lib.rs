@@ -10,15 +10,13 @@
 //! [`AdmissionView`](mla_cc::AdmissionView) surface the simulator uses —
 //! one scheduler core, two hosts. Committed versions are reclaimed by
 //! epoch-based GC, and every drained history feeds back through Theorem
-//! 2's offline decision procedure ([`audit`]).
+//! 2's offline decision procedure ([`mla_check::check`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod audit;
 pub mod service;
 pub mod workload;
 
-pub use audit::{audit_full, audit_windowed, AuditReport};
 pub use service::{run, SchedKind, ServeConfig, ServeReport};
 pub use workload::{contended_load, partitioned_load, ServeLoad};

@@ -3,8 +3,9 @@
 
 use std::time::Duration;
 
-use mla_serve::{audit_full, audit_windowed, contended_load, partitioned_load};
-use mla_serve::{run, SchedKind, ServeConfig};
+use mla_check::History;
+use mla_model::Execution;
+use mla_serve::{contended_load, partitioned_load, run, SchedKind, ServeConfig};
 
 const USAGE: &str = "mla-serve: concurrent transaction service demo
 
@@ -20,7 +21,6 @@ USAGE: mla-serve [OPTIONS]
   --certified                    attach the static certificate if earned
   --no-gc                        disable the epoch GC thread
   --deadline-secs N              liveness backstop     [60]
-  --audit-window N               oracle window, 0=full history [0]
   --dump-history PATH            write the drained history in
                                  mla-history v1 (mla-check) format
   --quiet                        suppress the report block
@@ -51,7 +51,6 @@ fn main() {
     let mut accounts = 16usize;
     let mut audit_every = 8usize;
     let mut config = ServeConfig::default();
-    let mut audit_window = 0usize;
     let mut dump_history: Option<String> = None;
     let mut quiet = false;
 
@@ -79,7 +78,6 @@ fn main() {
             "--deadline-secs" => {
                 config.deadline = Duration::from_secs(parse_or_die(&a, args.next()))
             }
-            "--audit-window" => audit_window = parse_or_die(&a, args.next()),
             "--dump-history" => dump_history = Some(parse_or_die(&a, args.next())),
             "--quiet" => quiet = true,
             "--help" | "-h" => {
@@ -104,23 +102,18 @@ fn main() {
     };
     let gen_wall = gen_started.elapsed();
 
-    let report = run(&load, &config);
+    let mut report = run(&load, &config);
     if !quiet {
         println!("{}", report.render());
     }
 
-    let nest = &load.workload.nest;
-    let spec = load.workload.spec();
     let audit_started = std::time::Instant::now();
-    let audit = if audit_window == 0 {
-        audit_full(&report.history, nest, &spec)
-    } else {
-        audit_windowed(&report.history, nest, &spec, audit_window)
-    };
-    println!(
-        "oracle      {} windows audited, {} violations ({} steps)",
-        audit.windows, audit.violations, audit.steps_covered
-    );
+    let exec = Execution::new(std::mem::take(&mut report.history))
+        .expect("service histories are seq-contiguous");
+    let history = History::from_execution(&exec, &load.workload.nest, &load.workload.spec())
+        .expect("service history matches its nest and spec");
+    let verdict = mla_check::check(&history);
+    println!("oracle      {}", verdict.render());
     if !quiet {
         println!(
             "phases      generate {gen_wall:.3?}, certify {:.3?}, drain {:.3?}, audit {:.3?}",
@@ -131,11 +124,7 @@ fn main() {
     }
 
     if let Some(path) = dump_history {
-        let exec = mla_model::Execution::new(report.history.clone())
-            .expect("service histories are seq-contiguous");
-        let h = mla_check::History::from_execution(&exec, nest, &spec)
-            .expect("service history matches its nest and spec");
-        if let Err(e) = std::fs::write(&path, mla_check::format_history(&h)) {
+        if let Err(e) = std::fs::write(&path, mla_check::format_history(&history)) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
         }
@@ -150,8 +139,8 @@ fn main() {
         eprintln!("SNAPSHOT VIOLATIONS: {}", report.snapshot_violations);
         std::process::exit(1);
     }
-    if !audit.passed() {
-        eprintln!("ORACLE VIOLATIONS: history is not correctable");
+    if !verdict.passed() {
+        eprintln!("ORACLE VIOLATION: history is not correctable");
         std::process::exit(1);
     }
 }

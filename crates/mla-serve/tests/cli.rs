@@ -32,10 +32,12 @@ fn empty_or_degenerate_loads_are_usage_errors() {
     }
 }
 
+/// Retired flags: the sharding knobs and the windowed-audit sampler.
 #[test]
 fn retired_shard_flags_are_unknown() {
     assert_usage_error(&["--shards", "4"]);
     assert_usage_error(&["--wait-shards", "4"]);
+    assert_usage_error(&["--audit-window", "256"]);
 }
 
 #[test]
@@ -44,5 +46,7 @@ fn help_names_no_shard_flag() {
     assert!(out.status.success());
     let help = String::from_utf8(out.stdout).expect("utf-8 stdout");
     assert!(help.contains("--sessions"));
-    assert!(!help.contains("--shards") && !help.contains("--wait-shards"));
+    for retired in ["--shards", "--wait-shards", "--audit-window"] {
+        assert!(!help.contains(retired), "help still names {retired}");
+    }
 }

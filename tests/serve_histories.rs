@@ -1,7 +1,7 @@
 //! Differential audit of the live service: every history `mla-serve`
 //! records — real threads, MVCC storage, admission gated by MlaDetect or
-//! MlaPrevent — must pass the Theorem 2 oracle, exactly like the
-//! simulator's histories do.
+//! MlaPrevent — must pass `mla-check`'s Theorem 2 check, exactly like
+//! the simulator's histories do.
 //!
 //! The service runs are nondeterministic (OS scheduling), so these tests
 //! assert *universally quantified* properties: correctability of the
@@ -11,9 +11,10 @@
 use std::collections::HashMap;
 use std::time::Duration;
 
+use multilevel_atomicity::check::{check, History, Verdict};
+use multilevel_atomicity::model::{Execution, Step};
 use multilevel_atomicity::serve::{
-    audit_full, audit_windowed, contended_load, partitioned_load, run, SchedKind, ServeConfig,
-    ServeLoad,
+    contended_load, partitioned_load, run, SchedKind, ServeConfig, ServeLoad,
 };
 
 fn config(sched: SchedKind) -> ServeConfig {
@@ -22,6 +23,17 @@ fn config(sched: SchedKind) -> ServeConfig {
         workers: 3,
         deadline: Duration::from_secs(120),
         ..Default::default()
+    }
+}
+
+/// Asserts that `history`, recorded under `load`, passes `mla-check`,
+/// naming the violation otherwise.
+fn assert_correctable(load: &ServeLoad, history: &[Step]) {
+    let exec = Execution::new(history.to_vec()).expect("service histories are seq-contiguous");
+    let h = History::from_execution(&exec, &load.workload.nest, &load.workload.spec())
+        .expect("service history matches its nest and spec");
+    if let Verdict::Fail { violation } = check(&h) {
+        panic!("recorded history must be correctable: {violation}");
     }
 }
 
@@ -38,16 +50,7 @@ fn drain_and_audit(load: &ServeLoad, config: &ServeConfig) -> u64 {
     );
 
     // The theorem oracle: the recorded history is correctable.
-    let audit = audit_full(&report.history, &load.workload.nest, &load.workload.spec());
-    assert!(audit.passed(), "recorded history must be correctable");
-    // The windowed variant agrees on a projection of the same history.
-    let windowed = audit_windowed(
-        &report.history,
-        &load.workload.nest,
-        &load.workload.spec(),
-        64,
-    );
-    assert!(windowed.passed(), "windowed audit must concur");
+    assert_correctable(load, &report.history);
 
     // Histories come out in global admission-ticket order, which must be
     // per-session (= per-transaction) program order: seq values of each
@@ -90,8 +93,7 @@ fn contended_histories_pass_the_oracle_and_conserve_money() {
         let report = run(&load, &config(sched));
         assert!(report.clean);
         assert_eq!(report.committed, 36);
-        let audit = audit_full(&report.history, &load.workload.nest, &load.workload.spec());
-        assert!(audit.passed(), "contended history must be correctable");
+        assert_correctable(&load, &report.history);
 
         // Conservation: replaying the last write per entity sums to the
         // initial ring total.
