@@ -2,8 +2,9 @@
 //!
 //! The MLA controls maintain the coherent closure over a *window* of the
 //! journal; committed transactions are evicted once no live transaction
-//! reaches them in the closure (sound per the lift argument in
-//! `mla-cc::window`). Disabling eviction makes every check pay for the
+//! reaches them in the closure (sound per the lift argument in the
+//! docs of `ClosureEngine::evict_unreachable`). Disabling eviction makes
+//! every check pay for the
 //! entire history. This table measures the scheduler's wall-clock cost
 //! both ways as the run grows; simulated-time metrics are identical by
 //! construction (eviction never changes decisions, only their cost).

@@ -5,7 +5,8 @@ use mla_cc::{
     oracle, MlaDetect, MlaPrevent, SerialControl, SgtControl, TimestampOrdering, TwoPhaseLocking,
     VictimPolicy,
 };
-use mla_sim::{run, SimConfig, SimOutcome};
+use mla_core::cert::StaticCert;
+use mla_sim::{run, Control, SimConfig, SimOutcome};
 use mla_workload::Workload;
 
 /// Which concurrency control to run.
@@ -94,124 +95,7 @@ pub fn run_cell(wl: &Workload, kind: ControlKind, seed: u64) -> CellResult {
         _ => None,
     };
     let started = std::time::Instant::now();
-    let (outcome, prevention_misses) = match kind {
-        ControlKind::Serial => (
-            run(
-                wl.nest.clone(),
-                wl.instances(),
-                wl.initial.iter().copied(),
-                &wl.arrivals,
-                &config,
-                &mut SerialControl::default(),
-            ),
-            0,
-        ),
-        ControlKind::TwoPl => (
-            run(
-                wl.nest.clone(),
-                wl.instances(),
-                wl.initial.iter().copied(),
-                &wl.arrivals,
-                &config,
-                &mut TwoPhaseLocking::new(),
-            ),
-            0,
-        ),
-        ControlKind::Timestamp => (
-            run(
-                wl.nest.clone(),
-                wl.instances(),
-                wl.initial.iter().copied(),
-                &wl.arrivals,
-                &config,
-                &mut TimestampOrdering::new(),
-            ),
-            0,
-        ),
-        ControlKind::Sgt(policy) => (
-            run(
-                wl.nest.clone(),
-                wl.instances(),
-                wl.initial.iter().copied(),
-                &wl.arrivals,
-                &config,
-                &mut SgtControl::new(wl.txn_count(), policy),
-            ),
-            0,
-        ),
-        ControlKind::MlaDetect(policy) => (
-            run(
-                wl.nest.clone(),
-                wl.instances(),
-                wl.initial.iter().copied(),
-                &wl.arrivals,
-                &config,
-                &mut MlaDetect::new(wl.spec(), policy),
-            ),
-            0,
-        ),
-        ControlKind::MlaDetectNoEvict(policy) => (
-            run(
-                wl.nest.clone(),
-                wl.instances(),
-                wl.initial.iter().copied(),
-                &wl.arrivals,
-                &config,
-                &mut MlaDetect::new(wl.spec(), policy).without_eviction(),
-            ),
-            0,
-        ),
-        ControlKind::MlaDetectFullRebuild(policy) => (
-            run(
-                wl.nest.clone(),
-                wl.instances(),
-                wl.initial.iter().copied(),
-                &wl.arrivals,
-                &config,
-                &mut MlaDetect::new(wl.spec(), policy).with_full_rebuild(),
-            ),
-            0,
-        ),
-        ControlKind::MlaPrevent(policy) => {
-            let mut c = MlaPrevent::new(wl.txn_count(), wl.spec(), policy);
-            let out = run(
-                wl.nest.clone(),
-                wl.instances(),
-                wl.initial.iter().copied(),
-                &wl.arrivals,
-                &config,
-                &mut c,
-            );
-            (out, c.prevention_misses)
-        }
-        ControlKind::MlaDetectCertified(policy) => {
-            let cert = cert.expect("certificate built before the timer");
-            (
-                run(
-                    wl.nest.clone(),
-                    wl.instances(),
-                    wl.initial.iter().copied(),
-                    &wl.arrivals,
-                    &config,
-                    &mut MlaDetect::new(wl.spec(), policy).with_static_cert(cert),
-                ),
-                0,
-            )
-        }
-        ControlKind::MlaPreventCertified(policy) => {
-            let cert = cert.expect("certificate built before the timer");
-            let mut c = MlaPrevent::new(wl.txn_count(), wl.spec(), policy).with_static_cert(cert);
-            let out = run(
-                wl.nest.clone(),
-                wl.instances(),
-                wl.initial.iter().copied(),
-                &wl.arrivals,
-                &config,
-                &mut c,
-            );
-            (out, c.prevention_misses)
-        }
-    };
+    let (outcome, prevention_misses) = simulate(wl, kind, cert, &config);
     let wall_seconds = started.elapsed().as_secs_f64();
 
     assert!(
@@ -241,6 +125,48 @@ pub fn run_cell(wl: &Workload, kind: ControlKind, seed: u64) -> CellResult {
         prevention_misses,
         wall_seconds,
     }
+}
+
+/// Builds `kind`'s control, runs it once, and returns the outcome with
+/// the prevention-rule fallback count (`MlaPrevent`'s own figure, zero
+/// for every other control).
+fn simulate(
+    wl: &Workload,
+    kind: ControlKind,
+    cert: Option<StaticCert>,
+    config: &SimConfig,
+) -> (SimOutcome, u64) {
+    let run_with = |control: &mut dyn Control| {
+        run(
+            wl.nest.clone(),
+            wl.instances(),
+            wl.initial.iter().copied(),
+            &wl.arrivals,
+            config,
+            control,
+        )
+    };
+    let detect = |policy| MlaDetect::new(wl.spec(), policy);
+    let mut control: Box<dyn Control> = match kind {
+        ControlKind::Serial => Box::new(SerialControl::default()),
+        ControlKind::TwoPl => Box::new(TwoPhaseLocking::new()),
+        ControlKind::Timestamp => Box::new(TimestampOrdering::new()),
+        ControlKind::Sgt(policy) => Box::new(SgtControl::new(wl.txn_count(), policy)),
+        ControlKind::MlaDetect(policy) => Box::new(detect(policy)),
+        ControlKind::MlaDetectNoEvict(policy) => Box::new(detect(policy).without_eviction()),
+        ControlKind::MlaDetectFullRebuild(policy) => Box::new(detect(policy).with_full_rebuild()),
+        ControlKind::MlaDetectCertified(policy) => Box::new(
+            detect(policy).with_static_cert(cert.expect("certificate built before the timer")),
+        ),
+        ControlKind::MlaPrevent(policy) | ControlKind::MlaPreventCertified(policy) => {
+            let mut c = MlaPrevent::new(wl.txn_count(), wl.spec(), policy);
+            if let Some(cert) = cert {
+                c = c.with_static_cert(cert);
+            }
+            return (run_with(&mut c), c.prevention_misses);
+        }
+    };
+    (run_with(control.as_mut()), 0)
 }
 
 /// Aggregated metrics over seeds.

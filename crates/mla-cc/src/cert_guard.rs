@@ -19,7 +19,7 @@
 //! * With re-arming enabled ([`CertGuard::new`] `rearm = true`), each
 //!   disarmed universe remembers which foreign transactions are to
 //!   blame. Once every blamed transaction's journal entries drain — it
-//!   aborted, or committed and was evicted from the live window so its
+//!   aborted, or committed and was evicted from the closure engine so its
 //!   steps can join no new closure cycle — the universe **re-arms** and
 //!   skips again.
 //!
@@ -159,7 +159,7 @@ impl CertGuard {
 
     /// Re-arms every disarmed universe whose blamed transactions have
     /// all drained, per the caller's `drained` predicate (typically:
-    /// committed and evicted from the live window). No-op unless
+    /// committed and evicted from the closure engine). No-op unless
     /// re-arming is enabled.
     pub fn sweep(&mut self, mut drained: impl FnMut(TxnId) -> bool) {
         if !self.rearm || self.disarmed == 0 {

@@ -19,7 +19,8 @@
 //! This is exactly the §6 delay rule **restricted to direct, per-entity
 //! conflicts** — no transitive closure. The experiment E13 runs it
 //! against the offline Theorem 2 oracle: where transitive carrier chains
-//! matter (see the CAD regression in `mla-cc::window`), this control
+//! matter (see `eviction_preserves_carrier_chains_cad_regression` in
+//! `tests/scheduler_safety.rs`), this control
 //! grants steps the closure-based rule would delay, and the resulting
 //! histories are *not always correctable*. That is the reproduction's
 //! answer to §7's question: lock retention alone is cheaper per decision

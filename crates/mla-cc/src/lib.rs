@@ -12,6 +12,12 @@
 //! | [`MlaPrevent`] | multilevel atomicity (correctable) | §6 step-delay rule + waits-for deadlock resolution |
 //! | [`HierLocking`] | **none in general** — measured, not trusted (§7, E13) | per-entity lock retention at breakpoints |
 //!
+//! The two MLA controls share one [`AdmissionCore`]: the closure
+//! engine's lifecycle and eviction, the certificate guard with its
+//! journal catch-up, and the choice of a rollback victim from a cycle.
+//! Each keeps only its own rule for a judged candidate — roll back on a
+//! cycle, or delay until the predecessors reach breakpoints.
+//!
 //! Every control is *tested against the theory*: the [`oracle`] module
 //! feeds each run's final execution back through `mla-core`'s Theorem 2
 //! decision procedure (and the serializability checker for the
@@ -32,9 +38,8 @@ pub mod sgt;
 pub mod timestamp;
 pub mod two_phase;
 pub mod victim;
-pub mod window;
 
-pub use admission::AdmissionView;
+pub use admission::{AdmissionCore, AdmissionView};
 pub use cert_guard::{CertAdmit, CertGuard};
 pub use hier_lock::HierLocking;
 pub use mla_detect::MlaDetect;

@@ -4,7 +4,8 @@
 //! detected, a priority scheme can be used to determine which steps
 //! should be rolled back."
 //!
-//! Implementation: the control maintains one [`ClosureEngine`] for the
+//! Implementation: the control maintains one
+//! [`ClosureEngine`](mla_core::ClosureEngine) for the
 //! whole run and offers it each candidate step as a *delta*. The engine
 //! extends its maintained coherent closure in place; acyclic — commit
 //! the extension and grant, cyclic — the engine rolls the extension back
@@ -18,34 +19,20 @@
 //! against [`crate::SgtControl`].
 
 use mla_core::cert::StaticCert;
-use mla_core::spec::BreakpointSpecification;
-use mla_core::{ClosureEngine, EngineCounters};
-use mla_model::{Step, TxnId};
+use mla_model::TxnId;
 use mla_sim::{Control, Decision, World};
-use mla_storage::StepRecord;
 use mla_txn::RuntimeSpec;
 
-use crate::admission::AdmissionView;
-use crate::cert_guard::{CertAdmit, CertGuard};
+use crate::admission::{control_via_core, AdmissionCore, AdmissionView};
 use crate::victim::VictimPolicy;
-use crate::window::LiveWindow;
 
 /// The optimistic multilevel-atomicity control.
 pub struct MlaDetect {
-    spec: RuntimeSpec,
-    /// The incremental closure over the live window, created on the
-    /// first decision (the nest lives in the [`World`]).
-    engine: Option<ClosureEngine<RuntimeSpec>>,
-    window: LiveWindow,
-    policy: VictimPolicy,
+    core: AdmissionCore,
     /// A1 ablation: force a from-scratch closure rebuild before every
     /// decision, charging the old per-step batch cost through the same
     /// code path.
     full_rebuild: bool,
-    /// A §5 per-universe certificate lattice from `mla-lint` plus its
-    /// armed state: while a universe is armed, its in-footprint steps
-    /// are granted without any closure maintenance.
-    guard: Option<CertGuard>,
     /// Closure checks performed (for the E5 cost accounting).
     pub checks: u64,
     /// Checks that found a cycle.
@@ -53,10 +40,21 @@ pub struct MlaDetect {
 }
 
 impl MlaDetect {
-    /// Disables window eviction (the A2 ablation: pay for checking the
-    /// full history on every decision).
+    /// A detector using `spec` (which must match the instances'
+    /// breakpoint structures) and the given victim policy.
+    pub fn new(spec: RuntimeSpec, policy: VictimPolicy) -> Self {
+        MlaDetect {
+            core: AdmissionCore::new(spec, policy),
+            full_rebuild: false,
+            checks: 0,
+            cycles_found: 0,
+        }
+    }
+
+    /// Disables eviction (the A2 ablation: pay for checking the full
+    /// history on every decision).
     pub fn without_eviction(mut self) -> Self {
-        self.window.set_eviction(false);
+        self.core.disable_eviction();
         self
     }
 
@@ -67,55 +65,6 @@ impl MlaDetect {
     pub fn with_full_rebuild(mut self) -> Self {
         self.full_rebuild = true;
         self
-    }
-
-    /// How many committed transactions the window has evicted so far.
-    pub fn evicted_count(&self) -> usize {
-        self.window.evicted_count()
-    }
-
-    /// The engine's decision-cost counters so far (zeros before the
-    /// first decision).
-    pub fn cost(&self) -> EngineCounters {
-        self.engine
-            .as_ref()
-            .map(|e| *e.counters())
-            .unwrap_or_default()
-    }
-
-    /// A detector using `spec` (which must match the instances'
-    /// breakpoint structures) and the given victim policy.
-    pub fn new(spec: RuntimeSpec, policy: VictimPolicy) -> Self {
-        MlaDetect {
-            spec,
-            engine: None,
-            window: LiveWindow::new(),
-            policy,
-            full_rebuild: false,
-            guard: None,
-            checks: 0,
-            cycles_found: 0,
-        }
-    }
-
-    /// Decisions granted on the certificate fast path, across every
-    /// universe (A7/A8 accounting).
-    pub fn certified_skips(&self) -> u64 {
-        self.guard.as_ref().map(CertGuard::total_skips).unwrap_or(0)
-    }
-
-    /// Fast-path grants split per universe (empty without a
-    /// certificate).
-    pub fn certified_skips_per_universe(&self) -> Vec<u64> {
-        self.guard
-            .as_ref()
-            .map(|g| g.skips.clone())
-            .unwrap_or_default()
-    }
-
-    /// Universe-disarm events caused by off-footprint strays.
-    pub fn cert_voids(&self) -> u64 {
-        self.guard.as_ref().map(|g| g.voids).unwrap_or(0)
     }
 
     /// Arms the certified fast path with an `mla-lint` [`StaticCert`]
@@ -131,40 +80,27 @@ impl MlaDetect {
     /// control.
     ///
     /// A step *outside* its transaction's certified footprint voids
-    /// certificates **per universe** (see [`CertGuard`]): the stray's
-    /// own universe and every armed universe whose entities it touched
-    /// are disarmed, the engine is caught up by replaying the journal —
-    /// guaranteed acyclic, since every granted step either passed the
-    /// engine or was certified — and those universes stay on the engine
-    /// path for the rest of the run (`MlaPrevent` re-arms; the detector
-    /// keeps voiding permanent). Untouched universes keep skipping.
+    /// certificates **per universe** (see
+    /// [`CertGuard`](crate::CertGuard)): the stray's own universe and
+    /// every armed universe whose entities it touched are disarmed, the
+    /// engine is caught up by replaying the journal, and those universes
+    /// stay on the engine path for the rest of the run (`MlaPrevent`
+    /// re-arms; the detector keeps voiding permanent). Untouched
+    /// universes keep skipping.
     pub fn with_static_cert(mut self, cert: StaticCert) -> Self {
-        assert!(
-            self.engine.is_none(),
-            "set the certificate before the first decision"
-        );
-        assert_eq!(
-            cert.k(),
-            BreakpointSpecification::k(&self.spec),
-            "certificate depth must match the spec"
-        );
-        self.guard = Some(CertGuard::new(cert, false));
+        self.core.arm(cert, false);
         self
     }
 
-    /// Catches the engine up on every step granted so far (certified
-    /// skips included): fresh engine, full journal replay. Called when
-    /// an off-footprint stray disarms a universe whose steps the engine
-    /// has never seen.
-    fn catch_up_engine<V: AdmissionView + ?Sized>(&mut self, view: &V) {
-        let mut engine = ClosureEngine::new(view.nest().clone(), self.spec.clone());
-        for s in view.history_steps() {
-            engine
-                .apply_step(s)
-                .expect("certified history must replay acyclically");
-            engine.commit_step();
-        }
-        self.engine = Some(engine);
+    /// The engine, certificate and eviction state shared with
+    /// [`MlaPrevent`](crate::MlaPrevent), and their counters.
+    pub fn core(&self) -> &AdmissionCore {
+        &self.core
+    }
+
+    /// Mutable access for hosts that feed performed steps to the engine.
+    pub fn core_mut(&mut self) -> &mut AdmissionCore {
+        &mut self.core
     }
 
     /// The decision procedure, against any [`AdmissionView`] — the
@@ -172,34 +108,16 @@ impl MlaDetect {
     /// [`Control`] impl is a thin delegation to this.
     pub fn decide_view<V: AdmissionView + ?Sized>(&mut self, txn: TxnId, view: &V) -> Decision {
         let candidate = view.candidate(txn);
-        if let Some(guard) = self.guard.as_mut() {
-            match guard.admit(txn, candidate.entity) {
-                CertAdmit::Skip(_) => {
-                    self.checks += 1;
-                    return Decision::Grant;
-                }
-                CertAdmit::Engine => {}
-                CertAdmit::Voided => {
-                    // An off-footprint stray just disarmed at least one
-                    // universe whose steps the engine never saw: catch
-                    // it up on everything granted so far before
-                    // deciding this step through it.
-                    self.catch_up_engine(view);
-                }
-            }
-        }
-        if self.engine.is_none() {
-            self.engine = Some(ClosureEngine::new(view.nest().clone(), self.spec.clone()));
-        }
-        let engine = self.engine.as_mut().expect("just initialised");
+        self.checks += 1;
+        let Some(engine) = self.core.engine_for(&candidate, view) else {
+            return Decision::Grant;
+        };
         if self.full_rebuild {
             engine.force_rebuild();
         }
-        self.checks += 1;
         match engine.apply_step(candidate) {
             Ok(()) => {
-                engine.commit_step();
-                self.window.maintain_with_engine(engine, view);
+                self.core.grant(view);
                 Decision::Grant
             }
             Err(witness) => {
@@ -207,29 +125,8 @@ impl MlaDetect {
                 // witness names the transactions on the closure cycle
                 // (sorted, deduplicated).
                 self.cycles_found += 1;
-                let mut candidates: Vec<TxnId> = witness
-                    .txns
-                    .iter()
-                    .copied()
-                    .filter(|&t| !view.is_committed(t))
-                    .collect();
-                if candidates.is_empty() {
-                    // Every other participant is committed: the requester
-                    // itself must yield (commit rollbacks are left to the
-                    // cascade).
-                    candidates.push(txn);
-                }
-                Decision::Abort(vec![self.policy.choose(txn, &candidates, view)])
+                self.core.victim(txn, witness.txns, view)
             }
-        }
-    }
-
-    /// Backfills the real observed/written values of a performed step so
-    /// future breakpoint descriptions see what actually happened (the
-    /// candidate carried zeros — the closure itself is value-blind).
-    pub fn performed_view(&mut self, step: &Step) {
-        if let Some(engine) = self.engine.as_mut() {
-            engine.performed(step);
         }
     }
 
@@ -238,10 +135,7 @@ impl MlaDetect {
     /// rebuild for the whole cascade and replays lazily at the next
     /// decision.
     pub fn aborted_view(&mut self, txn: TxnId) {
-        self.window.on_aborted(txn);
-        if let Some(engine) = self.engine.as_mut() {
-            engine.remove_txn(txn);
-        }
+        self.core.aborted(txn);
     }
 }
 
@@ -254,25 +148,7 @@ impl Control for MlaDetect {
         self.decide_view(txn, world)
     }
 
-    fn performed(&mut self, record: &StepRecord, _world: &World) {
-        self.performed_view(&record.as_step());
-    }
-
-    fn aborted(&mut self, txn: TxnId, _world: &World) {
-        self.aborted_view(txn);
-    }
-
-    fn decision_cost(&self) -> Option<EngineCounters> {
-        Some(self.cost())
-    }
-
-    fn certified_skips(&self) -> u64 {
-        MlaDetect::certified_skips(self)
-    }
-
-    fn certified_skips_per_universe(&self) -> Vec<u64> {
-        MlaDetect::certified_skips_per_universe(self)
-    }
+    control_via_core!();
 }
 
 #[cfg(test)]
@@ -280,6 +156,7 @@ mod tests {
     use super::*;
     use crate::oracle;
     use mla_core::nest::Nest;
+    use mla_core::EngineCounters;
     use mla_model::program::{ScriptOp::*, ScriptProgram};
     use mla_model::EntityId;
     use mla_sim::{run, SimConfig};
@@ -347,7 +224,7 @@ mod tests {
         assert_eq!(total, 400);
         assert!(control.checks > 0);
         // The simulator merged the engine counters into the run metrics.
-        assert_eq!(out.metrics.decision_cost, control.cost());
+        assert_eq!(out.metrics.decision_cost, control.core().cost());
         assert!(out.metrics.decision_cost.steps_applied > 0);
         assert!(out.metrics.rows_per_decision() > 0.0);
     }
@@ -393,7 +270,7 @@ mod tests {
         assert_eq!(out.store.value(e(1)), 10);
         // The tentpole property: an abort-free run never rebuilds the
         // closure from scratch — every grant was a pure delta.
-        let cost = control.cost();
+        let cost = control.core().cost();
         assert!(cost.steps_applied > 0);
         assert_eq!(cost.rebuilds, 0, "grant path must not batch-recompute");
         assert_eq!(cost.rollbacks, 0);
@@ -431,20 +308,20 @@ mod tests {
         assert_eq!(out_inc.execution.steps(), out_full.execution.steps());
         assert_eq!(inc.checks, full.checks);
         assert_eq!(
-            full.cost().rebuilds,
+            full.core().cost().rebuilds,
             full.checks,
             "one rebuild per decision"
         );
         assert!(
-            inc.cost().rebuilds < full.cost().rebuilds,
+            inc.core().cost().rebuilds < full.core().cost().rebuilds,
             "incremental mode must rebuild strictly less"
         );
         assert!(
-            inc.cost().rows_touched < full.cost().rows_touched,
+            inc.core().cost().rows_touched < full.core().cost().rows_touched,
             "incremental mode must do strictly less closure work \
              ({} vs {})",
-            inc.cost().rows_touched,
-            full.cost().rows_touched
+            inc.core().cost().rows_touched,
+            full.core().cost().rows_touched
         );
     }
 
@@ -514,9 +391,9 @@ mod tests {
         );
         assert!(!out.metrics.timed_out);
         let m = &out.metrics;
-        let cost = control.cost();
+        let cost = control.core().cost();
         assert!(m.aborts > 0, "the load must exercise aborts");
-        assert!(control.evicted_count() > 0);
+        assert!(control.core().evicted_count() > 0);
         // A pass follows a commit, an abort or a rebuild, or is the
         // first. Commits landing between two grants share one pass,
         // which keeps this replay within the bound despite the passes
@@ -571,16 +448,22 @@ mod tests {
         assert_eq!(out_base.execution.steps(), out_fast.execution.steps());
         assert_eq!(out_base.metrics.committed, out_fast.metrics.committed);
         // Every decision went through the fast path, never the engine.
-        assert!(fast.certified_skips() > 0);
-        assert_eq!(fast.certified_skips(), fast.checks);
-        assert_eq!(fast.cost(), EngineCounters::default());
-        assert_eq!(out_fast.metrics.certified_skips, fast.certified_skips());
+        assert!(fast.core().certified_skips() > 0);
+        assert_eq!(fast.core().certified_skips(), fast.checks);
+        assert_eq!(fast.core().cost(), EngineCounters::default());
+        assert_eq!(
+            out_fast.metrics.certified_skips,
+            fast.core().certified_skips()
+        );
         assert_eq!(out_base.metrics.certified_skips, 0);
         // The lattice degenerates to one universe here; the split view
         // still reconciles with the total.
         assert_eq!(
-            fast.certified_skips_per_universe().iter().sum::<u64>(),
-            fast.certified_skips()
+            fast.core()
+                .certified_skips_per_universe()
+                .iter()
+                .sum::<u64>(),
+            fast.core().certified_skips()
         );
         assert!(oracle::is_correctable_outcome(
             &out_fast,
@@ -634,13 +517,19 @@ mod tests {
         // The voided run granted some decisions certified, then handed
         // the rest to a journal-caught-up engine — and still produced
         // the identical history.
-        assert!(fast.certified_skips() > 0, "fast path ran before voiding");
-        assert!(fast.cert_voids() > 0, "the stray disarmed its universe");
         assert!(
-            fast.certified_skips() < fast.checks,
+            fast.core().certified_skips() > 0,
+            "fast path ran before voiding"
+        );
+        assert!(
+            fast.core().cert_voids() > 0,
+            "the stray disarmed its universe"
+        );
+        assert!(
+            fast.core().certified_skips() < fast.checks,
             "voiding must hand later decisions to the engine"
         );
-        assert_ne!(fast.cost(), EngineCounters::default());
+        assert_ne!(fast.core().cost(), EngineCounters::default());
         assert_eq!(out_base.execution.steps(), out_fast.execution.steps());
         assert!(oracle::is_correctable_outcome(
             &out_fast,

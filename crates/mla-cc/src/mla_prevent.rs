@@ -14,43 +14,28 @@
 //! preventing blocking") a waits-for graph is maintained and a victim is
 //! rolled back whenever a wait would close a waits-for cycle.
 //!
-//! The closure is maintained incrementally by one [`ClosureEngine`]:
+//! The closure is maintained incrementally by one
+//! [`ClosureEngine`](mla_core::ClosureEngine):
 //! each candidate is applied as a tentative delta, the blocker probe
 //! asks the engine for the candidate's closure predecessors, and a
 //! deferred candidate is rolled back to be retried later; no batch
 //! recomputation on any path.
 
 use mla_core::cert::StaticCert;
-use mla_core::spec::BreakpointSpecification;
-use mla_core::{ClosureEngine, EngineCounters};
 use mla_graph::IncrementalTopo;
-use mla_model::{Step, TxnId};
+use mla_model::TxnId;
 use mla_sim::{Control, Decision, World};
-use mla_storage::StepRecord;
 use mla_txn::RuntimeSpec;
 
-use crate::admission::AdmissionView;
-use crate::cert_guard::{CertAdmit, CertGuard};
+use crate::admission::{control_via_core, AdmissionCore, AdmissionView};
 use crate::victim::VictimPolicy;
-use crate::window::LiveWindow;
 
 /// The pessimistic multilevel-atomicity control.
 pub struct MlaPrevent {
-    spec: RuntimeSpec,
-    /// The incremental closure over the live window, created on the
-    /// first decision (the nest lives in the [`World`]).
-    engine: Option<ClosureEngine<RuntimeSpec>>,
-    window: LiveWindow,
+    core: AdmissionCore,
     /// The waits-for graph over transactions: one node per transaction,
     /// an edge `t -> b` while `t` is deferred behind `b`.
     waits: IncrementalTopo,
-    policy: VictimPolicy,
-    /// A §5 per-universe certificate lattice from `mla-lint` plus its
-    /// armed/blamed state: while a universe is armed, its in-footprint
-    /// steps are granted without closure maintenance or breakpoint
-    /// waits. Voided universes re-arm once the foreign transactions
-    /// that disarmed them drain from the live window.
-    guard: Option<CertGuard>,
     /// Steps delayed waiting for a breakpoint (E4/E6 accounting).
     pub breakpoint_waits: u64,
     /// Grants the §6 delay rule alone would have admitted despite a
@@ -61,10 +46,14 @@ pub struct MlaPrevent {
 }
 
 impl MlaPrevent {
-    fn clear_out_edges(&mut self, txn: TxnId) {
-        let outs: Vec<u32> = self.waits.successors(txn.0).to_vec();
-        for o in outs {
-            self.waits.remove_edge(txn.0, o);
+    /// A preventer over `txn_count` transactions using `spec` and the
+    /// given deadlock-victim policy.
+    pub fn new(txn_count: usize, spec: RuntimeSpec, policy: VictimPolicy) -> Self {
+        MlaPrevent {
+            core: AdmissionCore::new(spec, policy),
+            waits: IncrementalTopo::new(txn_count),
+            breakpoint_waits: 0,
+            prevention_misses: 0,
         }
     }
 
@@ -84,13 +73,94 @@ impl MlaPrevent {
         self
     }
 
-    /// The engine's decision-cost counters so far (zeros before the
-    /// first decision).
-    pub fn cost(&self) -> EngineCounters {
-        self.engine
-            .as_ref()
-            .map(|e| *e.counters())
-            .unwrap_or_default()
+    /// Arms the certified fast path with an `mla-lint` [`StaticCert`]
+    /// lattice: in-footprint steps of **armed universes** are granted
+    /// immediately, with no closure engine and — unlike the uncertified
+    /// preventer — **no breakpoint waits**: the per-universe proof
+    /// makes every interleaving of those transactions correctable, so
+    /// the §6 delay rule has nothing left to prevent there. Histories
+    /// therefore differ from the uncertified preventer's (which defers
+    /// conservatively); both are correctable. Uncertified universes'
+    /// steps go through the engine and the delay rule as usual.
+    ///
+    /// A step outside its transaction's certified footprint voids
+    /// certificates per universe (see [`CertGuard`](crate::CertGuard)):
+    /// the engine is caught up by replaying the journal and the touched
+    /// universes fall back to runtime checking. Unlike
+    /// [`MlaDetect`](crate::MlaDetect), the preventer **re-arms** a
+    /// voided universe once every foreign transaction blamed for it
+    /// drains — it aborted, or committed and was evicted from the
+    /// engine, so its journal entries can join no new closure cycle.
+    pub fn with_static_cert(mut self, cert: StaticCert) -> Self {
+        self.core.arm(cert, true);
+        self
+    }
+
+    /// The engine, certificate and eviction state shared with
+    /// [`MlaDetect`](crate::MlaDetect), and their counters.
+    pub fn core(&self) -> &AdmissionCore {
+        &self.core
+    }
+
+    /// Mutable access for hosts that feed performed steps to the engine.
+    pub fn core_mut(&mut self) -> &mut AdmissionCore {
+        &mut self.core
+    }
+
+    /// The decision procedure, against any [`AdmissionView`] — the
+    /// simulator's `World` or `mla-serve`'s live admission state. The
+    /// [`Control`] impl is a thin delegation to this.
+    pub fn decide_view<V: AdmissionView + ?Sized>(&mut self, txn: TxnId, view: &V) -> Decision {
+        let candidate = view.candidate(txn);
+        // A blocker: a live unfinished transaction that precedes the
+        // candidate in the closure but whose last performed step is not
+        // at the `level(t, txn)` breakpoint the §6 rule requires.
+        let blocks = |&t: &TxnId| {
+            t != txn
+                && !view.is_committed(t)
+                && !view.is_finished(t)
+                && view.performed_seq(t) > 0
+                && !view.at_breakpoint(t, view.level(t, txn))
+        };
+        let Some(engine) = self.core.engine_for(&candidate, view) else {
+            return Decision::Grant;
+        };
+        match engine.apply_step(candidate) {
+            Ok(()) => {
+                // Blockers against the *tentative* closure (it now
+                // includes the candidate): the engine answers with the
+                // candidate's closure predecessors, ascending by id.
+                let blockers: Vec<TxnId> = engine
+                    .pending_predecessors()
+                    .into_iter()
+                    .filter(blocks)
+                    .collect();
+                if blockers.is_empty() {
+                    // §6: every closure-predecessor's last step sits at a
+                    // suitable breakpoint, so performing now keeps the
+                    // closure consistent with the performance order.
+                    self.core.grant(view);
+                    self.clear_out_edges(txn);
+                    return Decision::Grant;
+                }
+                engine.rollback_step();
+                self.defer_on(txn, &blockers, view)
+            }
+            Err(witness) => {
+                // The candidate would close a closure cycle — something
+                // the §6 delay rule promises never happens once blockers
+                // are honoured. If there *are* blockers, deferring keeps
+                // the promise alive (the cycle may dissolve once they
+                // reach breakpoints); a blocker-free cyclic candidate is
+                // a genuine prevention miss resolved by rollback.
+                let blockers: Vec<TxnId> = witness.txns.iter().copied().filter(blocks).collect();
+                if !blockers.is_empty() {
+                    return self.defer_on(txn, &blockers, view);
+                }
+                self.prevention_misses += 1;
+                self.core.victim(txn, witness.txns, view)
+            }
+        }
     }
 
     /// Records the waits-for edges of a deferral; returns a rollback
@@ -109,208 +179,17 @@ impl MlaPrevent {
         for b in blockers {
             if let Err(cycle) = self.waits.add_edge(txn.0, b.0) {
                 // A waits-for cycle: roll back a victim on it.
-                let candidates: Vec<TxnId> = cycle
-                    .nodes()
-                    .iter()
-                    .map(|&v| TxnId(v))
-                    .filter(|&t| !view.is_committed(t))
-                    .collect();
-                let victim = if candidates.is_empty() {
-                    txn
-                } else {
-                    self.policy.choose(txn, &candidates, view)
-                };
-                return Decision::Abort(vec![victim]);
+                let on_cycle = cycle.nodes().iter().map(|&v| TxnId(v));
+                return self.core.victim(txn, on_cycle, view);
             }
         }
         Decision::Defer
     }
 
-    /// A preventer over `txn_count` transactions using `spec` and the
-    /// given deadlock-victim policy.
-    pub fn new(txn_count: usize, spec: RuntimeSpec, policy: VictimPolicy) -> Self {
-        MlaPrevent {
-            spec,
-            engine: None,
-            window: LiveWindow::new(),
-            waits: IncrementalTopo::new(txn_count),
-            policy,
-            guard: None,
-            breakpoint_waits: 0,
-            prevention_misses: 0,
-        }
-    }
-
-    /// Decisions granted on the certificate fast path, across every
-    /// universe (A7/A8 accounting).
-    pub fn certified_skips(&self) -> u64 {
-        self.guard.as_ref().map(CertGuard::total_skips).unwrap_or(0)
-    }
-
-    /// Fast-path grants split per universe (empty without a
-    /// certificate).
-    pub fn certified_skips_per_universe(&self) -> Vec<u64> {
-        self.guard
-            .as_ref()
-            .map(|g| g.skips.clone())
-            .unwrap_or_default()
-    }
-
-    /// Universe-disarm events caused by off-footprint strays.
-    pub fn cert_voids(&self) -> u64 {
-        self.guard.as_ref().map(|g| g.voids).unwrap_or(0)
-    }
-
-    /// Universes re-armed after every blamed foreign transaction
-    /// drained from the live window.
-    pub fn cert_re_arms(&self) -> u64 {
-        self.guard.as_ref().map(|g| g.re_arms).unwrap_or(0)
-    }
-
-    /// Arms the certified fast path with an `mla-lint` [`StaticCert`]
-    /// lattice: in-footprint steps of **armed universes** are granted
-    /// immediately, with no closure engine and — unlike the uncertified
-    /// preventer — **no breakpoint waits**: the per-universe proof
-    /// makes every interleaving of those transactions correctable, so
-    /// the §6 delay rule has nothing left to prevent there. Histories
-    /// therefore differ from the uncertified preventer's (which defers
-    /// conservatively); both are correctable. Uncertified universes'
-    /// steps go through the engine and the delay rule as usual.
-    ///
-    /// A step outside its transaction's certified footprint voids
-    /// certificates per universe (see [`CertGuard`]): the engine is
-    /// caught up by replaying the journal (acyclic — every granted step
-    /// either passed the engine or was certified) and the touched
-    /// universes fall back to runtime checking. Unlike [`MlaDetect`],
-    /// the preventer **re-arms** a voided universe once every foreign
-    /// transaction blamed for it drains — it aborted, or committed and
-    /// was evicted from the live window, so its journal entries can
-    /// join no new closure cycle.
-    pub fn with_static_cert(mut self, cert: StaticCert) -> Self {
-        assert!(
-            self.engine.is_none(),
-            "set the certificate before the first decision"
-        );
-        assert_eq!(
-            cert.k(),
-            BreakpointSpecification::k(&self.spec),
-            "certificate depth must match the spec"
-        );
-        self.guard = Some(CertGuard::new(cert, true));
-        self
-    }
-
-    /// Catches the engine up on every step granted so far (certified
-    /// skips included): fresh engine, full journal replay.
-    fn catch_up_engine<V: AdmissionView + ?Sized>(&mut self, view: &V) {
-        let mut engine = ClosureEngine::new(view.nest().clone(), self.spec.clone());
-        for s in view.history_steps() {
-            engine
-                .apply_step(s)
-                .expect("certified history must replay acyclically");
-            engine.commit_step();
-        }
-        self.engine = Some(engine);
-    }
-
-    /// The decision procedure, against any [`AdmissionView`] — the
-    /// simulator's `World` or `mla-serve`'s live admission state. The
-    /// [`Control`] impl is a thin delegation to this.
-    pub fn decide_view<V: AdmissionView + ?Sized>(&mut self, txn: TxnId, view: &V) -> Decision {
-        let candidate = view.candidate(txn);
-        if let Some(guard) = self.guard.as_mut() {
-            // Re-arm any voided universe whose blamed strays have all
-            // drained: committed and evicted from the live window (or
-            // rolled back, handled eagerly in `aborted_view`).
-            let window = &self.window;
-            guard.sweep(|t| window.is_evicted(t));
-            match guard.admit(txn, candidate.entity) {
-                CertAdmit::Skip(_) => return Decision::Grant,
-                CertAdmit::Engine => {}
-                CertAdmit::Voided => {
-                    // A stray just disarmed at least one universe whose
-                    // steps the engine never saw: catch it up on the
-                    // journal before deciding this step through it.
-                    self.catch_up_engine(view);
-                }
-            }
-        }
-        if self.engine.is_none() {
-            self.engine = Some(ClosureEngine::new(view.nest().clone(), self.spec.clone()));
-        }
-        let engine = self.engine.as_mut().expect("just initialised");
-        match engine.apply_step(candidate) {
-            Ok(()) => {
-                // Find blockers against the *tentative* closure (it now
-                // includes the candidate): live unfinished transactions
-                // whose last performed step precedes the candidate but is
-                // not at the required breakpoint. The engine answers
-                // with the candidate's closure predecessors, ascending by
-                // transaction id.
-                let blockers: Vec<TxnId> = engine
-                    .pending_predecessors()
-                    .into_iter()
-                    .filter(|&t| {
-                        t != txn
-                            && !view.is_committed(t)
-                            && !view.is_finished(t)
-                            && view.performed_seq(t) > 0
-                            && !view.at_breakpoint(t, view.level(t, txn))
-                    })
-                    .collect();
-                if blockers.is_empty() {
-                    // §6: every closure-predecessor's last step sits at a
-                    // suitable breakpoint, so performing now keeps the
-                    // closure consistent with the performance order.
-                    engine.commit_step();
-                    self.window.maintain_with_engine(engine, view);
-                    self.clear_out_edges(txn);
-                    return Decision::Grant;
-                }
-                engine.rollback_step();
-                self.defer_on(txn, &blockers, view)
-            }
-            Err(witness) => {
-                // The candidate would close a closure cycle — something
-                // the §6 delay rule promises never happens once blockers
-                // are honoured. If there *are* blockers, deferring keeps
-                // the promise alive (the cycle may dissolve once they
-                // reach breakpoints); a blocker-free cyclic candidate is
-                // a genuine prevention miss resolved by rollback.
-                let blockers: Vec<TxnId> = witness
-                    .txns
-                    .iter()
-                    .copied()
-                    .filter(|&t| {
-                        t != txn
-                            && !view.is_committed(t)
-                            && !view.is_finished(t)
-                            && view.performed_seq(t) > 0
-                            && !view.at_breakpoint(t, view.level(t, txn))
-                    })
-                    .collect();
-                if !blockers.is_empty() {
-                    return self.defer_on(txn, &blockers, view);
-                }
-                self.prevention_misses += 1;
-                let mut candidates: Vec<TxnId> = witness
-                    .txns
-                    .iter()
-                    .copied()
-                    .filter(|&t| !view.is_committed(t))
-                    .collect();
-                if candidates.is_empty() {
-                    candidates.push(txn);
-                }
-                Decision::Abort(vec![self.policy.choose(txn, &candidates, view)])
-            }
-        }
-    }
-
-    /// Backfills a performed step's real values into the engine.
-    pub fn performed_view(&mut self, step: &Step) {
-        if let Some(engine) = self.engine.as_mut() {
-            engine.performed(step);
+    fn clear_out_edges(&mut self, txn: TxnId) {
+        let outs: Vec<u32> = self.waits.successors(txn.0).to_vec();
+        for o in outs {
+            self.waits.remove_edge(txn.0, o);
         }
     }
 
@@ -319,18 +198,11 @@ impl MlaPrevent {
         self.waits.detach_node(txn.0);
     }
 
-    /// Records a rollback of `txn`'s steps. A rolled-back stray's
-    /// journal entries are gone, so any certificate blame it held
-    /// drains immediately.
+    /// Records a rollback of `txn`'s steps: its wait edges drop with
+    /// its engine rows and any certificate blame it held.
     pub fn aborted_view(&mut self, txn: TxnId) {
-        self.window.on_aborted(txn);
         self.waits.detach_node(txn.0);
-        if let Some(engine) = self.engine.as_mut() {
-            engine.remove_txn(txn);
-        }
-        if let Some(guard) = self.guard.as_mut() {
-            guard.on_aborted(txn);
-        }
+        self.core.aborted(txn);
     }
 }
 
@@ -343,33 +215,11 @@ impl Control for MlaPrevent {
         self.decide_view(txn, world)
     }
 
-    fn performed(&mut self, record: &StepRecord, _world: &World) {
-        self.performed_view(&record.as_step());
-    }
-
     fn committed(&mut self, txn: TxnId, _world: &World) {
         self.committed_view(txn);
     }
 
-    fn aborted(&mut self, txn: TxnId, _world: &World) {
-        self.aborted_view(txn);
-    }
-
-    fn decision_cost(&self) -> Option<EngineCounters> {
-        Some(self.cost())
-    }
-
-    fn certified_skips(&self) -> u64 {
-        MlaPrevent::certified_skips(self)
-    }
-
-    fn certified_skips_per_universe(&self) -> Vec<u64> {
-        MlaPrevent::certified_skips_per_universe(self)
-    }
-
-    fn cert_re_arms(&self) -> u64 {
-        MlaPrevent::cert_re_arms(self)
-    }
+    control_via_core!();
 }
 
 #[cfg(test)]
@@ -377,6 +227,7 @@ mod tests {
     use super::*;
     use crate::oracle;
     use mla_core::nest::Nest;
+    use mla_core::EngineCounters;
     use mla_model::program::{ScriptOp::*, ScriptProgram};
     use mla_model::EntityId;
     use mla_sim::{run, SimConfig};
@@ -433,8 +284,8 @@ mod tests {
         assert_eq!(out.store.value(e(0)) + out.store.value(e(1)), 20);
         assert_eq!(control.prevention_misses, 0);
         // Abort-free prevention runs stay on the pure delta path.
-        assert_eq!(control.cost().rebuilds, 0);
-        assert!(control.cost().steps_applied > 0);
+        assert_eq!(control.core().cost().rebuilds, 0);
+        assert!(control.core().cost().steps_applied > 0);
     }
 
     #[test]
@@ -562,8 +413,11 @@ mod tests {
         // Every step granted straight off the certificate: no closure
         // engine, no breakpoint waits, no defers at all.
         assert_eq!(out.metrics.committed as usize, wl.txn_count());
-        assert!(control.certified_skips() > 0);
-        assert_eq!(out.metrics.certified_skips, control.certified_skips());
+        assert!(control.core().certified_skips() > 0);
+        assert_eq!(
+            out.metrics.certified_skips,
+            control.core().certified_skips()
+        );
         assert_eq!(out.metrics.defers, 0);
         assert_eq!(control.breakpoint_waits, 0);
         assert_eq!(control.prevention_misses, 0);
@@ -626,18 +480,21 @@ mod tests {
             &config,
             &mut fast,
         );
-        assert!(fast.cert_voids() > 0, "the stray never disarmed anything");
         assert!(
-            fast.cert_re_arms() > 0,
+            fast.core().cert_voids() > 0,
+            "the stray never disarmed anything"
+        );
+        assert!(
+            fast.core().cert_re_arms() > 0,
             "the universe never re-armed after the stray drained"
         );
-        let per = fast.certified_skips_per_universe();
+        let per = fast.core().certified_skips_per_universe();
         assert!(
             per[stray_universe] > 0,
             "a re-armed certificate must demonstrably skip again"
         );
         assert_ne!(
-            fast.cost(),
+            fast.core().cost(),
             EngineCounters::default(),
             "the stray's own steps must go through the engine"
         );

@@ -548,11 +548,26 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     /// Applies the live-window eviction rule directly on the maintained
     /// state: forward-reach, over the transaction-level pair relation of
     /// the live frontier, from every transaction `is_source` keeps alive
-    /// (the uncommitted ones, for the window), and
+    /// (the uncommitted ones, for the §6 schedulers), and
     /// [`evict`](Self::evict) each live column that is neither a source
-    /// nor reached. Returns the evicted `TxnId`s in column order. Sound
-    /// by the same argument as the window rule: once no live transaction
-    /// reaches a committed one in the closure, nothing ever will again.
+    /// nor reached. Returns the evicted `TxnId`s in column order.
+    ///
+    /// Soundness: a committed transaction `C` no live one reaches can
+    /// join no new cycle. A *new* pair into `C` can only arise by (i)
+    /// lifting an existing pair `(α, c)` when `α`'s live owner continues
+    /// a breakpoint-free segment — but then that owner already has a
+    /// pair into `C` and keeps it; or (ii) transitivity `(w, u), (u, c)`
+    /// — if `u` is live it already keeps `C`, and if `u` is committed the
+    /// new pair `(w, u)` must itself come from a live transaction whose
+    /// pair into `C` the (fully transitive) closure already contains.
+    /// Reachability, not just a direct live predecessor, is required: a
+    /// committed transaction can carry a live one's influence between a
+    /// late in-pair and an early out-pair once condition-(b) lifts extend
+    /// the out-pair across its segment (the CAD shape pinned by
+    /// `eviction_preserves_carrier_chains_cad_regression`). An earlier
+    /// cohort rule ("evict once everyone uncommitted at `C`'s commit has
+    /// committed") was unsound when restricted to started transactions
+    /// and never fired in steady state otherwise; see the A2 ablation.
     ///
     /// After a pass every live column is a source or reached from one,
     /// and only a lost source can break that: grants only add pairs, and

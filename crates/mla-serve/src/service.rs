@@ -40,7 +40,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use mla_cc::{AdmissionView, Decision, MlaDetect, MlaPrevent};
+use mla_cc::{AdmissionCore, AdmissionView, Decision, MlaDetect, MlaPrevent};
 use mla_core::nest::Nest;
 use mla_model::{EntityId, Step, TxnId, Value};
 use mla_storage::{EpochRegistry, LatchMode, LatchTree, MvccStore};
@@ -58,8 +58,9 @@ pub enum SchedKind {
     Prevent,
 }
 
-/// The scheduler behind the gate. Both variants expose the same
-/// `*_view` admission surface; [`MlaDetect`] has no commit bookkeeping.
+/// The scheduler behind the gate. Both variants share one
+/// [`AdmissionCore`]; only the decision and the commit and rollback
+/// bookkeeping differ ([`MlaDetect`] keeps none on commit).
 pub enum Sched {
     /// [`MlaDetect`] (§6 detection).
     Detect(MlaDetect),
@@ -68,6 +69,20 @@ pub enum Sched {
 }
 
 impl Sched {
+    fn core(&self) -> &AdmissionCore {
+        match self {
+            Sched::Detect(s) => s.core(),
+            Sched::Prevent(s) => s.core(),
+        }
+    }
+
+    fn core_mut(&mut self) -> &mut AdmissionCore {
+        match self {
+            Sched::Detect(s) => s.core_mut(),
+            Sched::Prevent(s) => s.core_mut(),
+        }
+    }
+
     fn decide<V: AdmissionView + ?Sized>(&mut self, t: TxnId, view: &V) -> Decision {
         match self {
             Sched::Detect(s) => s.decide_view(t, view),
@@ -75,17 +90,9 @@ impl Sched {
         }
     }
 
-    fn performed(&mut self, step: &Step) {
-        match self {
-            Sched::Detect(s) => s.performed_view(step),
-            Sched::Prevent(s) => s.performed_view(step),
-        }
-    }
-
     fn committed(&mut self, t: TxnId) {
-        match self {
-            Sched::Detect(_) => {}
-            Sched::Prevent(s) => s.committed_view(t),
+        if let Sched::Prevent(s) = self {
+            s.committed_view(t);
         }
     }
 
@@ -93,27 +100,6 @@ impl Sched {
         match self {
             Sched::Detect(s) => s.aborted_view(t),
             Sched::Prevent(s) => s.aborted_view(t),
-        }
-    }
-
-    fn certified_skips(&self) -> u64 {
-        match self {
-            Sched::Detect(s) => s.certified_skips(),
-            Sched::Prevent(s) => s.certified_skips(),
-        }
-    }
-
-    fn certified_skips_per_universe(&self) -> Vec<u64> {
-        match self {
-            Sched::Detect(s) => s.certified_skips_per_universe(),
-            Sched::Prevent(s) => s.certified_skips_per_universe(),
-        }
-    }
-
-    fn cert_re_arms(&self) -> u64 {
-        match self {
-            Sched::Detect(_) => 0,
-            Sched::Prevent(s) => s.cert_re_arms(),
         }
     }
 }
@@ -197,7 +183,6 @@ struct Slot {
     sealed: bool,
     /// First attempt of the first incarnation (latency measurement).
     started: Option<Instant>,
-    restarts: u32,
 }
 
 impl Slot {
@@ -209,7 +194,6 @@ impl Slot {
             state: SlotState::Idle,
             sealed: false,
             started: None,
-            restarts: 0,
         }
     }
 }
@@ -537,7 +521,7 @@ impl Service {
                         .expect("just performed")
                         .is_finished();
                     g.history.push(step);
-                    g.sched.performed(&step);
+                    g.sched.core_mut().performed(&step);
                     return if finished {
                         let slot = &mut g.slots[t.index()];
                         slot.state = SlotState::Committed;
@@ -647,7 +631,6 @@ impl Service {
             slot.records.clear();
             slot.first_ticket = None;
             slot.state = SlotState::Idle;
-            slot.restarts += 1;
             g.aborts += 1;
             g.sched.aborted(t);
         }
@@ -736,56 +719,6 @@ impl Service {
             .filter(|(_, s)| s.state == SlotState::Running)
             .min_by_key(|(_, s)| s.records.len())
             .map(|(i, _)| TxnId(i as u32));
-        if std::env::var_os("MLA_SERVE_DEBUG_STALL").is_some() {
-            let g = &mut *g;
-            let mut lines = Vec::new();
-            for (i, slot) in g.slots.iter().enumerate() {
-                if slot.state == SlotState::Committed && slot.restarts == 0 {
-                    continue;
-                }
-                lines.push(format!(
-                    "  t{i}: {:?} seq={:?} records={:?} restarts={} sealed={}",
-                    slot.state,
-                    slot.instance.as_ref().map(TxnInstance::seq),
-                    slot.records,
-                    slot.restarts,
-                    slot.sealed,
-                ));
-            }
-            let running: Vec<usize> = g
-                .slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.state == SlotState::Running)
-                .map(|(i, _)| i)
-                .collect();
-            let mut decisions: Vec<String> = Vec::new();
-            for i in running {
-                let Gate {
-                    sched,
-                    nest,
-                    slots,
-                    history,
-                    ..
-                } = &mut *g;
-                let view = GateView {
-                    nest,
-                    slots,
-                    history,
-                };
-                decisions.push(format!(
-                    "  t{i} -> {:?}",
-                    sched.decide(TxnId(i as u32), &view)
-                ));
-            }
-            eprintln!(
-                "STALL @ commits={} retries={:?}\n{}\ndecisions:\n{}",
-                g.commits,
-                g.retries,
-                lines.join("\n"),
-                decisions.join("\n")
-            );
-        }
         if let Some(v) = victim {
             self.cascade_abort(&mut g, &[v], v);
             g.stall_breaks += 1;
@@ -1076,9 +1009,9 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
         wall,
         cert_wall,
         certified,
-        certified_skips: g.sched.certified_skips(),
-        certified_skips_per_universe: g.sched.certified_skips_per_universe(),
-        cert_re_arms: g.sched.cert_re_arms(),
+        certified_skips: g.sched.core().certified_skips(),
+        certified_skips_per_universe: g.sched.core().certified_skips_per_universe(),
+        cert_re_arms: g.sched.core().cert_re_arms(),
         throughput: g.commits as f64 / wall.as_secs_f64().max(1e-9),
         p50_us: pct(0.50),
         p95_us: pct(0.95),

@@ -119,7 +119,7 @@ fn decide_allocates_at_most_two_per_applied_step() {
         );
         assert!(!out.metrics.timed_out, "seed {seed}: timed out");
         allocs += ALLOCS.load(Ordering::Relaxed);
-        applied += control.0.cost().steps_applied;
+        applied += control.0.core().cost().steps_applied;
     }
     let per_step = allocs as f64 / applied as f64;
     println!("{allocs} allocations over {applied} applied steps: {per_step:.2} per step");

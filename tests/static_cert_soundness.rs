@@ -223,20 +223,20 @@ fn certificates_are_sound_on_random_workloads() {
         let mut fast = MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps).with_static_cert(cert);
         let out_fast = detect_run(&wl, &mut fast, seed);
         assert!(
-            fast.certified_skips() > 0,
+            fast.core().certified_skips() > 0,
             "seed {seed}: certified run never took the fast path"
         );
         if fully {
             assert_eq!(
-                fast.certified_skips(),
+                fast.core().certified_skips(),
                 fast.checks,
                 "seed {seed}: fully certified run fell off the fast path"
             );
         }
         // Skips land only in certified universes, and account for the
         // whole total.
-        let per = fast.certified_skips_per_universe();
-        assert_eq!(per.iter().sum::<u64>(), fast.certified_skips());
+        let per = fast.core().certified_skips_per_universe();
+        assert_eq!(per.iter().sum::<u64>(), fast.core().certified_skips());
         for (u, &skips) in per.iter().enumerate() {
             if !lattice.is_certified(u as u32) {
                 assert_eq!(skips, 0, "seed {seed}: condemned universe {u} skipped");
@@ -298,10 +298,13 @@ fn certified_partitioned_history_is_identical_across_backends() {
     let mut fast = MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps).with_static_cert(cert);
     let out_fast = detect_run(wl, &mut fast, 7);
     assert_eq!(out_fast.metrics.committed as usize, wl.txn_count());
-    assert_eq!(out_fast.metrics.certified_skips, fast.certified_skips());
+    assert_eq!(
+        out_fast.metrics.certified_skips,
+        fast.core().certified_skips()
+    );
     assert_eq!(
         out_fast.metrics.certified_skips_per_universe,
-        fast.certified_skips_per_universe()
+        fast.core().certified_skips_per_universe()
     );
     let out_base = detect_run(wl, &mut detector(wl), 7);
     assert_eq!(out_base.execution.steps(), out_fast.execution.steps());
@@ -329,7 +332,7 @@ fn mixed_partial_certificate_skips_and_stays_sound() {
     let mut fast =
         MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps).with_static_cert(cert.clone());
     let out_fast = detect_run(&wl, &mut fast, 11);
-    let per = fast.certified_skips_per_universe();
+    let per = fast.core().certified_skips_per_universe();
     for &u in &certified {
         assert!(per[u as usize] > 0, "universe {u} earned no skips");
     }
@@ -363,7 +366,7 @@ fn mixed_partial_certificate_skips_and_stays_sound() {
         &mut prev_fast,
     );
     assert!(
-        prev_fast.certified_skips() > 0,
+        prev_fast.core().certified_skips() > 0,
         "MlaPrevent earned no certified skips on mixed"
     );
     assert!(oracle::is_correctable_outcome(

@@ -206,7 +206,7 @@ fn stress_banking_storm_seed_detect() {
     );
     let m = &out.metrics;
     assert!(!m.timed_out);
-    let rebuilds = detect.cost().rebuilds;
+    let rebuilds = detect.core().cost().rebuilds;
     assert_eq!(
         (
             m.committed,
