@@ -10,9 +10,9 @@
 //! names exactly that surface, so the same scheduler cores gate step
 //! admission for the tick-driven simulator *and* for `mla-serve`'s
 //! thread-per-core service against live MVCC storage. The simulator's
-//! `World` is one implementation (a thin adapter over
-//! [`mla_storage::StepSource`]); the service's admission gate is the
-//! other.
+//! `World` is one implementation and the service's admission gate the
+//! other; both keep their live history in a [`mla_storage::Store`]
+//! journal.
 //!
 //! The two strategies also share everything around the verdict, and
 //! [`AdmissionCore`] holds it once: the closure engine's lifecycle, the
@@ -28,7 +28,7 @@ use mla_core::spec::BreakpointSpecification;
 use mla_core::{ClosureEngine, EngineCounters};
 use mla_model::{Step, TxnId};
 use mla_sim::{Decision, TxnStatus, World};
-use mla_storage::StepSource;
+use mla_storage::StepRecord;
 use mla_txn::RuntimeSpec;
 
 use crate::cert_guard::{CertAdmit, CertGuard};
@@ -99,7 +99,11 @@ impl AdmissionView for World {
     }
 
     fn history_steps(&self) -> Vec<Step> {
-        self.store.live_steps()
+        self.store
+            .journal()
+            .iter()
+            .map(StepRecord::as_step)
+            .collect()
     }
 }
 

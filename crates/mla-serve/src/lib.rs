@@ -8,9 +8,13 @@
 //! [`MlaDetect`](mla_cc::MlaDetect) or
 //! [`MlaPrevent`](mla_cc::MlaPrevent) through the same
 //! [`AdmissionView`](mla_cc::AdmissionView) surface the simulator uses —
-//! one scheduler core, two hosts. Committed versions are reclaimed by
-//! epoch-based GC, and every drained history feeds back through Theorem
-//! 2's offline decision procedure ([`mla_check::check`]).
+//! one scheduler core, two hosts. The hosts also share the live history
+//! and its rollback: the gate journals every step in an
+//! [`mla_storage::Store`] and undoes through
+//! [`Store::roll_back`](mla_storage::Store::roll_back), popping the
+//! undone versions. Committed versions are reclaimed by epoch-based GC,
+//! and every drained history feeds back through Theorem 2's offline
+//! decision procedure ([`mla_check::check`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,7 +9,7 @@
 //!    ...      ├──▶│ Gate (mutex) │◀──┴── snapshot readers (pins)
 //!  worker W ──┘   │  scheduler   │
 //!      │          │  slots       │          ┌───────────┐
-//!      └─ latch ─▶│  history     │─ install▶│ MvccStore │
+//!      └─ latch ─▶│  journal     │─ install▶│ MvccStore │
 //!                 └─────────────┘           └───────────┘
 //! ```
 //!
@@ -19,16 +19,17 @@
 //!   transactions.
 //! * A step attempt first takes the **entity latch** (exclusive, FIFO),
 //!   then the **gate** — a single mutex holding the scheduler, the
-//!   per-transaction slots, and the live ticket-ordered history. The
-//!   scheduler decides through [`AdmissionView`]; a grant assigns the
-//!   next global ticket and installs the version *before* the gate is
-//!   released, so per-entity tickets are monotone (the latch serializes
-//!   same-entity attempts, the gate serializes ticket draws).
-//! * An **abort** rolls back the victims plus every transaction with a
-//!   version installed above a victim's version — the cascading-undo
-//!   closure, version-chain edition. Cascade-undone transactions whose
-//!   sessions already moved on (they had tentatively committed — the §6
-//!   commit hazard) go to the retry queue.
+//!   per-transaction slots, and the live history as the simulator's
+//!   journal [`Store`]. The scheduler decides through [`AdmissionView`];
+//!   a grant journals the step, whose ticket is its journal id + 1, and
+//!   installs a version — only if the step changed the value — *before*
+//!   the gate is released, so per-entity tickets are monotone (the latch
+//!   serializes same-entity attempts, the gate serializes ticket draws).
+//! * An **abort** rolls back through the journal's undo cascade,
+//!   [`Store::roll_back`], the one the simulator uses, and pops the
+//!   undone versions from their chains. Cascade-undone transactions
+//!   whose sessions already moved on (they had tentatively committed —
+//!   the §6 commit hazard) go to the retry queue.
 //! * The **GC thread** folds versions below
 //!   `min(first ticket of any running transaction, reader pins)` — below
 //!   that, no snapshot read and no undo can ever look.
@@ -43,7 +44,7 @@ use std::time::{Duration, Instant};
 use mla_cc::{AdmissionCore, AdmissionView, Decision, MlaDetect, MlaPrevent};
 use mla_core::nest::Nest;
 use mla_model::{EntityId, Step, TxnId, Value};
-use mla_storage::{EpochRegistry, LatchMode, LatchTree, MvccStore};
+use mla_storage::{EpochRegistry, LatchMode, LatchTree, MvccStore, StepRecord, Store};
 use mla_txn::{TxnInstance, TxnProfile};
 
 use crate::workload::ServeLoad;
@@ -173,27 +174,27 @@ enum SlotState {
 /// Per-transaction state behind the gate.
 struct Slot {
     instance: Option<TxnInstance>,
-    /// Installed versions of the current incarnation, in ticket order.
-    records: Vec<(EntityId, u64)>,
-    /// Ticket of the incarnation's first installed version.
-    first_ticket: Option<u64>,
+    /// Tickets of the incarnation's first and latest steps (GC's floor).
+    tickets: Option<(u64, u64)>,
     state: SlotState,
     /// Committed and provably beyond the reach of any future cascade
-    /// (GC's sealing pass); undo records are dropped at that point.
+    /// (GC's sealing pass).
     sealed: bool,
     /// First attempt of the first incarnation (latency measurement).
     started: Option<Instant>,
+    /// First attempt → commit, microseconds; a cascade clears it.
+    latency_us: Option<u64>,
 }
 
 impl Slot {
     fn new() -> Self {
         Slot {
             instance: None,
-            records: Vec::new(),
-            first_ticket: None,
+            tickets: None,
             state: SlotState::Idle,
             sealed: false,
             started: None,
+            latency_us: None,
         }
     }
 }
@@ -203,12 +204,11 @@ struct Gate {
     nest: Nest,
     sched: Sched,
     slots: Vec<Slot>,
-    /// Live history in ticket order: steps of running and
-    /// tentatively-committed transactions (undone steps are retained out).
-    history: Vec<Step>,
-    /// Next global admission ticket (starts at 1; fresh MVCC chains have
-    /// head ticket 0).
-    next_ticket: u64,
+    /// The live history: every step of a running, tentatively committed
+    /// or sealed transaction. A step's ticket is its journal id + 1
+    /// (fresh MVCC chains have head ticket 0), and the journal's values
+    /// are the MVCC chain heads.
+    store: Store,
     /// Transactions undone after tentatively committing, awaiting re-run.
     retries: VecDeque<TxnId>,
     /// Transactions currently in [`SlotState::Committed`] (net of
@@ -224,16 +224,15 @@ struct Gate {
     last_commit: Instant,
     /// Cross-session deadlocks broken by the stall watchdog.
     stall_breaks: u64,
-    latencies_us: Vec<u64>,
 }
 
 /// The scheduler's read-only view of the gate: disjoint borrows so
 /// `sched` stays mutably borrowed while the view reads slots and
-/// history.
+/// journal.
 struct GateView<'a> {
     nest: &'a Nest,
     slots: &'a [Slot],
-    history: &'a [Step],
+    store: &'a Store,
 }
 
 impl AdmissionView for GateView<'_> {
@@ -283,7 +282,11 @@ impl AdmissionView for GateView<'_> {
     }
 
     fn history_steps(&self) -> Vec<Step> {
-        self.history.to_vec()
+        self.store
+            .journal()
+            .iter()
+            .map(StepRecord::as_step)
+            .collect()
     }
 }
 
@@ -437,8 +440,8 @@ struct Service {
 
 impl Service {
     /// One admission attempt for transaction `t`: latch its next entity,
-    /// consult the scheduler under the gate, and on a grant install the
-    /// version at a fresh ticket.
+    /// consult the scheduler under the gate, and on a grant journal the
+    /// step at a fresh ticket.
     fn step_once(&self, t: TxnId) -> Attempt {
         // Phase 1 (gate): materialize the incarnation and find the next
         // entity.
@@ -490,54 +493,41 @@ impl Service {
                     sched,
                     nest,
                     slots,
-                    history,
+                    store,
                     ..
                 } = &mut *g;
-                let view = GateView {
-                    nest,
-                    slots,
-                    history,
-                };
+                let view = GateView { nest, slots, store };
                 sched.decide(t, &view)
             };
             match decision {
                 Decision::Grant => {
-                    let ticket = g.next_ticket;
-                    g.next_ticket += 1;
-                    let observed = self.mvcc.latest(entity).1;
-                    let slot = &mut g.slots[t.index()];
-                    let step = slot
-                        .instance
-                        .as_mut()
-                        .expect("revalidated above")
-                        .perform(observed);
+                    let Gate {
+                        sched,
+                        slots,
+                        store,
+                        ..
+                    } = &mut *g;
+                    let slot = &mut slots[t.index()];
+                    let inst = slot.instance.as_mut().expect("revalidated above");
+                    let step = inst.perform(store.value(entity));
                     debug_assert_eq!(step.entity, entity);
-                    self.mvcc.install(entity, ticket, t, step.wrote);
-                    slot.records.push((entity, ticket));
-                    slot.first_ticket.get_or_insert(ticket);
-                    let finished = slot
-                        .instance
-                        .as_ref()
-                        .expect("just performed")
-                        .is_finished();
-                    g.history.push(step);
-                    g.sched.core_mut().performed(&step);
-                    return if finished {
-                        let slot = &mut g.slots[t.index()];
-                        slot.state = SlotState::Committed;
-                        let latency = slot
-                            .started
-                            .expect("started at first attempt")
-                            .elapsed()
-                            .as_micros() as u64;
-                        g.sched.committed(t);
-                        g.commits += 1;
-                        g.last_commit = Instant::now();
-                        g.latencies_us.push(latency);
-                        Attempt::Committed
-                    } else {
-                        Attempt::Progressed
-                    };
+                    debug_assert_eq!(self.mvcc.latest(entity).1, step.observed);
+                    let ticket = store.perform(t, step.seq, entity, |_| step.wrote).id + 1;
+                    if step.wrote != step.observed {
+                        self.mvcc.install(entity, ticket, t, step.wrote);
+                    }
+                    slot.tickets = Some((slot.tickets.map_or(ticket, |(first, _)| first), ticket));
+                    sched.core_mut().performed(&step);
+                    if !inst.is_finished() {
+                        return Attempt::Progressed;
+                    }
+                    slot.state = SlotState::Committed;
+                    let started = slot.started.expect("started at first attempt");
+                    slot.latency_us = Some(started.elapsed().as_micros() as u64);
+                    sched.committed(t);
+                    g.commits += 1;
+                    g.last_commit = Instant::now();
+                    return Attempt::Committed;
                 }
                 Decision::Defer => {
                     g.defers += 1;
@@ -558,83 +548,57 @@ impl Service {
         Attempt::Deferred
     }
 
-    /// Rolls back `victims` plus the full undo cascade: any transaction
-    /// holding a version above a rolled-back version must roll back too
-    /// (it read through that version). Removal runs in descending global
-    /// ticket order, so every removal is a chain-head pop. Returns
-    /// whether `requester` was rolled back.
+    /// Rolls back `victims` through the journal's undo cascade and pops
+    /// every undone version, newest first, so each removal is a
+    /// chain-head pop. Returns whether `requester` was rolled back.
     fn cascade_abort(&self, g: &mut Gate, victims: &[TxnId], requester: TxnId) -> bool {
-        let mut doomed: Vec<bool> = vec![false; g.slots.len()];
-        let mut frontier: Vec<TxnId> = Vec::new();
-        for &v in victims {
-            // A sealed transaction's versions are folded into the chain
-            // base: its commit is permanent and there is nothing left to
-            // undo. The scheduler may still name it (its steps can sit in
-            // the live window past GC's floor), but it cannot be a victim.
-            if g.slots[v.index()].sealed {
-                continue;
-            }
-            if !doomed[v.index()] {
-                doomed[v.index()] = true;
-                frontier.push(v);
-            }
+        // A sealed transaction's versions are folded into the chain
+        // base: its commit is permanent and there is nothing left to
+        // undo. The scheduler may still name it (its steps can sit in
+        // the live window past GC's floor), but it cannot be a victim.
+        // If every named victim is sealed, break the cycle from the
+        // other end: the requester is running, so always undoable.
+        let mut requested: Vec<TxnId> = victims
+            .iter()
+            .copied()
+            .filter(|v| !g.slots[v.index()].sealed)
+            .collect();
+        if requested.is_empty() {
+            requested.push(requester);
         }
-        // Every named victim was sealed: break the cycle from the other
-        // end by rolling back the requester, which is running and
-        // therefore always undoable.
-        if frontier.is_empty() {
-            doomed[requester.index()] = true;
-            frontier.push(requester);
+        let rollback = g.store.roll_back(requested);
+        // Sealed transactions lie wholly below GC's floor and every
+        // unsealed one starts at or above it, while the cascade only
+        // reaches later records: it never reaches a sealed transaction.
+        debug_assert!(
+            rollback
+                .victims
+                .iter()
+                .all(|&(v, _)| !g.slots[v.index()].sealed),
+            "the undo cascade reached a sealed transaction"
+        );
+        for r in rollback.undone.iter().filter(|r| r.wrote != r.observed) {
+            self.mvcc.remove(r.entity, r.id + 1);
         }
-        // Fixpoint over "has a version above a doomed version".
-        while let Some(v) = frontier.pop() {
-            for &(e, ticket) in &g.slots[v.index()].records {
-                for (i, slot) in g.slots.iter().enumerate() {
-                    if doomed[i] {
-                        continue;
-                    }
-                    if slot.records.iter().any(|&(oe, ot)| oe == e && ot > ticket) {
-                        doomed[i] = true;
-                        frontier.push(TxnId(i as u32));
-                    }
-                }
-            }
-        }
-        // Undo every doomed version, newest first across all entities.
-        let mut removals: Vec<(EntityId, u64)> = Vec::new();
-        for (i, slot) in g.slots.iter().enumerate() {
-            if doomed[i] {
-                removals.extend_from_slice(&slot.records);
-            }
-        }
-        removals.sort_unstable_by_key(|r| std::cmp::Reverse(r.1));
-        for (e, ticket) in removals {
-            self.mvcc.remove(e, ticket);
-        }
-        g.history.retain(|s| !doomed[s.txn.index()]);
         g.undo_epoch += 1;
-        // Reset the doomed slots; tentatively-committed victims re-run
-        // via the retry queue (their sessions have moved on).
-        for (i, d) in doomed.iter().enumerate() {
-            if !*d {
-                continue;
-            }
-            let t = TxnId(i as u32);
-            let was_committed = g.slots[i].state == SlotState::Committed;
+        // Tentatively-committed victims re-run via the retry queue
+        // (their sessions have moved on).
+        for &(t, _) in &rollback.victims {
+            let slot = &mut g.slots[t.index()];
+            let was_committed = slot.state == SlotState::Committed;
+            *slot = Slot {
+                started: slot.started,
+                ..Slot::new()
+            };
             if was_committed {
                 g.commits -= 1;
                 g.cascade_undone_commits += 1;
                 g.retries.push_back(t);
             }
-            let slot = &mut g.slots[i];
-            slot.instance = None;
-            slot.records.clear();
-            slot.first_ticket = None;
-            slot.state = SlotState::Idle;
             g.aborts += 1;
             g.sched.aborted(t);
         }
-        doomed[requester.index()]
+        rollback.contains(requester)
     }
 
     /// One epoch-GC pass: fold versions no snapshot and no undo can
@@ -642,20 +606,20 @@ impl Service {
     /// reader pins, which are also taken under the gate); the fold runs
     /// outside it.
     ///
-    /// Taint analysis for the undo floor: doom roots at versions of
-    /// running transactions, climbs same-entity chains upward in ticket
-    /// order, and jumps to *all* versions of any transaction it reaches —
-    /// including low-ticket versions on other entities (the §6 commit
-    /// hazard, version-chain edition). So the floor starts at the
-    /// smallest running first ticket and drags down through every
-    /// committed transaction straddling it, to a fixpoint. A committed
-    /// transaction wholly below the final floor can never be reached by a
-    /// future cascade *climb* (new doom roots only appear at higher
-    /// tickets), so it is **sealed**: its undo records drop and versions
-    /// below the floor become foldable. The one remaining reach — the
-    /// scheduler naming it as an explicit victim while its steps still
-    /// sit in the live window — is closed on the other side:
-    /// [`cascade_abort`](Service::cascade_abort) refuses sealed victims.
+    /// Taint analysis for the undo floor: doom roots at steps of running
+    /// transactions, climbs to later steps on the same entity, and jumps
+    /// to *all* steps of any transaction it reaches — including
+    /// low-ticket steps on other entities (the §6 commit hazard). So the
+    /// floor starts at the smallest running first ticket and drags down
+    /// through every committed transaction straddling it, to a fixpoint.
+    /// A committed transaction wholly below the final floor can never be
+    /// reached by a future cascade *climb* (new doom roots only appear at
+    /// higher tickets), so it is **sealed**: its steps stay in the
+    /// journal as history, and its versions below the floor become
+    /// foldable. The one remaining reach — the scheduler naming it as an
+    /// explicit victim while its steps still sit in the live window — is
+    /// closed on the other side: [`cascade_abort`](Service::cascade_abort)
+    /// refuses sealed victims.
     fn gc_pass(&self) {
         let frontier = {
             let mut g = self.gate.lock().expect("gate poisoned");
@@ -663,16 +627,16 @@ impl Service {
                 .slots
                 .iter()
                 .filter(|s| s.state == SlotState::Running)
-                .filter_map(|s| s.first_ticket)
+                .filter_map(|s| s.tickets.map(|(first, _)| first))
                 .min()
-                .unwrap_or(g.next_ticket);
+                .unwrap_or(g.store.next_id() + 1);
             loop {
                 let mut changed = false;
                 for s in &g.slots {
                     if s.state != SlotState::Committed || s.sealed {
                         continue;
                     }
-                    if let (Some(first), Some(&(_, last))) = (s.first_ticket, s.records.last()) {
+                    if let Some((first, last)) = s.tickets {
                         if last >= floor && first < floor {
                             floor = first;
                             changed = true;
@@ -686,11 +650,10 @@ impl Service {
             for s in &mut g.slots {
                 if s.state == SlotState::Committed
                     && !s.sealed
-                    && s.records.last().is_none_or(|&(_, last)| last < floor)
+                    && s.tickets.is_none_or(|(_, last)| last < floor)
                 {
                     s.sealed = true;
-                    s.records = Vec::new();
-                    s.first_ticket = None;
+                    s.tickets = None;
                 }
             }
             self.epochs.frontier(floor)
@@ -701,8 +664,8 @@ impl Service {
     }
 
     /// The stall breaker: when no commit has landed for `timeout`,
-    /// force-abort the running transaction with the fewest installed
-    /// versions (cheapest undo). Sessions run their streams in order, so
+    /// force-abort the running transaction with the fewest performed
+    /// steps (cheapest undo). Sessions run their streams in order, so
     /// deferred transactions can deadlock *through* sessions in a way the
     /// scheduler's transaction-level waits-for graph cannot observe; one
     /// forced rollback restarts the cheapest participant and the rest
@@ -717,7 +680,7 @@ impl Service {
             .iter()
             .enumerate()
             .filter(|(_, s)| s.state == SlotState::Running)
-            .min_by_key(|(_, s)| s.records.len())
+            .min_by_key(|(_, s)| s.instance.as_ref().map_or(0, TxnInstance::seq))
             .map(|(i, _)| TxnId(i as u32));
         if let Some(v) = victim {
             self.cascade_abort(&mut g, &[v], v);
@@ -735,10 +698,10 @@ impl Service {
         let (pin, epoch_before) = {
             let g = self.gate.lock().expect("gate poisoned");
             // Always exact: every fold keeps `base_ticket < frontier ≤
-            // next_ticket`, so the newest already-drawn ticket reads
+            // next ticket`, so the newest already-drawn ticket reads
             // correctly no matter how much GC has folded — and strictly
-            // below `next_ticket`, no later install can land at it.
-            let t = g.next_ticket - 1;
+            // below the next ticket, no later install can land at it.
+            let t = g.store.next_id();
             (self.epochs.pin(t), g.undo_epoch)
         };
         let at = pin.ticket();
@@ -899,8 +862,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             nest,
             sched,
             slots: (0..txn_count).map(|_| Slot::new()).collect(),
-            history: Vec::new(),
-            next_ticket: 1,
+            store: Store::new(workload.initial.iter().copied()),
             retries: VecDeque::new(),
             commits: 0,
             aborts: 0,
@@ -909,7 +871,6 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             undo_epoch: 0,
             last_commit: Instant::now(),
             stall_breaks: 0,
-            latencies_us: Vec::with_capacity(txn_count),
         }),
         latches: LatchTree::new(),
         mvcc: MvccStore::new(config.store_shards, workload.initial.iter().copied()),
@@ -986,8 +947,9 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
     });
     let wall = started.elapsed();
 
-    let mut g = service.gate.lock().expect("gate poisoned");
-    let mut latencies = std::mem::take(&mut g.latencies_us);
+    let g = service.gate.lock().expect("gate poisoned");
+    let mut latencies: Vec<u64> = g.slots.iter().filter_map(|s| s.latency_us).collect();
+    debug_assert_eq!(latencies.len() as u64, g.commits);
     latencies.sort_unstable();
     let pct = |p: f64| -> u64 {
         if latencies.is_empty() {
@@ -1025,7 +987,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
         stall_breaks: g.stall_breaks,
         live_versions: service.mvcc.version_count(),
         clean,
-        history: std::mem::take(&mut g.history),
+        history: g.store.journal().iter().map(StepRecord::as_step).collect(),
     }
 }
 

@@ -1,19 +1,12 @@
 //! The event loop: migrating transactions over processors, with
-//! cascading rollback.
-//!
-//! A rollback costs what it touches. The victims are dense marks over
-//! `TxnId`, and every journal scan starts at the first live record of a
-//! victim, found by binary search: the journal is sorted by id. So an
-//! abort pays for the journal suffix its victims span, not for the whole
-//! history. [`Store::undo`] in turn finds each record by binary search
-//! and compacts the journal once.
+//! cascading rollback through [`Store::roll_back`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use mla_core::nest::Nest;
 use mla_model::{EntityId, Execution, TxnId, Value};
-use mla_storage::{StepRecord, Store};
+use mla_storage::{Cause, Store};
 use mla_txn::TxnInstance;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -78,7 +71,6 @@ pub fn run(
     let mut event_seq: u64 = 0;
     let mut busy_until = vec![0u64; config.processors.max(1)];
     let mut committed_at: Vec<Option<u64>> = vec![None; n];
-    let mut cascade = Cascade::new(n);
 
     let push = |queue: &mut BinaryHeap<Event>, seq: &mut u64, time: u64, txn: u32, attempt: u32| {
         queue.push(Reverse((time, *seq, txn, attempt)));
@@ -141,11 +133,10 @@ pub fn run(
                 // check, not service — charging it service time lets
                 // waiting polls starve the actual work at scale.
                 busy_until[proc] = time + config.step_service;
-                let observed = world.current_value(entity);
+                let observed = world.store.value(entity);
                 let step = world.instances[ti].perform(observed);
                 let record = world.store.perform(txn, step.seq, entity, |_| step.wrote);
                 debug_assert_eq!(record.observed, observed);
-                cascade.performed(&record);
                 world.metrics.steps_performed += 1;
                 control.performed(&record, &world);
                 if world.instances[ti].is_finished() {
@@ -190,18 +181,13 @@ pub fn run(
             Decision::Abort(victims) => {
                 busy_until[proc] = time + config.step_service;
                 assert!(!victims.is_empty(), "control must name at least one victim");
-                cascade.expand(&world.store, victims);
-                let undo = cascade.undo_list(&world.store);
-                world.metrics.steps_undone += undo.len() as u64;
-                world
-                    .store
-                    .undo(&undo)
-                    .expect("cascade-expanded undo set is always consistent");
-                world.metrics.cascade_sizes.push(cascade.victims.len());
-                for &v in &cascade.victims {
+                let rollback = world.store.roll_back(victims);
+                world.metrics.steps_undone += rollback.undone.len() as u64;
+                world.metrics.cascade_sizes.push(rollback.victims.len());
+                for &(v, cause) in &rollback.victims {
                     let vi = v.index();
                     world.metrics.aborts += 1;
-                    if cascade.mark[vi] == Mark::Cascaded {
+                    if cause == Cause::Cascaded {
                         world.metrics.cascade_aborts += 1;
                     }
                     if world.status[vi] == TxnStatus::Committed {
@@ -228,7 +214,7 @@ pub fn run(
                         attempts,
                     );
                 }
-                if cascade.mark[ti] == Mark::Spared {
+                if !rollback.contains(txn) {
                     // Requester retries once the victims are out of the way.
                     push(
                         &mut queue,
@@ -238,7 +224,6 @@ pub fn run(
                         attempt,
                     );
                 }
-                cascade.clear();
             }
         }
     }
@@ -261,141 +246,12 @@ pub fn run(
     }
 }
 
-/// No journal record, in [`Cascade`]'s id-valued slots.
-const NO_RECORD: u64 = u64::MAX;
-
-/// A transaction's part in the cascade being expanded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Mark {
-    Spared,
-    /// Named by the control.
-    Requested,
-    /// Reached by the cascade.
-    Cascaded,
-}
-
-/// One rollback cascade at a time, over buffers kept across aborts.
-struct Cascade {
-    /// `TxnId` -> id of its first live journal record, or [`NO_RECORD`].
-    /// Undo takes whole transactions, so this is its current run's step 0.
-    first_live: Vec<u64>,
-    /// `TxnId` -> its mark. Dense: simulator ids are dense, one instance
-    /// per id.
-    mark: Vec<Mark>,
-    /// The marked transactions; ascending once [`expand`](Self::expand)
-    /// returns.
-    victims: Vec<TxnId>,
-    /// Entity -> id of the earliest value-changing victim record on it,
-    /// or [`NO_RECORD`].
-    entity_min: Vec<u64>,
-    /// The entities whose `entity_min` is set.
-    entities: Vec<usize>,
-}
-
-impl Cascade {
-    fn new(txns: usize) -> Self {
-        Cascade {
-            first_live: vec![NO_RECORD; txns],
-            mark: vec![Mark::Spared; txns],
-            victims: Vec::new(),
-            entity_min: Vec::new(),
-            entities: Vec::new(),
-        }
-    }
-
-    /// Notes a journaled step.
-    fn performed(&mut self, r: &StepRecord) {
-        if r.seq == 0 {
-            self.first_live[r.txn.index()] = r.id;
-        }
-    }
-
-    /// The journal from the first live record of any of `txns`.
-    fn suffix<'s>(&self, store: &'s Store, txns: &[TxnId]) -> &'s [StepRecord] {
-        let from = txns
-            .iter()
-            .map(|t| self.first_live[t.index()])
-            .min()
-            .unwrap_or(NO_RECORD);
-        let journal = store.journal();
-        &journal[journal.partition_point(|r| r.id < from)..]
-    }
-
-    /// Expands the `requested` victims with every transaction the undo
-    /// cascade reaches: undoing a *value-changing* record invalidates
-    /// every later live record on the same entity (writers built on the
-    /// dirty value; readers observed it), whose transactions must then be
-    /// fully rolled back too. A victim's pure reads are removed without
-    /// cascading — they never influenced what anyone else saw.
-    ///
-    /// Each pass scans the journal from the first live record of the
-    /// victims the previous pass added (the first pass: the requested
-    /// ones), since a new victim's earlier writes can reach records the
-    /// pass had already passed. A pass that adds nobody ends it.
-    fn expand(&mut self, store: &Store, requested: impl IntoIterator<Item = TxnId>) {
-        for t in requested {
-            if self.mark[t.index()] == Mark::Spared {
-                self.mark[t.index()] = Mark::Requested;
-                self.victims.push(t);
-            }
-        }
-        let mut scanned = 0;
-        while scanned < self.victims.len() {
-            let suffix = self.suffix(store, &self.victims[scanned..]);
-            scanned = self.victims.len();
-            for r in suffix {
-                let e = r.entity.index();
-                if e >= self.entity_min.len() {
-                    self.entity_min.resize(e + 1, NO_RECORD);
-                }
-                let min = self.entity_min[e];
-                if r.id > min {
-                    if self.mark[r.txn.index()] == Mark::Spared {
-                        self.mark[r.txn.index()] = Mark::Cascaded;
-                        self.victims.push(r.txn);
-                    }
-                } else if self.mark[r.txn.index()] != Mark::Spared && r.wrote != r.observed {
-                    if min == NO_RECORD {
-                        self.entities.push(e);
-                    }
-                    self.entity_min[e] = r.id;
-                }
-            }
-        }
-        self.victims.sort_unstable();
-    }
-
-    /// All live records of the victims, in reverse performance order —
-    /// the order [`Store::undo`] requires.
-    fn undo_list(&self, store: &Store) -> Vec<StepRecord> {
-        self.suffix(store, &self.victims)
-            .iter()
-            .rev()
-            .filter(|r| self.mark[r.txn.index()] != Mark::Spared)
-            .copied()
-            .collect()
-    }
-
-    /// Forgets the cascade once its records are undone.
-    fn clear(&mut self) {
-        for t in self.victims.drain(..) {
-            self.mark[t.index()] = Mark::Spared;
-            self.first_live[t.index()] = NO_RECORD;
-        }
-        for e in self.entities.drain(..) {
-            self.entity_min[e] = NO_RECORD;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::control::FreeForAll;
     use mla_model::program::{ScriptOp::*, ScriptProgram};
     use mla_txn::NoBreakpoints;
-    use proptest::prelude::*;
-    use std::collections::{BTreeSet, HashMap};
     use std::sync::Arc;
 
     fn e(x: u32) -> EntityId {
@@ -523,165 +379,6 @@ mod tests {
         // The final execution replays cleanly.
         assert!(out.execution.len() >= 4);
         assert!(out.attempts.iter().any(|&a| a > 1));
-    }
-
-    /// A cascade that has seen every record of `store`'s journal.
-    fn cascade_over(store: &Store, txns: usize) -> Cascade {
-        let mut cascade = Cascade::new(txns);
-        store.journal().iter().for_each(|r| cascade.performed(r));
-        cascade
-    }
-
-    #[test]
-    fn cascade_expansion_reaches_dependents() {
-        let mut store = Store::new([]);
-        store.perform(TxnId(0), 0, e(0), |_| 1);
-        store.perform(TxnId(1), 0, e(0), |_| 2);
-        store.perform(TxnId(1), 1, e(1), |_| 3);
-        store.perform(TxnId(2), 0, e(1), |_| 4);
-        let mut cascade = cascade_over(&store, 3);
-        cascade.expand(&store, [TxnId(0)]);
-        assert_eq!(
-            cascade.victims,
-            vec![TxnId(0), TxnId(1), TxnId(2)],
-            "t0's entity feeds t1 which feeds t2"
-        );
-        assert_eq!(
-            cascade.mark,
-            vec![Mark::Requested, Mark::Cascaded, Mark::Cascaded]
-        );
-        let undo = cascade.undo_list(&store);
-        assert_eq!(undo.len(), 4);
-        assert!(undo.windows(2).all(|w| w[0].id > w[1].id));
-        store.undo(&undo).expect("cascade order is undoable");
-    }
-
-    #[test]
-    fn cascade_stops_at_independent_txns() {
-        let mut store = Store::new([]);
-        store.perform(TxnId(0), 0, e(0), |_| 1);
-        store.perform(TxnId(1), 0, e(5), |_| 2); // untouched by t0
-        let mut cascade = cascade_over(&store, 2);
-        cascade.expand(&store, [TxnId(0)]);
-        assert_eq!(cascade.victims, vec![TxnId(0)]);
-    }
-
-    #[test]
-    fn cascade_rescans_from_a_late_victims_earlier_writes() {
-        // t2 joins through e1 only after the pass has passed its write
-        // to e0, which dirtied t3's later read of e0.
-        let mut store = Store::new([]);
-        store.perform(TxnId(2), 0, e(0), |_| 1);
-        store.perform(TxnId(3), 0, e(0), |v| v);
-        store.perform(TxnId(0), 0, e(1), |_| 2);
-        store.perform(TxnId(2), 1, e(1), |_| 3);
-        let mut cascade = cascade_over(&store, 4);
-        cascade.expand(&store, [TxnId(0)]);
-        assert_eq!(cascade.victims, vec![TxnId(0), TxnId(2), TxnId(3)]);
-        store.undo(&cascade.undo_list(&store)).unwrap();
-        assert!(store.journal().is_empty());
-    }
-
-    /// The cascade as first written, kept as the reference the dense one
-    /// is checked against: whole-journal passes over ordered sets until
-    /// nothing is added.
-    fn expand_cascade(store: &Store, mut victims: BTreeSet<TxnId>) -> BTreeSet<TxnId> {
-        loop {
-            // Earliest value-changing victim record per entity.
-            let mut entity_min: HashMap<EntityId, u64> = HashMap::new();
-            for r in store.journal() {
-                if victims.contains(&r.txn) && r.wrote != r.observed {
-                    entity_min
-                        .entry(r.entity)
-                        .and_modify(|m| *m = (*m).min(r.id))
-                        .or_insert(r.id);
-                }
-            }
-            let mut changed = false;
-            for r in store.journal() {
-                if let Some(&min_id) = entity_min.get(&r.entity) {
-                    if r.id > min_id && victims.insert(r.txn) {
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                return victims;
-            }
-        }
-    }
-
-    /// The reference undo list: every live record of the victims, sorted
-    /// into reverse performance order.
-    fn collect_undo(store: &Store, victims: &BTreeSet<TxnId>) -> Vec<StepRecord> {
-        let mut records: Vec<StepRecord> = store
-            .journal()
-            .iter()
-            .copied()
-            .filter(|r| victims.contains(&r.txn))
-            .collect();
-        records.sort_unstable_by_key(|r| Reverse(r.id));
-        records
-    }
-
-    /// Rolls `requested` back through the cascade after checking it
-    /// against the reference, and restarts the victims' sequences.
-    fn roll_back(store: &mut Store, cascade: &mut Cascade, requested: &[u32], seq: &mut [u32]) {
-        let requested: Vec<TxnId> = requested.iter().map(|&t| TxnId(t)).collect();
-        let reference = expand_cascade(store, requested.iter().copied().collect());
-        cascade.expand(store, requested.iter().copied());
-        assert_eq!(
-            cascade.victims,
-            reference.iter().copied().collect::<Vec<_>>()
-        );
-        for &v in &cascade.victims {
-            let named = requested.contains(&v);
-            assert_eq!(cascade.mark[v.index()] == Mark::Requested, named);
-            assert_eq!(cascade.mark[v.index()] == Mark::Cascaded, !named);
-        }
-        let undo = cascade.undo_list(store);
-        assert_eq!(undo, collect_undo(store, &reference));
-        store
-            .undo(&undo)
-            .expect("the cascade's undo list is accepted");
-        for &v in &cascade.victims {
-            seq[v.index()] = 0;
-        }
-        cascade.clear();
-        assert!(cascade.mark.iter().all(|&m| m == Mark::Spared));
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// Random journals of reads and writes, with rollbacks (and so
-        /// restarted transactions and id gaps) mixed in: every cascade
-        /// gives the reference's victims and undo list, in the same
-        /// order, and `Store::undo` accepts the list.
-        #[test]
-        fn cascade_matches_the_reference(
-            ops in proptest::collection::vec((0u32..6, 0u32..4, 0u8..5), 1..64),
-            last in proptest::collection::vec(0u32..6, 1..4),
-        ) {
-            let mut store = Store::new([]);
-            let mut cascade = Cascade::new(6);
-            let mut seq = [0u32; 6];
-            for (t, x, kind) in ops {
-                match kind {
-                    0 => roll_back(&mut store, &mut cascade, &[t], &mut seq),
-                    _ => {
-                        let i = t as usize;
-                        let r = store.perform(TxnId(t), seq[i], e(x), |v| {
-                            if kind == 1 { v } else { v + Value::from(kind) }
-                        });
-                        cascade.performed(&r);
-                        seq[i] += 1;
-                    }
-                }
-            }
-            roll_back(&mut store, &mut cascade, &last, &mut seq);
-            prop_assert!(store.execution().len() == store.journal().len());
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The shared simulation state visible to concurrency controls.
 
 use mla_core::nest::Nest;
-use mla_model::{EntityId, Step, TxnId, Value};
-use mla_storage::{StepSource, Store};
+use mla_model::TxnId;
+use mla_storage::Store;
 use mla_txn::TxnInstance;
 
 use crate::metrics::Metrics;
@@ -42,19 +42,6 @@ impl World {
     /// `level(a, b)` from the nest.
     pub fn level(&self, a: TxnId, b: TxnId) -> usize {
         self.nest.level(a, b)
-    }
-
-    /// The current value of `e`, read through the storage trait — the
-    /// same [`StepSource`] surface `mla-serve`'s MVCC store presents, so
-    /// controls written against the world read storage identically in
-    /// both hosts.
-    pub fn current_value(&self, e: EntityId) -> Value {
-        StepSource::current_value(&self.store, e)
-    }
-
-    /// The live history in performance order, through the storage trait.
-    pub fn live_steps(&self) -> Vec<Step> {
-        StepSource::live_steps(&self.store)
     }
 
     /// The instance of `t`.

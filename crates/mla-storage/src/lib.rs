@@ -3,18 +3,20 @@
 //!
 //! The paper's schedulers need more than a key-value map: the
 //! cycle-detection control rolls transactions back, and multilevel
-//! atomicity makes rollback *cascading* (§6 notes an aborted transaction
-//! can force rollback of transactions that read its published partial
-//! results, potentially in long chains). [`Store`] therefore journals
-//! every performed step as a [`StepRecord`] and supports undoing any
-//! per-entity suffix of the journal in reverse order, verifying at each
-//! undo that the store still holds the value the step wrote (the
-//! scheduler must have undone every later access to the entity first —
-//! exactly the cascade).
+//! atomicity makes rollback *cascading* (§6: "a rollback of steps of
+//! t(i+1) can cause a rollback of steps of t(i), and so on"). [`Store`]
+//! therefore journals every performed step as a [`StepRecord`], undoes
+//! any per-entity suffix of the journal in reverse order — verifying at
+//! each undo that the store still holds the value the step wrote — and
+//! computes that suffix itself: [`Store::roll_back`] expands the
+//! requested victims with every transaction the undo reaches and undoes
+//! them all. It is the one rollback cascade of the workspace; the
+//! simulator's abort arm and the service's gate both call it.
 //!
 //! The surviving journal is replayable as an [`Execution`], which is how
-//! every simulation feeds its actual history back through the offline
-//! Theorem 2 checker (the "safety oracle" in DESIGN.md).
+//! every simulation and every service drain feeds its actual history
+//! back through the offline Theorem 2 checker (the "safety oracle" in
+//! DESIGN.md).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,28 +32,6 @@ pub use mvcc::{MvccStore, Version};
 use std::collections::HashMap;
 
 use mla_model::{EntityId, Execution, Step, TxnId, Value};
-
-/// The store abstraction the admission layer is written against: current
-/// entity values plus the live history as model steps. The simulator's
-/// journal [`Store`] and the service's MVCC history recorder both
-/// implement it, so `mla-cc`'s schedulers (and their certificate-voiding
-/// replay path) run unchanged over either substrate.
-pub trait StepSource {
-    /// The live (not rolled back) steps, in performance order.
-    fn live_steps(&self) -> Vec<Step>;
-    /// The current value of an entity (0 if never written).
-    fn current_value(&self, e: EntityId) -> Value;
-}
-
-impl StepSource for Store {
-    fn live_steps(&self) -> Vec<Step> {
-        self.journal.iter().map(StepRecord::as_step).collect()
-    }
-
-    fn current_value(&self, e: EntityId) -> Value {
-        self.value(e)
-    }
-}
 
 /// A journaled step: what [`Store::perform`] did, with enough information
 /// to undo it and to reconstruct the execution.
@@ -119,6 +99,31 @@ impl std::fmt::Display for UndoError {
 
 impl std::error::Error for UndoError {}
 
+/// Why a transaction is among a [`Rollback`]'s victims.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Cause {
+    /// Named by the caller of [`Store::roll_back`].
+    Requested,
+    /// Reached by the undo cascade.
+    Cascaded,
+}
+
+/// What one [`Store::roll_back`] undid.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Rollback {
+    /// The rolled-back transactions, ascending, each with its cause.
+    pub victims: Vec<(TxnId, Cause)>,
+    /// Their undone records, newest first.
+    pub undone: Vec<StepRecord>,
+}
+
+impl Rollback {
+    /// Whether `t` was rolled back.
+    pub fn contains(&self, t: TxnId) -> bool {
+        self.victims.binary_search_by_key(&t, |&(v, _)| v).is_ok()
+    }
+}
+
 /// The entity store: current values plus the live journal.
 ///
 /// ```
@@ -126,10 +131,12 @@ impl std::error::Error for UndoError {}
 /// use mla_model::{EntityId, TxnId};
 ///
 /// let mut store = Store::new([(EntityId(0), 100)]);
-/// let w = store.perform(TxnId(0), 0, EntityId(0), |v| v - 30);
-/// assert_eq!(store.value(EntityId(0)), 70);
-/// // Roll it back (reverse order, full cascade — trivially just `w`).
-/// store.undo(&[w]).unwrap();
+/// store.perform(TxnId(0), 0, EntityId(0), |v| v - 30);
+/// store.perform(TxnId(1), 0, EntityId(0), |v| v + 5);
+/// assert_eq!(store.value(EntityId(0)), 75);
+/// // Rolling t0 back cascades into t1, which built on t0's write.
+/// let rollback = store.roll_back([TxnId(0)]);
+/// assert!(rollback.contains(TxnId(1)));
 /// assert_eq!(store.value(EntityId(0)), 100);
 /// ```
 #[derive(Clone, Debug, Default)]
@@ -140,6 +147,7 @@ pub struct Store {
     journal: Vec<StepRecord>,
     next_id: u64,
     undone_count: u64,
+    cascade: Cascade,
 }
 
 impl Store {
@@ -149,9 +157,7 @@ impl Store {
         Store {
             values: initial.clone(),
             initial,
-            journal: Vec::new(),
-            next_id: 0,
-            undone_count: 0,
+            ..Store::default()
         }
     }
 
@@ -187,14 +193,45 @@ impl Store {
         };
         self.next_id += 1;
         self.journal.push(record);
+        self.cascade.performed(&record);
         record
+    }
+
+    /// The id the next performed step will get.
+    pub fn next_id(&self) -> u64 {
+        self.next_id
+    }
+
+    /// Rolls back `requested` and every transaction the undo cascade
+    /// reaches, undoing all their live records.
+    ///
+    /// Undoing a *value-changing* record invalidates every later live
+    /// record on the same entity — writers built on the dirty value,
+    /// readers observed it — so their transactions roll back whole too.
+    /// A victim's pure reads are removed without cascading: they never
+    /// influenced what anyone else saw, so an audit's rollback spares the
+    /// writers that followed it.
+    ///
+    /// A rollback costs what it touches: the victims are dense marks over
+    /// `TxnId`, and every journal scan starts at the first live record of
+    /// a victim, found by binary search. So it pays for the journal
+    /// suffix its victims span, not for the whole history.
+    pub fn roll_back(&mut self, requested: impl IntoIterator<Item = TxnId>) -> Rollback {
+        self.cascade.expand(&self.journal, requested);
+        let undone = self.cascade.undo_list(&self.journal);
+        self.undo(&undone)
+            .expect("the cascade undoes whole transactions, newest record first");
+        Rollback {
+            victims: self.cascade.clear(),
+            undone,
+        }
     }
 
     /// Undoes `records`, which must be supplied in **reverse** performance
     /// order.
     ///
     /// A *value-changing* record must be the latest live value-changing
-    /// access to its entity when reached (the caller — the scheduler —
+    /// access to its entity when reached ([`roll_back`](Self::roll_back)
     /// computes that cascade). A *pure read* (`wrote == observed`) is a
     /// no-op in the entity's value chain and may be removed from anywhere
     /// in the journal without disturbing later accesses — this is what
@@ -280,6 +317,124 @@ impl Store {
     /// Sum of values over a set of entities (used by audit-style checks).
     pub fn total(&self, entities: impl IntoIterator<Item = EntityId>) -> Value {
         entities.into_iter().map(|e| self.value(e)).sum()
+    }
+}
+
+/// No journal record, in [`Cascade`]'s id-valued slots.
+const NO_RECORD: u64 = u64::MAX;
+
+/// [`Store::roll_back`]'s cascade, over buffers kept across rollbacks.
+#[derive(Clone, Debug, Default)]
+struct Cascade {
+    /// `TxnId` -> id of its first live journal record, or [`NO_RECORD`].
+    /// Rollback takes whole transactions, so this is its current run's
+    /// step 0.
+    first_live: Vec<u64>,
+    /// `TxnId` -> its cause in the rollback being expanded; `None` while
+    /// spared.
+    mark: Vec<Option<Cause>>,
+    /// The marked transactions; ascending once [`expand`](Self::expand)
+    /// returns.
+    victims: Vec<TxnId>,
+    /// Entity -> id of the earliest value-changing victim record on it,
+    /// or [`NO_RECORD`].
+    entity_min: Vec<u64>,
+    /// The entities whose `entity_min` is set.
+    entities: Vec<usize>,
+}
+
+impl Cascade {
+    /// Grows the per-transaction tables to cover `t`.
+    fn cover(&mut self, t: TxnId) {
+        if t.index() >= self.mark.len() {
+            self.first_live.resize(t.index() + 1, NO_RECORD);
+            self.mark.resize(t.index() + 1, None);
+        }
+    }
+
+    /// Notes a journaled step.
+    fn performed(&mut self, r: &StepRecord) {
+        self.cover(r.txn);
+        if r.seq == 0 {
+            self.first_live[r.txn.index()] = r.id;
+        }
+    }
+
+    /// The journal from the first live record of any of `txns`.
+    fn suffix<'j>(&self, journal: &'j [StepRecord], txns: &[TxnId]) -> &'j [StepRecord] {
+        let from = txns
+            .iter()
+            .map(|t| self.first_live[t.index()])
+            .min()
+            .unwrap_or(NO_RECORD);
+        &journal[journal.partition_point(|r| r.id < from)..]
+    }
+
+    /// Marks the `requested` victims and every transaction the undo
+    /// cascade reaches.
+    ///
+    /// Each pass scans the journal from the first live record of the
+    /// victims the previous pass added (the first pass: the requested
+    /// ones), since a new victim's earlier writes can reach records the
+    /// pass had already passed. A pass that adds nobody ends it.
+    fn expand(&mut self, journal: &[StepRecord], requested: impl IntoIterator<Item = TxnId>) {
+        for t in requested {
+            self.cover(t);
+            if self.mark[t.index()].is_none() {
+                self.mark[t.index()] = Some(Cause::Requested);
+                self.victims.push(t);
+            }
+        }
+        let mut scanned = 0;
+        while scanned < self.victims.len() {
+            let suffix = self.suffix(journal, &self.victims[scanned..]);
+            scanned = self.victims.len();
+            for r in suffix {
+                let e = r.entity.index();
+                if e >= self.entity_min.len() {
+                    self.entity_min.resize(e + 1, NO_RECORD);
+                }
+                let min = self.entity_min[e];
+                if r.id > min {
+                    if self.mark[r.txn.index()].is_none() {
+                        self.mark[r.txn.index()] = Some(Cause::Cascaded);
+                        self.victims.push(r.txn);
+                    }
+                } else if self.mark[r.txn.index()].is_some() && r.wrote != r.observed {
+                    if min == NO_RECORD {
+                        self.entities.push(e);
+                    }
+                    self.entity_min[e] = r.id;
+                }
+            }
+        }
+        self.victims.sort_unstable();
+    }
+
+    /// All live records of the victims, in reverse performance order —
+    /// the order [`Store::undo`] requires.
+    fn undo_list(&self, journal: &[StepRecord]) -> Vec<StepRecord> {
+        self.suffix(journal, &self.victims)
+            .iter()
+            .rev()
+            .filter(|r| self.mark[r.txn.index()].is_some())
+            .copied()
+            .collect()
+    }
+
+    /// Forgets the cascade once its records are undone, returning its
+    /// victims with their causes.
+    fn clear(&mut self) -> Vec<(TxnId, Cause)> {
+        for e in self.entities.drain(..) {
+            self.entity_min[e] = NO_RECORD;
+        }
+        self.victims
+            .drain(..)
+            .map(|t| {
+                self.first_live[t.index()] = NO_RECORD;
+                (t, self.mark[t.index()].take().expect("victims are marked"))
+            })
+            .collect()
     }
 }
 

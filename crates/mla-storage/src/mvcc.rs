@@ -6,17 +6,20 @@
 //! writers install under the admission gate while snapshot readers scan
 //! concurrently. [`MvccStore`] therefore keeps a *version chain* per
 //! entity — `(ticket, txn, value)` triples ascending by the global
-//! admission ticket — sharded under reader/writer locks:
+//! admission ticket — sharded under reader/writer locks. The service's
+//! gate keeps the journal too, and the chains mirror its value-changing
+//! records:
 //!
 //! * writers [`install`](MvccStore::install) a new version at their
 //!   step's admission ticket (per-entity monotone, guaranteed by the
-//!   exclusive entity latch held across admission);
+//!   exclusive entity latch held across admission); a pure read
+//!   installs nothing;
 //! * readers [`read_at`](MvccStore::read_at) any ticket and see the
 //!   newest version at or below it — a stable snapshot no concurrent
 //!   writer can disturb;
-//! * rollback [`remove`](MvccStore::remove)s a txn's version, exposing
-//!   the predecessor — the cascading-undo primitive, version-chain
-//!   edition;
+//! * rollback [`remove`](MvccStore::remove)s, newest first, the
+//!   versions of the records [`Store::roll_back`](crate::Store::roll_back)
+//!   undid, exposing each predecessor;
 //! * [`gc_before`](MvccStore::gc_before) folds every version no live
 //!   frontier can reach into the chain base — the same invariant the
 //!   closure engine's live-window eviction uses (once nothing live can

@@ -4,7 +4,10 @@
 //!   and conflicting grants happen in arrival (FIFO) order;
 //! * the MVCC chains satisfy read-your-writes, snapshots at or above the
 //!   GC frontier are stable under later installs and folds, and a folded
-//!   or undone version is never read again.
+//!   or undone version is never read again;
+//! * an MVCC store mirroring a journal [`Store`] the way `mla-serve`'s
+//!   gate does — a version per value-changing record, popped when
+//!   [`Store::roll_back`] undoes it — stays in step with the journal.
 //!
 //! The MVCC properties run against a deliberately naive reference model
 //! (the full never-folded write history), so they catch both wrong reads
@@ -15,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use mla_model::{EntityId, TxnId, Value};
-use mla_storage::{LatchMode, LatchTree, MvccStore};
+use mla_storage::{LatchMode, LatchTree, MvccStore, Store};
 use proptest::prelude::*;
 
 fn e(i: u32) -> EntityId {
@@ -274,5 +277,54 @@ proptest! {
             .map(|h| h.iter().filter(|(t, _)| *t >= model.frontier).count())
             .sum();
         prop_assert_eq!(live, model_live);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random performs (pure reads included) and rollbacks on a journal
+    /// store, mirrored into an MVCC store as the service's gate does:
+    /// each value-changing record installs at ticket id + 1, and each
+    /// undone one is popped, newest first. After every rollback no pop
+    /// has panicked, each chain head holds the journal's value, and each
+    /// transaction's surviving records are contiguous from step 0.
+    #[test]
+    fn mvcc_mirror_of_the_journal_rolls_back_in_step(
+        ops in proptest::collection::vec((0u32..6, 0u32..4, 0u8..6), 1..80),
+    ) {
+        let initial = [(e(0), 100), (e(2), 7)];
+        let mut store = Store::new(initial);
+        let mvcc = MvccStore::new(2, initial);
+        let mut seq = [0u32; 6];
+        for (txn, entity, kind) in ops {
+            if kind == 0 {
+                let rollback = store.roll_back([TxnId(txn)]);
+                for r in rollback.undone.iter().filter(|r| r.wrote != r.observed) {
+                    mvcc.remove(r.entity, r.id + 1);
+                }
+                for &(v, _) in &rollback.victims {
+                    seq[v.index()] = 0;
+                }
+                for x in 0..4 {
+                    prop_assert_eq!(mvcc.latest(e(x)).1, store.value(e(x)));
+                }
+                let mut next: HashMap<TxnId, u32> = HashMap::new();
+                for r in store.journal() {
+                    let n = next.entry(r.txn).or_insert(0);
+                    prop_assert_eq!(r.seq, *n, "{:?} resumes mid-run", r.txn);
+                    *n += 1;
+                }
+            } else {
+                let i = txn as usize;
+                let r = store.perform(TxnId(txn), seq[i], e(entity), |v| {
+                    if kind == 1 { v } else { v + Value::from(kind) }
+                });
+                if r.wrote != r.observed {
+                    mvcc.install(r.entity, r.id + 1, r.txn, r.wrote);
+                }
+                seq[i] += 1;
+            }
+        }
     }
 }

@@ -51,12 +51,16 @@ fn drain_and_audit(load: &ServeLoad, config: &ServeConfig) -> u64 {
 
     // The theorem oracle: the recorded history is correctable.
     assert_correctable(load, &report.history);
+    assert_program_order(&report.history);
+    report.committed
+}
 
-    // Histories come out in global admission-ticket order, which must be
-    // per-session (= per-transaction) program order: seq values of each
-    // transaction appear contiguous ascending.
+/// Histories come out in global admission-ticket order, which must be
+/// per-session (= per-transaction) program order: seq values of each
+/// transaction appear contiguous ascending.
+fn assert_program_order(history: &[Step]) {
     let mut seqs: HashMap<u32, u32> = HashMap::new();
-    for step in &report.history {
+    for step in history {
         let next = seqs.entry(step.txn.0).or_insert(0);
         assert_eq!(
             step.seq, *next,
@@ -65,7 +69,6 @@ fn drain_and_audit(load: &ServeLoad, config: &ServeConfig) -> u64 {
         );
         *next += 1;
     }
-    report.committed
 }
 
 #[test]
@@ -87,13 +90,30 @@ fn certified_partitioned_history_passes_the_oracle() {
 #[test]
 fn contended_histories_pass_the_oracle_and_conserve_money() {
     // Transfers race atomic audits over one shared account ring: the
-    // shape that actually defers, waits, and cascades.
+    // shape that actually defers, waits, and cascades. The second input
+    // runs GC every 100 µs, so sealing races the undo cascade (and the
+    // debug build's assertion that no cascade reaches a sealed
+    // transaction).
     let load = contended_load(6, 6, 4, 3);
-    for sched in [SchedKind::Detect, SchedKind::Prevent] {
-        let report = run(&load, &config(sched));
+    let gc_intervals = [
+        ServeConfig::default().gc_interval,
+        Some(Duration::from_micros(100)),
+    ];
+    for (sched, gc_interval) in [SchedKind::Detect, SchedKind::Prevent]
+        .into_iter()
+        .flat_map(|s| gc_intervals.map(|gc| (s, gc)))
+    {
+        let report = run(
+            &load,
+            &ServeConfig {
+                gc_interval,
+                ..config(sched)
+            },
+        );
         assert!(report.clean);
         assert_eq!(report.committed, 36);
         assert_correctable(&load, &report.history);
+        assert_program_order(&report.history);
 
         // Conservation: replaying the last write per entity sums to the
         // initial ring total.
