@@ -1,14 +1,24 @@
-//! The polynomial saturation check.
+//! The strong-mode check: a grant-only closure-engine replay.
 //!
-//! Per communication-graph cluster ([`communication_clusters`]), grow
-//! the coherent closure of the recorded dependency order to fixpoint
-//! (`mla-core`'s [`CoherentClosure`](mla_core::closure::CoherentClosure)
-//! frontier saturation — the polynomial side of dbcop's split) and
-//! apply Theorem 2: acyclic means correctable, and Lemma 1's
-//! constructive extension (`mla-core::extend`) yields the witness — an
-//! equivalent multilevel-atomic total order. A cycle means the history
-//! violates multilevel atomicity, and the cycle itself, mapped back to
-//! the recorded step indices, is the diagnostic.
+//! Per communication-graph cluster ([`communication_clusters`]), the
+//! recorded steps are replayed in order through `mla-core`'s
+//! [`ClosureEngine`], which maintains the coherent closure online and
+//! rejects the first step that would make it cyclic (Theorem 2). A
+//! rejection is a violation; the cycle is then located by
+//! [`decide`] over the whole cluster and mapped back to the recorded
+//! step indices, so the diagnostic is the batch saturation's.
+//!
+//! A replay with no rejection yields the witness batch by batch. After
+//! each transaction's last step the engine evicts every finished
+//! transaction that no transaction with steps left reaches in the
+//! closure ([`ClosureEngine::evict_unreachable`]); each evicted set is
+//! a *retired batch*. Nothing outside a retired batch, or later in the
+//! history, is ever related before a step in it, so the batches'
+//! Lemma 1 witnesses (`mla-core::extend`, via [`decide`] on each
+//! batch's projection) concatenated in retirement order are equivalent
+//! to the recorded execution, and multilevel atomic because batches do
+//! not interleave (DESIGN.md §10.2). The check's working set is the
+//! engine's live window, not the cluster.
 //!
 //! Per-cluster witnesses are concatenated into one global witness:
 //! clusters share no entities, so the concatenation is equivalent to
@@ -17,6 +27,7 @@
 //! permits.
 
 use mla_core::theorem::{decide, Correctability, StepRef};
+use mla_core::ClosureEngine;
 use mla_model::{Execution, Step, TxnId};
 
 use crate::decompose::communication_clusters;
@@ -122,32 +133,46 @@ impl Verdict {
 /// Checks a recorded history for multilevel atomicity (Theorem 2),
 /// cluster by cluster. Returns the first violating cluster's cycle, or
 /// the concatenated witness.
+///
+/// Each cluster is replayed through one grant-only [`ClosureEngine`];
+/// a rejected step means the closure is cyclic, and the whole cluster
+/// is then handed to [`decide`] for the reported cycle. Otherwise the
+/// transactions the engine evicts together form a retired batch, and
+/// the cluster's witness is the Lemma 1 witness of each batch, in
+/// retirement order (see the [module docs](self)).
 pub fn check(h: &History) -> Verdict {
-    let clusters = communication_clusters(h.exec());
-    let mut witness_steps: Vec<Step> = Vec::with_capacity(h.exec().len());
+    let exec = h.exec();
+    let clusters = communication_clusters(exec);
+    let txns = h.nest().txn_count();
+    // Steps each transaction has yet to perform in the replay: one with
+    // none left is no eviction source.
+    let mut left = vec![0u32; txns];
+    for s in exec.steps() {
+        left[s.txn.index()] += 1;
+    }
+    let mut batch_of = vec![0u32; txns];
+    // Clusters share no entity, so one engine serves them all: each
+    // cluster's last step retires whatever of it is still live.
+    let mut engine = ClosureEngine::new(h.nest().clone(), h);
+    let mut witness_steps: Vec<Step> = Vec::with_capacity(exec.len());
     for (members, indices) in clusters.members.iter().zip(&clusters.step_indices) {
-        let projected: Vec<Step> = indices.iter().map(|&i| h.exec().steps()[i]).collect();
-        let proj = Execution::new(projected)
-            .expect("cluster projection keeps whole transactions in order");
-        let verdict = decide(&proj, h.nest(), h)
-            .expect("History validation guarantees a well-formed context");
-        match verdict {
-            Correctability::Correctable { witness } => witness_steps.extend(witness.steps()),
-            Correctability::NotCorrectable { cycle } => {
-                let cycle = cycle
-                    .steps
-                    .into_iter()
-                    .map(|s| StepRef {
-                        global: indices[s.global],
-                        ..s
-                    })
-                    .collect();
-                return Verdict::Fail {
-                    violation: Violation {
-                        cluster: members.clone(),
-                        cycle,
-                    },
-                };
+        let Some(batches) = replay(&mut engine, exec, indices, &mut left, &mut batch_of) else {
+            return whole_cluster_violation(h, members, indices);
+        };
+        for batch in retired_batches(exec, indices, &batch_of, batches) {
+            // One transaction's steps are their own witness.
+            if batch.iter().all(|s| s.txn == batch[0].txn) {
+                witness_steps.extend(batch);
+                continue;
+            }
+            let proj = Execution::new(batch).expect("a batch keeps whole transactions in order");
+            match decide(&proj, h.nest(), h)
+                .expect("History validation guarantees a well-formed context")
+            {
+                Correctability::Correctable { witness } => witness_steps.extend(witness.steps()),
+                Correctability::NotCorrectable { .. } => {
+                    unreachable!("a batch's closure lies inside the engine's acyclic one")
+                }
             }
         }
     }
@@ -155,6 +180,88 @@ pub fn check(h: &History) -> Verdict {
         witness: Execution::new(witness_steps)
             .expect("concatenating disjoint-transaction witnesses preserves step order"),
         clusters: clusters.len(),
+    }
+}
+
+/// Replays one cluster's steps (`indices` into `exec`) through `engine`,
+/// evicting after each transaction's last step with "has steps left" as
+/// the source test. Numbers the batches in retirement order into
+/// `batch_of` and returns how many there were, or `None` when a step is
+/// rejected. The cluster's last step leaves no source, so every member
+/// is retired by the time it returns.
+fn replay(
+    engine: &mut ClosureEngine<&History>,
+    exec: &Execution,
+    indices: &[usize],
+    left: &mut [u32],
+    batch_of: &mut [u32],
+) -> Option<u32> {
+    let mut batches = 0;
+    for &i in indices {
+        let step = exec.steps()[i];
+        engine.apply_step(step).ok()?;
+        engine.commit_step();
+        left[step.txn.index()] -= 1;
+        if left[step.txn.index()] > 0 {
+            continue;
+        }
+        let retired = engine.evict_unreachable(|t| left[t.index()] > 0);
+        if !retired.is_empty() {
+            for t in retired {
+                batch_of[t.index()] = batches;
+            }
+            batches += 1;
+        }
+    }
+    debug_assert_eq!(
+        engine.live_count(),
+        0,
+        "a finished cluster leaves nothing live"
+    );
+    Some(batches)
+}
+
+/// The recorded steps of each retired batch, in recorded order, batches
+/// in retirement order.
+fn retired_batches(
+    exec: &Execution,
+    indices: &[usize],
+    batch_of: &[u32],
+    batches: u32,
+) -> Vec<Vec<Step>> {
+    let mut out: Vec<Vec<Step>> = vec![Vec::new(); batches as usize];
+    for &i in indices {
+        let s = exec.steps()[i];
+        out[batch_of[s.txn.index()] as usize].push(s);
+    }
+    out
+}
+
+/// The cluster's closure cycle, from the batch decision procedure over
+/// the whole cluster, with step indices mapped back to the recorded
+/// execution.
+fn whole_cluster_violation(h: &History, members: &[TxnId], indices: &[usize]) -> Verdict {
+    let projected: Vec<Step> = indices.iter().map(|&i| h.exec().steps()[i]).collect();
+    let proj =
+        Execution::new(projected).expect("cluster projection keeps whole transactions in order");
+    let verdict =
+        decide(&proj, h.nest(), h).expect("History validation guarantees a well-formed context");
+    let Correctability::NotCorrectable { cycle } = verdict else {
+        unreachable!("the engine rejects a step only on a closure cycle (Theorem 2)")
+    };
+    let cycle = cycle
+        .steps
+        .into_iter()
+        .map(|s| StepRef {
+            global: indices[s.global],
+            ..s
+        })
+        .collect();
+    Verdict::Fail {
+        violation: Violation {
+            cluster: members.to_vec(),
+            cycle,
+        },
     }
 }
 

@@ -251,6 +251,22 @@ impl BreakpointSpecification for History {
         BreakpointDescription::from_mid_levels(k, n, &mids)
             .expect("restricting validated marks preserves well-formedness")
     }
+
+    /// Reads the boundary before the last of `steps` off the recorded
+    /// marks: the coarsest mid level marking position `len - 1`, or `k`.
+    /// Marks refine, so the first level that has the position is the
+    /// coarsest; level 1 never breaks inside a transaction.
+    fn boundary_level(&self, t: TxnId, steps: &[Step]) -> usize {
+        let k = self.nest.k();
+        let pos = steps.len().saturating_sub(1);
+        if pos == 0 {
+            return k;
+        }
+        self.marks
+            .get(t.index())
+            .and_then(|levels| levels.iter().position(|l| l.binary_search(&pos).is_ok()))
+            .map_or(k, |j| j + 2)
+    }
 }
 
 #[cfg(test)]
@@ -309,6 +325,56 @@ mod tests {
         let bd = h.describe(TxnId(0), &steps);
         assert_eq!(bd.boundaries(2), vec![1]);
         assert_eq!(bd.step_count(), 2);
+    }
+
+    #[test]
+    fn boundary_level_matches_the_default_on_prefixes() {
+        use crate::gen::{generate, GenConfig};
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        /// `History` seen through `describe` only, so
+        /// `boundary_level` is the trait's default.
+        struct ViaDescribe<'a>(&'a History);
+        impl BreakpointSpecification for ViaDescribe<'_> {
+            fn k(&self) -> usize {
+                self.0.k()
+            }
+            fn describe(&self, t: TxnId, steps: &[Step]) -> BreakpointDescription {
+                self.0.describe(t, steps)
+            }
+        }
+
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut compared = 0;
+        for _ in 0..200 {
+            let cfg = GenConfig {
+                txns: rng.gen_range(1..=5usize),
+                k: rng.gen_range(2..=5usize),
+                max_len: 6,
+                break_pct: rng.gen_range(0..=90u32),
+                ..GenConfig::default()
+            };
+            let h = generate(&cfg, &mut rng);
+            for t in h.exec().txns() {
+                let steps: Vec<Step> = h
+                    .exec()
+                    .txn_steps(t)
+                    .into_iter()
+                    .map(|i| h.exec().steps()[i])
+                    .collect();
+                let n = rng.gen_range(0..=steps.len());
+                let prefix = &steps[..n];
+                assert_eq!(
+                    h.boundary_level(t, prefix),
+                    ViaDescribe(&h).boundary_level(t, prefix),
+                    "{t} after {n} of {} steps",
+                    steps.len()
+                );
+                compared += 1;
+            }
+        }
+        assert!(compared > 200, "too few prefixes compared: {compared}");
     }
 
     #[test]

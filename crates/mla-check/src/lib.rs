@@ -18,10 +18,12 @@
 //! * [`decompose`] — the communication-graph decomposition: transactions
 //!   sharing no entity (even transitively) cannot constrain each other,
 //!   so each connected component is checked separately.
-//! * [`checker`] — the polynomial saturation pass per component: grow
-//!   the coherent closure to fixpoint ([`CoherentClosure`]), then either
-//!   extend to a witness total order (`mla-core::extend`, Lemma 1) or
-//!   report a concrete violation cycle with the offending steps named.
+//! * [`checker`] — the polynomial strong mode per component: replay the
+//!   recorded steps through the online closure engine
+//!   ([`ClosureEngine`]), retiring transactions by eviction, then either
+//!   build the witness total order one retired batch at a time
+//!   (`mla-core::extend`, Lemma 1) or report a concrete violation cycle
+//!   with the offending steps named.
 //! * [`weak`] — the constrained-linearization fallback for
 //!   weaker-than-recorded dependency info: when only the read-from
 //!   values are trusted (not the recorded interleaving), deciding
@@ -36,7 +38,7 @@
 //! diagnostics), `mla-check gen` writes a seeded corpus.
 //!
 //! [`BreakpointSpecification`]: mla_core::spec::BreakpointSpecification
-//! [`CoherentClosure`]: mla_core::closure::CoherentClosure
+//! [`ClosureEngine`]: mla_core::ClosureEngine
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

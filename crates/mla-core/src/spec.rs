@@ -52,6 +52,22 @@ pub trait BreakpointSpecification {
     }
 }
 
+/// A borrowed specification is one: an engine can hold `&S` and leave
+/// the specification with its owner.
+impl<S: BreakpointSpecification + ?Sized> BreakpointSpecification for &S {
+    fn k(&self) -> usize {
+        (**self).k()
+    }
+
+    fn describe(&self, t: TxnId, steps: &[Step]) -> BreakpointDescription {
+        (**self).describe(t, steps)
+    }
+
+    fn boundary_level(&self, t: TxnId, steps: &[Step]) -> usize {
+        (**self).boundary_level(t, steps)
+    }
+}
+
 /// The specification making every transaction atomic at every mid level:
 /// multilevel atomicity under this specification equals serializability
 /// regardless of the nest.

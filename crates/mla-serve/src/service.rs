@@ -38,7 +38,7 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 use mla_cc::{AdmissionCore, AdmissionView, Decision, MlaDetect, MlaPrevent};
@@ -486,8 +486,12 @@ impl Service {
         // gate is held, so nothing can re-enter between cascade and
         // re-decide; each iteration either grants, defers, kills the
         // requester, or strictly shrinks the set of live victim records,
-        // so the loop is bounded by the slot count.
+        // so the loop is bounded by the slot count. Each decide can be
+        // costly, so a set `shutdown` ends the loop before the next one.
         for _round in 0..=g.slots.len() {
+            if self.shutdown.load(Ordering::Acquire) {
+                return Attempt::Deferred;
+            }
             let decision = {
                 let Gate {
                     sched,
@@ -671,7 +675,14 @@ impl Service {
     /// forced rollback restarts the cheapest participant and the rest
     /// drain.
     fn break_stall(&self, timeout: Duration) {
-        let mut g = self.gate.lock().expect("gate poisoned");
+        // A held gate means a worker is mid-decision: try again on a
+        // later tick. Queueing behind its decide loop would also hold
+        // up the watchdog's deadline check.
+        let mut g = match self.gate.try_lock() {
+            Ok(g) => g,
+            Err(TryLockError::WouldBlock) => return,
+            Err(TryLockError::Poisoned(_)) => panic!("gate poisoned"),
+        };
         if g.last_commit.elapsed() < timeout {
             return;
         }
@@ -752,6 +763,9 @@ fn worker_loop(service: &Service, sessions: &[Vec<TxnId>], total_txns: u64) {
         }
 
         for (s, stream) in sessions.iter().enumerate() {
+            if service.shutdown.load(Ordering::Acquire) {
+                return;
+            }
             // Skip transactions that already committed (possibly driven
             // by the retry queue).
             while cursor[s] < stream.len() {
@@ -1042,6 +1056,29 @@ mod tests {
         let report = quick(SchedKind::Detect, &load, 2);
         assert!(report.clean, "{}", report.render());
         assert_eq!(report.committed, 24, "{}", report.render());
+    }
+
+    #[test]
+    fn a_missed_deadline_returns_promptly() {
+        // The contended detect smoke takes seconds to drain; a short
+        // deadline must cut it off within a bound, not after the
+        // in-gate decide loop and every session's next attempt.
+        let load = contended_load(64, 16, 16, 8);
+        let deadline = Duration::from_millis(300);
+        let config = ServeConfig {
+            sched: SchedKind::Detect,
+            workers: 4,
+            deadline,
+            ..ServeConfig::default()
+        };
+        let report = run(&load, &config);
+        assert!(!report.clean, "{}", report.render());
+        assert!(
+            report.wall < deadline + Duration::from_secs(3),
+            "overshoot {:?}: {}",
+            report.wall - deadline,
+            report.render()
+        );
     }
 
     #[test]
