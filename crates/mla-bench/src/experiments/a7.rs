@@ -11,7 +11,7 @@
 //! change.
 //!
 //! Replay rows decide the partitioned workload's canonical
-//! [`decision_stream`](mla_workload::partitioned::decision_stream)
+//! [`decision_stream`]
 //! twice: through the closure engine and through the bare certificate
 //! guard. Both
 //! must reproduce the stream byte for byte; only wall-clock may move,

@@ -1,18 +1,15 @@
-//! The admission view: what the §6 schedulers actually need to know
-//! about the world they are gating.
+//! The admission core: the state both §6 schedulers keep around their
+//! closure engine.
 //!
 //! [`MlaDetect`](crate::MlaDetect) and [`MlaPrevent`](crate::MlaPrevent)
-//! were written against the simulator's [`World`], but nothing in their
-//! decision procedure is simulator-specific: a decision consults the
-//! nest, each transaction's progress (performed prefix length, breakpoint
-//! state, finished/committed status), the candidate step, and — only on
-//! the certificate-voiding replay path — the live history. This trait
-//! names exactly that surface, so the same scheduler cores gate step
-//! admission for the tick-driven simulator *and* for `mla-serve`'s
-//! thread-per-core service against live MVCC storage. The simulator's
-//! `World` is one implementation and the service's admission gate the
-//! other; both keep their live history in a [`mla_storage::Store`]
-//! journal.
+//! decide against the host state [`World`]: the nest, each
+//! transaction's progress (performed prefix length, breakpoint state,
+//! committed status), the candidate step ([`World::candidate`]) and —
+//! only on the certificate-voiding replay path — the live history
+//! ([`World::history_steps`]). Both hosts keep that one `World`: the
+//! tick-driven simulator and `mla-serve`'s admission gate, which drives
+//! the same schedulers through [`Control`](mla_sim::Control) against
+//! live MVCC storage.
 //!
 //! The two strategies also share everything around the verdict, and
 //! [`AdmissionCore`] holds it once: the closure engine's lifecycle, the
@@ -23,99 +20,25 @@
 use std::collections::HashSet;
 
 use mla_core::cert::StaticCert;
-use mla_core::nest::Nest;
 use mla_core::spec::BreakpointSpecification;
 use mla_core::{ClosureEngine, EngineCounters};
 use mla_model::{Step, TxnId};
-use mla_sim::{Decision, TxnStatus, World};
-use mla_storage::StepRecord;
+use mla_sim::{Decision, World};
 use mla_txn::RuntimeSpec;
 
 use crate::cert_guard::{CertAdmit, CertGuard};
 use crate::victim::VictimPolicy;
 
-/// Read-only view of the transactions competing for admission.
-pub trait AdmissionView {
-    /// The k-nest relating the transactions.
-    fn nest(&self) -> &Nest;
-
-    /// Whether `t` is (tentatively) committed.
-    fn is_committed(&self, t: TxnId) -> bool;
-
-    /// Whether `t` has performed every step of its program.
-    fn is_finished(&self, t: TxnId) -> bool;
-
-    /// Number of steps `t` has performed in its current incarnation.
-    fn performed_seq(&self, t: TxnId) -> u32;
-
-    /// Whether `t`'s current position is a breakpoint of at least
-    /// `level` (true before the first and after the last step).
-    fn at_breakpoint(&self, t: TxnId, level: usize) -> bool;
-
-    /// The step `t` is requesting admission for. Values are zero — the
-    /// closure is order- and entity-based, never value-based.
-    fn candidate(&self, t: TxnId) -> Step;
-
-    /// The live history in performance order (certificate-voiding engine
-    /// replay; never on the grant fast path).
-    fn history_steps(&self) -> Vec<Step>;
-
-    /// `level(a, b)` from the nest.
-    fn level(&self, a: TxnId, b: TxnId) -> usize {
-        self.nest().level(a, b)
-    }
-}
-
-impl AdmissionView for World {
-    fn nest(&self) -> &Nest {
-        &self.nest
-    }
-
-    fn is_committed(&self, t: TxnId) -> bool {
-        self.status[t.index()] == TxnStatus::Committed
-    }
-
-    fn is_finished(&self, t: TxnId) -> bool {
-        self.instance(t).is_finished()
-    }
-
-    fn performed_seq(&self, t: TxnId) -> u32 {
-        self.instance(t).seq()
-    }
-
-    fn at_breakpoint(&self, t: TxnId, level: usize) -> bool {
-        self.instance(t).at_breakpoint(level)
-    }
-
-    fn candidate(&self, t: TxnId) -> Step {
-        let inst = self.instance(t);
-        Step {
-            txn: t,
-            seq: inst.seq(),
-            entity: inst.next_entity().expect("candidate for a live step"),
-            observed: 0,
-            wrote: 0,
-        }
-    }
-
-    fn history_steps(&self) -> Vec<Step> {
-        self.store
-            .journal()
-            .iter()
-            .map(StepRecord::as_step)
-            .collect()
-    }
-}
-
 /// The state both §6 schedulers keep around their closure engine.
 ///
-/// Schedulers build it; hosts read its counters and feed it performed
-/// steps through `core()` / `core_mut()` on [`MlaDetect`](crate::MlaDetect)
-/// and [`MlaPrevent`](crate::MlaPrevent).
+/// Schedulers build it and feed it through their
+/// [`Control`](mla_sim::Control) hooks; hosts read its counters through
+/// `core()` on [`MlaDetect`](crate::MlaDetect) and
+/// [`MlaPrevent`](crate::MlaPrevent).
 pub struct AdmissionCore {
     spec: RuntimeSpec,
     /// The incremental closure over the live window, created on the
-    /// first decision that reaches it (the nest lives in the view).
+    /// first decision that reaches it (the nest lives in the world).
     engine: Option<ClosureEngine<RuntimeSpec>>,
     /// A §5 per-universe certificate lattice from `mla-lint` plus its
     /// armed state: while a universe is armed, its in-footprint steps
@@ -172,10 +95,10 @@ impl AdmissionCore {
     /// saw, the engine is rebuilt from a replay of every step granted so
     /// far — acyclic, since each one either passed the engine or was
     /// certified.
-    pub(crate) fn engine_for<V: AdmissionView + ?Sized>(
+    pub(crate) fn engine_for(
         &mut self,
         candidate: &Step,
-        view: &V,
+        world: &World,
     ) -> Option<&mut ClosureEngine<RuntimeSpec>> {
         let mut voided = false;
         if let Some(guard) = self.guard.as_mut() {
@@ -191,9 +114,9 @@ impl AdmissionCore {
             }
         }
         if voided || self.engine.is_none() {
-            let mut engine = ClosureEngine::new(view.nest().clone(), self.spec.clone());
+            let mut engine = ClosureEngine::new(world.nest.clone(), self.spec.clone());
             if voided {
-                for s in view.history_steps() {
+                for s in world.history_steps() {
                     engine
                         .apply_step(s)
                         .expect("certified history must replay acyclically");
@@ -207,32 +130,32 @@ impl AdmissionCore {
 
     /// Commits the candidate the engine accepted, then evicts every
     /// committed transaction no uncommitted one reaches any more.
-    pub(crate) fn grant<V: AdmissionView + ?Sized>(&mut self, view: &V) {
+    pub(crate) fn grant(&mut self, world: &World) {
         let engine = self.engine.as_mut().expect("granted through the engine");
         engine.commit_step();
         if self.eviction {
             self.evicted
-                .extend(engine.evict_unreachable(|t| !view.is_committed(t)));
+                .extend(engine.evict_unreachable(|t| !world.is_committed(t)));
         }
     }
 
     /// Rolls back the policy's choice among the uncommitted transactions
     /// on a cycle, or the requester `txn` when every other participant
     /// is committed (commit rollbacks are left to the cascade).
-    pub(crate) fn victim<V: AdmissionView + ?Sized>(
+    pub(crate) fn victim(
         &self,
         txn: TxnId,
         cycle: impl IntoIterator<Item = TxnId>,
-        view: &V,
+        world: &World,
     ) -> Decision {
         let mut candidates: Vec<TxnId> = cycle
             .into_iter()
-            .filter(|&t| !view.is_committed(t))
+            .filter(|&t| !world.is_committed(t))
             .collect();
         if candidates.is_empty() {
             candidates.push(txn);
         }
-        Decision::Abort(vec![self.policy.choose(txn, &candidates, view)])
+        Decision::Abort(vec![self.policy.choose(txn, &candidates, world)])
     }
 
     /// Backfills the real observed/written values of a performed step so
@@ -300,15 +223,11 @@ impl AdmissionCore {
 }
 
 /// The [`Control`](mla_sim::Control) methods both §6 schedulers answer
-/// from their `core` (and, for rollbacks, their `aborted_view`).
+/// from their `core` alone.
 macro_rules! control_via_core {
     () => {
         fn performed(&mut self, record: &mla_storage::StepRecord, _world: &World) {
             self.core.performed(&record.as_step());
-        }
-
-        fn aborted(&mut self, txn: TxnId, _world: &World) {
-            self.aborted_view(txn);
         }
 
         fn decision_cost(&self) -> Option<mla_core::EngineCounters> {
@@ -333,51 +252,13 @@ pub(crate) use control_via_core;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mla_core::nest::Nest;
     use mla_model::program::{ScriptOp, ScriptProgram};
     use mla_model::EntityId;
-    use mla_sim::Metrics;
+    use mla_sim::TxnStatus;
     use mla_storage::Store;
     use mla_txn::{NoBreakpoints, TxnInstance};
     use std::sync::Arc;
-
-    #[test]
-    fn world_view_mirrors_world_state() {
-        let mut w = World {
-            store: Store::new([(EntityId(0), 5)]),
-            instances: vec![TxnInstance::new(
-                TxnId(0),
-                Arc::new(ScriptProgram::new(vec![
-                    ScriptOp::Add(EntityId(0), 1),
-                    ScriptOp::Add(EntityId(1), 1),
-                ])),
-                Arc::new(NoBreakpoints { k: 2 }),
-            )],
-            status: vec![TxnStatus::Running],
-            nest: Nest::flat(1),
-            clock: 0,
-            metrics: Metrics::default(),
-        };
-        let view: &dyn Fn(&World) -> _ = &|w: &World| {
-            (
-                w.candidate(TxnId(0)),
-                w.performed_seq(TxnId(0)),
-                w.is_finished(TxnId(0)),
-                w.is_committed(TxnId(0)),
-            )
-        };
-        let (c, seq, fin, com) = view(&w);
-        assert_eq!((c.seq, c.entity), (0, EntityId(0)));
-        assert_eq!((seq, fin, com), (0, false, false));
-        let s = w.instances[0].perform(5);
-        w.store.perform(TxnId(0), s.seq, s.entity, |_| s.wrote);
-        let (c, seq, _, _) = view(&w);
-        assert_eq!((c.seq, c.entity), (1, EntityId(1)));
-        assert_eq!(seq, 1);
-        assert_eq!(w.history_steps().len(), 1);
-        assert_eq!(w.history_steps()[0].wrote, 6);
-        w.status[0] = TxnStatus::Committed;
-        assert!(w.is_committed(TxnId(0)));
-    }
 
     /// t0 performs both its steps (entities 0, 1) and commits; t1
     /// performs one step on the disjoint entity 5 and stays live.
@@ -397,8 +278,6 @@ mod tests {
             instances: vec![mk(0, 0, 1), mk(1, 5, 6)],
             status: vec![TxnStatus::Running; 2],
             nest: Nest::flat(2),
-            clock: 0,
-            metrics: Metrics::default(),
         };
         for t in [0, 0, 1] {
             let s = w.instances[t].perform(0);

@@ -1,6 +1,9 @@
 //! Concurrency controls for the migrating-transaction simulator: the
 //! serializable baselines the paper compares against conceptually, and
-//! the two multilevel-atomicity controls §6 sketches.
+//! the two multilevel-atomicity controls §6 sketches. Every control is
+//! an [`mla_sim::Control`] deciding against the host state
+//! [`mla_sim::World`]; `mla-serve` keeps the same `World` and drives
+//! [`MlaDetect`] and [`MlaPrevent`] through the same trait.
 //!
 //! | Control | Guarantees | Mechanism |
 //! |---|---|---|
@@ -39,7 +42,7 @@ pub mod timestamp;
 pub mod two_phase;
 pub mod victim;
 
-pub use admission::{AdmissionCore, AdmissionView};
+pub use admission::AdmissionCore;
 pub use cert_guard::{CertAdmit, CertGuard};
 pub use hier_lock::HierLocking;
 pub use mla_detect::MlaDetect;
@@ -49,8 +52,3 @@ pub use sgt::SgtControl;
 pub use timestamp::TimestampOrdering;
 pub use two_phase::TwoPhaseLocking;
 pub use victim::VictimPolicy;
-
-// The decision a scheduler returns, re-exported for hosts (like
-// `mla-serve`) that drive the `*_view` admission surface without
-// depending on the simulator.
-pub use mla_sim::Decision;

@@ -23,7 +23,7 @@ use mla_model::TxnId;
 use mla_sim::{Control, Decision, World};
 use mla_txn::RuntimeSpec;
 
-use crate::admission::{control_via_core, AdmissionCore, AdmissionView};
+use crate::admission::{control_via_core, AdmissionCore};
 use crate::victim::VictimPolicy;
 
 /// The optimistic multilevel-atomicity control.
@@ -97,46 +97,6 @@ impl MlaDetect {
     pub fn core(&self) -> &AdmissionCore {
         &self.core
     }
-
-    /// Mutable access for hosts that feed performed steps to the engine.
-    pub fn core_mut(&mut self) -> &mut AdmissionCore {
-        &mut self.core
-    }
-
-    /// The decision procedure, against any [`AdmissionView`] — the
-    /// simulator's `World` or `mla-serve`'s live admission state. The
-    /// [`Control`] impl is a thin delegation to this.
-    pub fn decide_view<V: AdmissionView + ?Sized>(&mut self, txn: TxnId, view: &V) -> Decision {
-        let candidate = view.candidate(txn);
-        self.checks += 1;
-        let Some(engine) = self.core.engine_for(&candidate, view) else {
-            return Decision::Grant;
-        };
-        if self.full_rebuild {
-            engine.force_rebuild();
-        }
-        match engine.apply_step(candidate) {
-            Ok(()) => {
-                self.core.grant(view);
-                Decision::Grant
-            }
-            Err(witness) => {
-                // The engine already rolled the candidate back; its
-                // witness names the transactions on the closure cycle
-                // (sorted, deduplicated).
-                self.cycles_found += 1;
-                self.core.victim(txn, witness.txns, view)
-            }
-        }
-    }
-
-    /// Records a rollback of `txn`'s steps. Shrinking the history
-    /// invalidates the maintained closure; the engine schedules one
-    /// rebuild for the whole cascade and replays lazily at the next
-    /// decision.
-    pub fn aborted_view(&mut self, txn: TxnId) {
-        self.core.aborted(txn);
-    }
 }
 
 impl Control for MlaDetect {
@@ -145,7 +105,34 @@ impl Control for MlaDetect {
     }
 
     fn decide(&mut self, txn: TxnId, world: &World) -> Decision {
-        self.decide_view(txn, world)
+        let candidate = world.candidate(txn);
+        self.checks += 1;
+        let Some(engine) = self.core.engine_for(&candidate, world) else {
+            return Decision::Grant;
+        };
+        if self.full_rebuild {
+            engine.force_rebuild();
+        }
+        match engine.apply_step(candidate) {
+            Ok(()) => {
+                self.core.grant(world);
+                Decision::Grant
+            }
+            Err(witness) => {
+                // The engine already rolled the candidate back; its
+                // witness names the transactions on the closure cycle
+                // (sorted, deduplicated).
+                self.cycles_found += 1;
+                self.core.victim(txn, witness.txns, world)
+            }
+        }
+    }
+
+    /// Shrinking the history invalidates the maintained closure; the
+    /// engine schedules one rebuild for the whole cascade and replays
+    /// lazily at the next decision.
+    fn aborted(&mut self, txn: TxnId, _world: &World) {
+        self.core.aborted(txn);
     }
 
     control_via_core!();

@@ -27,7 +27,7 @@ use mla_model::TxnId;
 use mla_sim::{Control, Decision, World};
 use mla_txn::RuntimeSpec;
 
-use crate::admission::{control_via_core, AdmissionCore, AdmissionView};
+use crate::admission::{control_via_core, AdmissionCore};
 use crate::victim::VictimPolicy;
 
 /// The pessimistic multilevel-atomicity control.
@@ -102,27 +102,51 @@ impl MlaPrevent {
         &self.core
     }
 
-    /// Mutable access for hosts that feed performed steps to the engine.
-    pub fn core_mut(&mut self) -> &mut AdmissionCore {
-        &mut self.core
+    /// Records the waits-for edges of a deferral; returns a rollback
+    /// decision instead if an edge would close a waits-for cycle.
+    fn defer_on(&mut self, txn: TxnId, blockers: &[TxnId], world: &World) -> Decision {
+        self.breakpoint_waits += 1;
+        // Refresh this requester's outgoing waits-for edges only:
+        // detaching the whole node would erase *other* transactions'
+        // waits on this one and hide wait cycles (livelock).
+        self.clear_out_edges(txn);
+        for b in blockers {
+            if let Err(cycle) = self.waits.add_edge(txn.0, b.0) {
+                // A waits-for cycle: roll back a victim on it.
+                let on_cycle = cycle.nodes().iter().map(|&v| TxnId(v));
+                return self.core.victim(txn, on_cycle, world);
+            }
+        }
+        Decision::Defer
     }
 
-    /// The decision procedure, against any [`AdmissionView`] — the
-    /// simulator's `World` or `mla-serve`'s live admission state. The
-    /// [`Control`] impl is a thin delegation to this.
-    pub fn decide_view<V: AdmissionView + ?Sized>(&mut self, txn: TxnId, view: &V) -> Decision {
-        let candidate = view.candidate(txn);
+    fn clear_out_edges(&mut self, txn: TxnId) {
+        let outs: Vec<u32> = self.waits.successors(txn.0).to_vec();
+        for o in outs {
+            self.waits.remove_edge(txn.0, o);
+        }
+    }
+}
+
+impl Control for MlaPrevent {
+    fn name(&self) -> &'static str {
+        "mla-prevent"
+    }
+
+    fn decide(&mut self, txn: TxnId, world: &World) -> Decision {
+        let candidate = world.candidate(txn);
         // A blocker: a live unfinished transaction that precedes the
         // candidate in the closure but whose last performed step is not
         // at the `level(t, txn)` breakpoint the §6 rule requires.
         let blocks = |&t: &TxnId| {
+            let inst = world.instance(t);
             t != txn
-                && !view.is_committed(t)
-                && !view.is_finished(t)
-                && view.performed_seq(t) > 0
-                && !view.at_breakpoint(t, view.level(t, txn))
+                && !world.is_committed(t)
+                && !inst.is_finished()
+                && inst.seq() > 0
+                && !inst.at_breakpoint(world.level(t, txn))
         };
-        let Some(engine) = self.core.engine_for(&candidate, view) else {
+        let Some(engine) = self.core.engine_for(&candidate, world) else {
             return Decision::Grant;
         };
         match engine.apply_step(candidate) {
@@ -139,12 +163,12 @@ impl MlaPrevent {
                     // §6: every closure-predecessor's last step sits at a
                     // suitable breakpoint, so performing now keeps the
                     // closure consistent with the performance order.
-                    self.core.grant(view);
+                    self.core.grant(world);
                     self.clear_out_edges(txn);
                     return Decision::Grant;
                 }
                 engine.rollback_step();
-                self.defer_on(txn, &blockers, view)
+                self.defer_on(txn, &blockers, world)
             }
             Err(witness) => {
                 // The candidate would close a closure cycle — something
@@ -155,68 +179,24 @@ impl MlaPrevent {
                 // a genuine prevention miss resolved by rollback.
                 let blockers: Vec<TxnId> = witness.txns.iter().copied().filter(blocks).collect();
                 if !blockers.is_empty() {
-                    return self.defer_on(txn, &blockers, view);
+                    return self.defer_on(txn, &blockers, world);
                 }
                 self.prevention_misses += 1;
-                self.core.victim(txn, witness.txns, view)
+                self.core.victim(txn, witness.txns, world)
             }
         }
     }
 
-    /// Records the waits-for edges of a deferral; returns a rollback
-    /// decision instead if an edge would close a waits-for cycle.
-    fn defer_on<V: AdmissionView + ?Sized>(
-        &mut self,
-        txn: TxnId,
-        blockers: &[TxnId],
-        view: &V,
-    ) -> Decision {
-        self.breakpoint_waits += 1;
-        // Refresh this requester's outgoing waits-for edges only:
-        // detaching the whole node would erase *other* transactions'
-        // waits on this one and hide wait cycles (livelock).
-        self.clear_out_edges(txn);
-        for b in blockers {
-            if let Err(cycle) = self.waits.add_edge(txn.0, b.0) {
-                // A waits-for cycle: roll back a victim on it.
-                let on_cycle = cycle.nodes().iter().map(|&v| TxnId(v));
-                return self.core.victim(txn, on_cycle, view);
-            }
-        }
-        Decision::Defer
-    }
-
-    fn clear_out_edges(&mut self, txn: TxnId) {
-        let outs: Vec<u32> = self.waits.successors(txn.0).to_vec();
-        for o in outs {
-            self.waits.remove_edge(txn.0, o);
-        }
-    }
-
-    /// Records `txn`'s commit: its wait edges drop.
-    pub fn committed_view(&mut self, txn: TxnId) {
+    /// `txn`'s wait edges drop.
+    fn committed(&mut self, txn: TxnId, _world: &World) {
         self.waits.detach_node(txn.0);
     }
 
-    /// Records a rollback of `txn`'s steps: its wait edges drop with
-    /// its engine rows and any certificate blame it held.
-    pub fn aborted_view(&mut self, txn: TxnId) {
+    /// `txn`'s wait edges drop with its engine rows and any certificate
+    /// blame it held.
+    fn aborted(&mut self, txn: TxnId, _world: &World) {
         self.waits.detach_node(txn.0);
         self.core.aborted(txn);
-    }
-}
-
-impl Control for MlaPrevent {
-    fn name(&self) -> &'static str {
-        "mla-prevent"
-    }
-
-    fn decide(&mut self, txn: TxnId, world: &World) -> Decision {
-        self.decide_view(txn, world)
-    }
-
-    fn committed(&mut self, txn: TxnId, _world: &World) {
-        self.committed_view(txn);
     }
 
     control_via_core!();

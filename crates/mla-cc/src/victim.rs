@@ -2,7 +2,7 @@
 
 use mla_model::TxnId;
 
-use crate::admission::AdmissionView;
+use mla_sim::World;
 
 /// How a cycle-resolving control picks the transaction to roll back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -30,12 +30,7 @@ impl VictimPolicy {
 
     /// Chooses a victim among `candidates` (which must be non-empty; the
     /// requester is always a legal fallback).
-    pub fn choose<V: AdmissionView + ?Sized>(
-        self,
-        requester: TxnId,
-        candidates: &[TxnId],
-        view: &V,
-    ) -> TxnId {
+    pub fn choose(self, requester: TxnId, candidates: &[TxnId], world: &World) -> TxnId {
         debug_assert!(!candidates.is_empty());
         match self {
             VictimPolicy::Requester => {
@@ -44,18 +39,18 @@ impl VictimPolicy {
                 } else {
                     // The requester is not on the cycle (possible when the
                     // cycle predates its request); fall back to least work.
-                    VictimPolicy::FewestSteps.choose(requester, candidates, view)
+                    VictimPolicy::FewestSteps.choose(requester, candidates, world)
                 }
             }
             VictimPolicy::FewestSteps => candidates
                 .iter()
                 .copied()
-                .min_by_key(|&t| (view.performed_seq(t), std::cmp::Reverse(t.0)))
+                .min_by_key(|&t| (world.instance(t).seq(), std::cmp::Reverse(t.0)))
                 .expect("non-empty candidates"),
             VictimPolicy::MostSteps => candidates
                 .iter()
                 .copied()
-                .max_by_key(|&t| (view.performed_seq(t), t.0))
+                .max_by_key(|&t| (world.instance(t).seq(), t.0))
                 .expect("non-empty candidates"),
         }
     }
@@ -67,7 +62,7 @@ mod tests {
     use mla_core::nest::Nest;
     use mla_model::program::{ScriptOp, ScriptProgram};
     use mla_model::EntityId;
-    use mla_sim::{Metrics, TxnStatus, World};
+    use mla_sim::TxnStatus;
     use mla_storage::Store;
     use mla_txn::{NoBreakpoints, TxnInstance};
     use std::sync::Arc;
@@ -96,8 +91,6 @@ mod tests {
             instances,
             status: vec![TxnStatus::Running; 3],
             nest: Nest::flat(3),
-            clock: 0,
-            metrics: Metrics::default(),
         }
     }
 

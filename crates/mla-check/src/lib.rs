@@ -3,18 +3,19 @@
 //! Everything else in this workspace *schedules*; this crate *audits*.
 //! It takes a recorded history — steps, entities, a nest, and a
 //! breakpoint specification, either captured from the in-tree harnesses
-//! or parsed from the line-oriented text format in [`format`] — and
-//! decides multilevel atomicity after the fact, the MLA analogue of
-//! dbcop (Biswas & Enea, "On the Complexity of Checking Transactional
-//! Consistency", PAPERS.md 1908.04509):
+//! or parsed from the line-oriented text format in
+//! [`format`](mod@format) — and decides multilevel atomicity after the
+//! fact, the MLA analogue of dbcop (Biswas & Enea, "On the Complexity
+//! of Checking Transactional Consistency", PAPERS.md 1908.04509):
 //!
-//! * [`history`] — the [`History`](history::History) record: nest,
-//!   per-transaction breakpoint marks, declared entities, execution.
+//! * [`history`] — the [`History`] record: nest, per-transaction
+//!   breakpoint marks, declared entities, execution.
 //!   Implements [`BreakpointSpecification`] directly (restricting marks
 //!   to whatever step prefix it is asked about), so the same record
 //!   drives the full check, projections, and the weak-mode search.
-//! * [`format`] — parser and writer for the `mla-history v1` text
-//!   format, with `parse(format(h)) == h` pinned by proptest.
+//! * [`format`](mod@format) — parser and writer for the
+//!   `mla-history v1` text format, with `parse(format(h)) == h` pinned
+//!   by proptest.
 //! * [`decompose`] — the communication-graph decomposition: transactions
 //!   sharing no entity (even transitively) cannot constrain each other,
 //!   so each connected component is checked separately.

@@ -6,15 +6,16 @@
 //! threads drive simulated client sessions against timestamped MVCC
 //! storage ([`mla_storage::MvccStore`]), every step admitted by
 //! [`MlaDetect`](mla_cc::MlaDetect) or
-//! [`MlaPrevent`](mla_cc::MlaPrevent) through the same
-//! [`AdmissionView`](mla_cc::AdmissionView) surface the simulator uses —
-//! one scheduler core, two hosts. The hosts also share the live history
-//! and its rollback: the gate journals every step in an
-//! [`mla_storage::Store`] and undoes through
-//! [`Store::roll_back`](mla_storage::Store::roll_back), popping the
-//! undone versions. Committed versions are reclaimed by epoch-based GC,
-//! and every drained history feeds back through Theorem 2's offline
-//! decision procedure ([`mla_check::check`]).
+//! [`MlaPrevent`](mla_cc::MlaPrevent). The two hosts share one host
+//! state and its state changes: the admission gate keeps an
+//! [`mla_sim::World`] and drives the scheduler through the same
+//! [`Control`](mla_sim::Control) interface the simulator uses, granting
+//! through [`World::perform`](mla_sim::World::perform) and undoing
+//! through [`World::roll_back`](mla_sim::World::roll_back), whose
+//! journal cascade tells the service which versions to pop. Committed
+//! versions are reclaimed by epoch-based GC, and every drained history
+//! feeds back through Theorem 2's offline decision procedure
+//! ([`mla_check::check`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,9 +7,9 @@
 //!  worker 0 ──┐                      ┌── GC thread (epoch frontier)
 //!  worker 1 ──┤   ┌─────────────┐    │
 //!    ...      ├──▶│ Gate (mutex) │◀──┴── snapshot readers (pins)
-//!  worker W ──┘   │  scheduler   │
-//!      │          │  slots       │          ┌───────────┐
-//!      └─ latch ─▶│  journal     │─ install▶│ MvccStore │
+//!  worker W ──┘   │  control     │
+//!      │          │  world       │          ┌───────────┐
+//!      └─ latch ─▶│  slots       │─ install▶│ MvccStore │
 //!                 └─────────────┘           └───────────┘
 //! ```
 //!
@@ -18,18 +18,21 @@
 //!   session per pass, plus the shared retry queue of cascade-undone
 //!   transactions.
 //! * A step attempt first takes the **entity latch** (exclusive, FIFO),
-//!   then the **gate** — a single mutex holding the scheduler, the
-//!   per-transaction slots, and the live history as the simulator's
-//!   journal [`Store`]. The scheduler decides through [`AdmissionView`];
-//!   a grant journals the step, whose ticket is its journal id + 1, and
+//!   then the **gate** — a single mutex holding the scheduler as a
+//!   [`Control`], the simulator's host state [`World`] (instances,
+//!   status, nest, and the live history as a journal [`Store`]), and
+//!   the service's own per-transaction slots. The scheduler decides
+//!   through [`Control::decide`]; a grant performs the step through
+//!   [`World::perform`], whose journal id + 1 is the step's ticket, and
 //!   installs a version — only if the step changed the value — *before*
 //!   the gate is released, so per-entity tickets are monotone (the latch
 //!   serializes same-entity attempts, the gate serializes ticket draws).
-//! * An **abort** rolls back through the journal's undo cascade,
-//!   [`Store::roll_back`], the one the simulator uses, and pops the
-//!   undone versions from their chains. Cascade-undone transactions
-//!   whose sessions already moved on (they had tentatively committed —
-//!   the §6 commit hazard) go to the retry queue.
+//! * An **abort** rolls back through [`World::roll_back`] — the
+//!   journal's undo cascade and the scheduler's hooks, as in the
+//!   simulator — and pops the undone versions from their chains.
+//!   Cascade-undone transactions whose sessions already moved on (they
+//!   had tentatively committed — the §6 commit hazard) go to the retry
+//!   queue.
 //! * The **GC thread** folds versions below
 //!   `min(first ticket of any running transaction, reader pins)` — below
 //!   that, no snapshot read and no undo can ever look.
@@ -41,11 +44,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
-use mla_cc::{AdmissionCore, AdmissionView, Decision, MlaDetect, MlaPrevent};
-use mla_core::nest::Nest;
+use mla_cc::{MlaDetect, MlaPrevent};
 use mla_model::{EntityId, Step, TxnId, Value};
-use mla_storage::{EpochRegistry, LatchMode, LatchTree, MvccStore, StepRecord, Store};
-use mla_txn::{TxnInstance, TxnProfile};
+use mla_sim::{Control, Decision, TxnStatus, World};
+use mla_storage::{EpochRegistry, LatchMode, LatchTree, MvccStore, Store};
+use mla_txn::TxnProfile;
 
 use crate::workload::ServeLoad;
 
@@ -57,52 +60,6 @@ pub enum SchedKind {
     /// Pessimistic: step delay at breakpoints plus waits-for deadlock
     /// resolution.
     Prevent,
-}
-
-/// The scheduler behind the gate. Both variants share one
-/// [`AdmissionCore`]; only the decision and the commit and rollback
-/// bookkeeping differ ([`MlaDetect`] keeps none on commit).
-pub enum Sched {
-    /// [`MlaDetect`] (§6 detection).
-    Detect(MlaDetect),
-    /// [`MlaPrevent`] (§6 prevention).
-    Prevent(MlaPrevent),
-}
-
-impl Sched {
-    fn core(&self) -> &AdmissionCore {
-        match self {
-            Sched::Detect(s) => s.core(),
-            Sched::Prevent(s) => s.core(),
-        }
-    }
-
-    fn core_mut(&mut self) -> &mut AdmissionCore {
-        match self {
-            Sched::Detect(s) => s.core_mut(),
-            Sched::Prevent(s) => s.core_mut(),
-        }
-    }
-
-    fn decide<V: AdmissionView + ?Sized>(&mut self, t: TxnId, view: &V) -> Decision {
-        match self {
-            Sched::Detect(s) => s.decide_view(t, view),
-            Sched::Prevent(s) => s.decide_view(t, view),
-        }
-    }
-
-    fn committed(&mut self, t: TxnId) {
-        if let Sched::Prevent(s) = self {
-            s.committed_view(t);
-        }
-    }
-
-    fn aborted(&mut self, t: TxnId) {
-        match self {
-            Sched::Detect(s) => s.aborted_view(t),
-            Sched::Prevent(s) => s.aborted_view(t),
-        }
-    }
 }
 
 /// Service configuration.
@@ -124,23 +81,26 @@ pub struct ServeConfig {
     /// Attach the workload's static certificate (when it earns one) so
     /// grants ride the certified fast path.
     pub certified: bool,
-    /// MVCC lock shards.
-    pub store_shards: usize,
-    /// Concurrent snapshot-stability reader threads.
-    pub snapshot_readers: usize,
     /// GC cadence; `None` disables the GC thread.
     pub gc_interval: Option<Duration>,
     /// Abandon the run after this long (a liveness backstop for tests;
     /// the report marks the timeout).
     pub deadline: Duration,
-    /// Force-abort one running transaction when no commit lands for this
-    /// long. Sessions execute their streams in order, so a deferred
-    /// transaction can transitively wait on one whose *session* is stuck
-    /// behind another deferred transaction — a cross-session deadlock the
-    /// scheduler's transaction-level waits-for graph cannot see. The
-    /// stall breaker is the classic timeout answer.
-    pub stall_timeout: Duration,
 }
+
+/// MVCC lock shards.
+const STORE_SHARDS: usize = 16;
+
+/// Concurrent snapshot-stability reader threads.
+const SNAPSHOT_READERS: usize = 2;
+
+/// Force-abort one running transaction when no commit lands for this
+/// long. Sessions execute their streams in order, so a deferred
+/// transaction can transitively wait on one whose *session* is stuck
+/// behind another deferred transaction — a cross-session deadlock the
+/// scheduler's transaction-level waits-for graph cannot see. The stall
+/// breaker is the classic timeout answer.
+const STALL_TIMEOUT: Duration = Duration::from_millis(250);
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -150,33 +110,18 @@ impl Default for ServeConfig {
             shards: 0,
             wait_shards: 1,
             certified: false,
-            store_shards: 16,
-            snapshot_readers: 2,
             gc_interval: Some(Duration::from_millis(1)),
             deadline: Duration::from_secs(60),
-            stall_timeout: Duration::from_millis(250),
         }
     }
 }
 
-/// Lifecycle of a transaction slot.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SlotState {
-    /// Not yet attempted (or rolled back, awaiting restart).
-    Idle,
-    /// Mid-program: holds an instance with performed steps.
-    Running,
-    /// All steps performed. Still undoable by a cascade until the run
-    /// drains (the §6 commit hazard); final once nothing is running.
-    Committed,
-}
-
-/// Per-transaction state behind the gate.
+/// The service's own per-transaction state behind the gate; the
+/// transaction's instance and status live in the gate's [`World`].
+#[derive(Default)]
 struct Slot {
-    instance: Option<TxnInstance>,
     /// Tickets of the incarnation's first and latest steps (GC's floor).
     tickets: Option<(u64, u64)>,
-    state: SlotState,
     /// Committed and provably beyond the reach of any future cascade
     /// (GC's sealing pass).
     sealed: bool,
@@ -186,33 +131,21 @@ struct Slot {
     latency_us: Option<u64>,
 }
 
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            instance: None,
-            tickets: None,
-            state: SlotState::Idle,
-            sealed: false,
-            started: None,
-            latency_us: None,
-        }
-    }
-}
-
 /// Everything the single gate mutex protects.
 struct Gate {
-    nest: Nest,
-    sched: Sched,
+    /// The host state the scheduler reads: instances, status, nest and
+    /// the live history — every step of a running, tentatively
+    /// committed or sealed transaction. A step's ticket is its journal
+    /// id + 1 (fresh MVCC chains have head ticket 0), and the journal's
+    /// values are the MVCC chain heads.
+    world: World,
+    /// The §6 scheduler.
+    control: Box<dyn Control + Send>,
     slots: Vec<Slot>,
-    /// The live history: every step of a running, tentatively committed
-    /// or sealed transaction. A step's ticket is its journal id + 1
-    /// (fresh MVCC chains have head ticket 0), and the journal's values
-    /// are the MVCC chain heads.
-    store: Store,
     /// Transactions undone after tentatively committing, awaiting re-run.
     retries: VecDeque<TxnId>,
-    /// Transactions currently in [`SlotState::Committed`] (net of
-    /// cascade undo; equals the final commit count on a clean drain).
+    /// Transactions currently [`TxnStatus::Committed`] (net of cascade
+    /// undo; equals the final commit count on a clean drain).
     commits: u64,
     aborts: u64,
     cascade_undone_commits: u64,
@@ -224,70 +157,6 @@ struct Gate {
     last_commit: Instant,
     /// Cross-session deadlocks broken by the stall watchdog.
     stall_breaks: u64,
-}
-
-/// The scheduler's read-only view of the gate: disjoint borrows so
-/// `sched` stays mutably borrowed while the view reads slots and
-/// journal.
-struct GateView<'a> {
-    nest: &'a Nest,
-    slots: &'a [Slot],
-    store: &'a Store,
-}
-
-impl AdmissionView for GateView<'_> {
-    fn nest(&self) -> &Nest {
-        self.nest
-    }
-
-    fn is_committed(&self, t: TxnId) -> bool {
-        self.slots[t.index()].state == SlotState::Committed
-    }
-
-    fn is_finished(&self, t: TxnId) -> bool {
-        self.slots[t.index()]
-            .instance
-            .as_ref()
-            .is_some_and(TxnInstance::is_finished)
-    }
-
-    fn performed_seq(&self, t: TxnId) -> u32 {
-        self.slots[t.index()]
-            .instance
-            .as_ref()
-            .map_or(0, TxnInstance::seq)
-    }
-
-    fn at_breakpoint(&self, t: TxnId, level: usize) -> bool {
-        // An idle transaction sits before its first step — a breakpoint
-        // of every level.
-        self.slots[t.index()]
-            .instance
-            .as_ref()
-            .is_none_or(|i| i.at_breakpoint(level))
-    }
-
-    fn candidate(&self, t: TxnId) -> Step {
-        let inst = self.slots[t.index()]
-            .instance
-            .as_ref()
-            .expect("candidate of a transaction without a live instance");
-        Step {
-            txn: t,
-            seq: inst.seq(),
-            entity: inst.next_entity().expect("candidate for a live step"),
-            observed: 0,
-            wrote: 0,
-        }
-    }
-
-    fn history_steps(&self) -> Vec<Step> {
-        self.store
-            .journal()
-            .iter()
-            .map(StepRecord::as_step)
-            .collect()
-    }
 }
 
 /// Outcome of one step attempt (worker scheduling feedback).
@@ -429,7 +298,6 @@ struct Service {
     latches: LatchTree,
     mvcc: MvccStore,
     epochs: EpochRegistry,
-    profiles: Vec<TxnProfile>,
     /// Set once every transaction has committed (or the deadline hit).
     shutdown: AtomicBool,
     gc_folded: AtomicU64,
@@ -443,22 +311,23 @@ impl Service {
     /// consult the scheduler under the gate, and on a grant journal the
     /// step at a fresh ticket.
     fn step_once(&self, t: TxnId) -> Attempt {
-        // Phase 1 (gate): materialize the incarnation and find the next
+        // Phase 1 (gate): start the incarnation and find the next
         // entity.
         let entity = {
             let mut g = self.gate.lock().expect("gate poisoned");
-            let slot = &mut g.slots[t.index()];
-            match slot.state {
-                SlotState::Committed => return Attempt::Done,
-                SlotState::Idle => {
-                    slot.instance = Some(self.profiles[t.index()].instantiate());
-                    slot.state = SlotState::Running;
-                    slot.started.get_or_insert_with(Instant::now);
+            let g = &mut *g;
+            match g.world.status[t.index()] {
+                TxnStatus::Committed => return Attempt::Done,
+                TxnStatus::Idle => {
+                    g.world.status[t.index()] = TxnStatus::Running;
+                    g.slots[t.index()].started.get_or_insert_with(Instant::now);
                 }
-                SlotState::Running => {}
+                TxnStatus::Running => {}
             }
-            let inst = slot.instance.as_ref().expect("running slot has instance");
-            inst.next_entity().expect("running slot has a next step")
+            g.world
+                .instance(t)
+                .next_entity()
+                .expect("running transaction has a next step")
         };
 
         // Phase 2: exclusive entity latch — serializes same-entity
@@ -468,15 +337,12 @@ impl Service {
 
         // Phase 3 (gate): decide and, on grant, ticket + install.
         let mut g = self.gate.lock().expect("gate poisoned");
+        // Revalidate: a cascade may have rolled `t` back while we
+        // waited on the latch.
+        if g.world.status[t.index()] != TxnStatus::Running
+            || g.world.instance(t).next_entity() != Some(entity)
         {
-            // Revalidate: a cascade may have rolled `t` back while we
-            // waited on the latch.
-            let slot = &g.slots[t.index()];
-            if slot.state != SlotState::Running
-                || slot.instance.as_ref().and_then(TxnInstance::next_entity) != Some(entity)
-            {
-                return Attempt::Aborted;
-            }
+            return Attempt::Aborted;
         }
         // Decide loop: an Abort decision rolls its victims back and
         // *immediately* re-decides under the same gate lock. Dropping the
@@ -488,47 +354,27 @@ impl Service {
         // requester, or strictly shrinks the set of live victim records,
         // so the loop is bounded by the slot count. Each decide can be
         // costly, so a set `shutdown` ends the loop before the next one.
+        let g = &mut *g;
         for _round in 0..=g.slots.len() {
             if self.shutdown.load(Ordering::Acquire) {
                 return Attempt::Deferred;
             }
-            let decision = {
-                let Gate {
-                    sched,
-                    nest,
-                    slots,
-                    store,
-                    ..
-                } = &mut *g;
-                let view = GateView { nest, slots, store };
-                sched.decide(t, &view)
-            };
-            match decision {
+            match g.control.decide(t, &g.world) {
                 Decision::Grant => {
-                    let Gate {
-                        sched,
-                        slots,
-                        store,
-                        ..
-                    } = &mut *g;
-                    let slot = &mut slots[t.index()];
-                    let inst = slot.instance.as_mut().expect("revalidated above");
-                    let step = inst.perform(store.value(entity));
-                    debug_assert_eq!(step.entity, entity);
-                    debug_assert_eq!(self.mvcc.latest(entity).1, step.observed);
-                    let ticket = store.perform(t, step.seq, entity, |_| step.wrote).id + 1;
-                    if step.wrote != step.observed {
-                        self.mvcc.install(entity, ticket, t, step.wrote);
+                    let record = g.world.perform(t, g.control.as_mut());
+                    debug_assert_eq!(record.entity, entity);
+                    debug_assert_eq!(self.mvcc.latest(entity).1, record.observed);
+                    let ticket = record.id + 1;
+                    if record.wrote != record.observed {
+                        self.mvcc.install(entity, ticket, t, record.wrote);
                     }
+                    let slot = &mut g.slots[t.index()];
                     slot.tickets = Some((slot.tickets.map_or(ticket, |(first, _)| first), ticket));
-                    sched.core_mut().performed(&step);
-                    if !inst.is_finished() {
+                    if !g.world.is_committed(t) {
                         return Attempt::Progressed;
                     }
-                    slot.state = SlotState::Committed;
                     let started = slot.started.expect("started at first attempt");
                     slot.latency_us = Some(started.elapsed().as_micros() as u64);
-                    sched.committed(t);
                     g.commits += 1;
                     g.last_commit = Instant::now();
                     return Attempt::Committed;
@@ -538,7 +384,7 @@ impl Service {
                     return Attempt::Deferred;
                 }
                 Decision::Abort(victims) => {
-                    if self.cascade_abort(&mut g, &victims, t) {
+                    if self.cascade_abort(g, &victims, t) {
                         return Attempt::Aborted;
                     }
                     // Victims are gone and the gate never dropped:
@@ -570,7 +416,7 @@ impl Service {
         if requested.is_empty() {
             requested.push(requester);
         }
-        let rollback = g.store.roll_back(requested);
+        let (rollback, had_committed) = g.world.roll_back(requested, g.control.as_mut());
         // Sealed transactions lie wholly below GC's floor and every
         // unsealed one starts at or above it, while the cascade only
         // reaches later records: it never reaches a sealed transaction.
@@ -585,23 +431,19 @@ impl Service {
             self.mvcc.remove(r.entity, r.id + 1);
         }
         g.undo_epoch += 1;
-        // Tentatively-committed victims re-run via the retry queue
-        // (their sessions have moved on).
         for &(t, _) in &rollback.victims {
             let slot = &mut g.slots[t.index()];
-            let was_committed = slot.state == SlotState::Committed;
             *slot = Slot {
                 started: slot.started,
-                ..Slot::new()
+                ..Slot::default()
             };
-            if was_committed {
-                g.commits -= 1;
-                g.cascade_undone_commits += 1;
-                g.retries.push_back(t);
-            }
-            g.aborts += 1;
-            g.sched.aborted(t);
         }
+        g.aborts += rollback.victims.len() as u64;
+        // Tentatively-committed victims re-run via the retry queue
+        // (their sessions have moved on).
+        g.commits -= had_committed.len() as u64;
+        g.cascade_undone_commits += had_committed.len() as u64;
+        g.retries.extend(had_committed);
         rollback.contains(requester)
     }
 
@@ -627,17 +469,18 @@ impl Service {
     fn gc_pass(&self) {
         let frontier = {
             let mut g = self.gate.lock().expect("gate poisoned");
-            let mut floor = g
-                .slots
+            let Gate { world, slots, .. } = &mut *g;
+            let mut floor = slots
                 .iter()
-                .filter(|s| s.state == SlotState::Running)
-                .filter_map(|s| s.tickets.map(|(first, _)| first))
+                .zip(&world.status)
+                .filter(|(_, &st)| st == TxnStatus::Running)
+                .filter_map(|(s, _)| s.tickets.map(|(first, _)| first))
                 .min()
-                .unwrap_or(g.store.next_id() + 1);
+                .unwrap_or(world.store.next_id() + 1);
             loop {
                 let mut changed = false;
-                for s in &g.slots {
-                    if s.state != SlotState::Committed || s.sealed {
+                for (s, &st) in slots.iter().zip(&world.status) {
+                    if st != TxnStatus::Committed || s.sealed {
                         continue;
                     }
                     if let Some((first, last)) = s.tickets {
@@ -651,8 +494,8 @@ impl Service {
                     break;
                 }
             }
-            for s in &mut g.slots {
-                if s.state == SlotState::Committed
+            for (s, &st) in slots.iter_mut().zip(&world.status) {
+                if st == TxnStatus::Committed
                     && !s.sealed
                     && s.tickets.is_none_or(|(_, last)| last < floor)
                 {
@@ -674,7 +517,7 @@ impl Service {
     /// scheduler's transaction-level waits-for graph cannot observe; one
     /// forced rollback restarts the cheapest participant and the rest
     /// drain.
-    fn break_stall(&self, timeout: Duration) {
+    fn break_stall(&self) {
         // A held gate means a worker is mid-decision: try again on a
         // later tick. Queueing behind its decide loop would also hold
         // up the watchdog's deadline check.
@@ -683,16 +526,13 @@ impl Service {
             Err(TryLockError::WouldBlock) => return,
             Err(TryLockError::Poisoned(_)) => panic!("gate poisoned"),
         };
-        if g.last_commit.elapsed() < timeout {
+        if g.last_commit.elapsed() < STALL_TIMEOUT {
             return;
         }
         let victim = g
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.state == SlotState::Running)
-            .min_by_key(|(_, s)| s.instance.as_ref().map_or(0, TxnInstance::seq))
-            .map(|(i, _)| TxnId(i as u32));
+            .world
+            .txns_with_status(TxnStatus::Running)
+            .min_by_key(|&t| g.world.instance(t).seq());
         if let Some(v) = victim {
             self.cascade_abort(&mut g, &[v], v);
             g.stall_breaks += 1;
@@ -712,7 +552,7 @@ impl Service {
             // next ticket`, so the newest already-drawn ticket reads
             // correctly no matter how much GC has folded — and strictly
             // below the next ticket, no later install can land at it.
-            let t = g.store.next_id();
+            let t = g.world.store.next_id();
             (self.epochs.pin(t), g.undo_epoch)
         };
         let at = pin.ticket();
@@ -770,10 +610,12 @@ fn worker_loop(service: &Service, sessions: &[Vec<TxnId>], total_txns: u64) {
             // by the retry queue).
             while cursor[s] < stream.len() {
                 let t = stream[cursor[s]];
-                let committed = {
-                    let g = service.gate.lock().expect("gate poisoned");
-                    g.slots[t.index()].state == SlotState::Committed
-                };
+                let committed = service
+                    .gate
+                    .lock()
+                    .expect("gate poisoned")
+                    .world
+                    .is_committed(t);
                 if committed {
                     cursor[s] += 1;
                 } else {
@@ -840,7 +682,6 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
     let sessions = load.session_txns.len();
     let workers = config.workers.max(1).min(sessions.max(1));
     let spec = workload.spec();
-    let nest = workload.nest.clone();
 
     let cert_started = Instant::now();
     let cert = if config.certified {
@@ -850,33 +691,43 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
     };
     let cert_wall = cert_started.elapsed();
     let certified = cert.is_some();
-    let sched = match config.sched {
+    let control: Box<dyn Control + Send> = match config.sched {
         SchedKind::Detect => {
-            let mut s = MlaDetect::new(spec, mla_cc::VictimPolicy::FewestSteps);
-            if let Some(c) = cert.clone() {
-                s = s.with_static_cert(c);
-            }
-            Sched::Detect(s)
+            let s = MlaDetect::new(spec, mla_cc::VictimPolicy::FewestSteps);
+            Box::new(match cert {
+                Some(c) => s.with_static_cert(c),
+                None => s,
+            })
         }
         SchedKind::Prevent => {
-            let mut s = MlaPrevent::new(txn_count, spec, mla_cc::VictimPolicy::FewestSteps);
-            if let Some(c) = cert.clone() {
-                s = s.with_static_cert(c);
-            }
-            Sched::Prevent(s)
+            let s = MlaPrevent::new(txn_count, spec, mla_cc::VictimPolicy::FewestSteps);
+            Box::new(match cert {
+                Some(c) => s.with_static_cert(c),
+                None => s,
+            })
         }
     };
-    let sched_name = match config.sched {
-        SchedKind::Detect => "mla-detect",
-        SchedKind::Prevent => "mla-prevent",
-    };
+
+    let profiles = workload.profiles();
+    // The entity universe (snapshot probes scan it).
+    let mut entities: Vec<EntityId> = profiles
+        .iter()
+        .flat_map(|p| p.footprint().iter().copied())
+        .chain(workload.initial.iter().map(|&(e, _)| e))
+        .collect();
+    entities.sort_unstable_by_key(|e| e.0);
+    entities.dedup();
 
     let service = Service {
         gate: Mutex::new(Gate {
-            nest,
-            sched,
-            slots: (0..txn_count).map(|_| Slot::new()).collect(),
-            store: Store::new(workload.initial.iter().copied()),
+            world: World {
+                store: Store::new(workload.initial.iter().copied()),
+                instances: profiles.iter().map(TxnProfile::instantiate).collect(),
+                status: vec![TxnStatus::Idle; txn_count],
+                nest: workload.nest.clone(),
+            },
+            control,
+            slots: (0..txn_count).map(|_| Slot::default()).collect(),
             retries: VecDeque::new(),
             commits: 0,
             aborts: 0,
@@ -887,25 +738,14 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             stall_breaks: 0,
         }),
         latches: LatchTree::new(),
-        mvcc: MvccStore::new(config.store_shards, workload.initial.iter().copied()),
-        epochs: EpochRegistry::new(config.snapshot_readers + 2),
-        profiles: workload.profiles(),
+        mvcc: MvccStore::new(STORE_SHARDS, workload.initial.iter().copied()),
+        epochs: EpochRegistry::new(SNAPSHOT_READERS + 2),
         shutdown: AtomicBool::new(false),
         gc_folded: AtomicU64::new(0),
         gc_passes: AtomicU64::new(0),
         snapshot_checks: AtomicU64::new(0),
         snapshot_violations: AtomicU64::new(0),
     };
-
-    // The entity universe (snapshot probes scan it).
-    let mut entities: Vec<EntityId> = service
-        .profiles
-        .iter()
-        .flat_map(|p| p.footprint().iter().copied())
-        .chain(workload.initial.iter().map(|&(e, _)| e))
-        .collect();
-    entities.sort_unstable_by_key(|e| e.0);
-    entities.dedup();
 
     let started = Instant::now();
     let deadline = config.deadline;
@@ -930,7 +770,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
                 }
             });
         }
-        for _ in 0..config.snapshot_readers {
+        for _ in 0..SNAPSHOT_READERS {
             let service = &service;
             let entities = entities.clone();
             scope.spawn(move || {
@@ -953,7 +793,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             }
             ticks = ticks.wrapping_add(1);
             if ticks.is_multiple_of(32) {
-                service.break_stall(config.stall_timeout);
+                service.break_stall();
             }
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -975,7 +815,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
     let (latch_acquisitions, latch_waits) = service.latches.stats();
     ServeReport {
         load: workload.name.clone(),
-        sched: sched_name.to_string(),
+        sched: g.control.name().to_string(),
         workers,
         sessions,
         committed: g.commits,
@@ -985,9 +825,9 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
         wall,
         cert_wall,
         certified,
-        certified_skips: g.sched.core().certified_skips(),
-        certified_skips_per_universe: g.sched.core().certified_skips_per_universe(),
-        cert_re_arms: g.sched.core().cert_re_arms(),
+        certified_skips: g.control.certified_skips(),
+        certified_skips_per_universe: g.control.certified_skips_per_universe(),
+        cert_re_arms: g.control.cert_re_arms(),
         throughput: g.commits as f64 / wall.as_secs_f64().max(1e-9),
         p50_us: pct(0.50),
         p95_us: pct(0.95),
@@ -1001,7 +841,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
         stall_breaks: g.stall_breaks,
         live_versions: service.mvcc.version_count(),
         clean,
-        history: g.store.journal().iter().map(StepRecord::as_step).collect(),
+        history: g.world.history_steps(),
     }
 }
 

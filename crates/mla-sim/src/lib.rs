@@ -18,12 +18,16 @@
 //!   [`Decision::Defer`] (retry after a backoff), or
 //!   [`Decision::Abort`] (victims are rolled back with full cascade and
 //!   restarted);
-//! * cascading rollback via the store journal
-//!   ([`mla_storage::Store::roll_back`], the cascade `mla-serve` shares),
-//!   **including through already-committed transactions** — the paper
-//!   explicitly notes multilevel atomicity admits unbounded rollback
-//!   chains and makes commit-point determination hard; the simulator
-//!   measures exactly that ([`Metrics::commit_rollbacks`], [`Metrics::cascade_sizes`]);
+//! * one host state, [`World`], with the two state changes a host makes:
+//!   [`World::perform`] for a grant and [`World::roll_back`] for a
+//!   cascading rollback through the store journal
+//!   ([`mla_storage::Store::roll_back`]). `mla-serve`'s admission gate
+//!   keeps the same `World` and drives the same controls through them;
+//! * rollback **including through already-committed transactions** —
+//!   the paper explicitly notes multilevel atomicity admits unbounded
+//!   rollback chains and makes commit-point determination hard; the
+//!   simulator measures exactly that ([`Metrics::commit_rollbacks`],
+//!   [`Metrics::cascade_sizes`]);
 //! * full metrics (throughput, latency, aborts, defers, undone work) and
 //!   the final [`mla_model::Execution`] for post-hoc Theorem 2 checking.
 //!

@@ -1,5 +1,7 @@
-//! The event loop: migrating transactions over processors, with
-//! cascading rollback through [`Store::roll_back`].
+//! The event loop: migrating transactions over processors. Grants and
+//! cascading rollbacks change the [`World`] through [`World::perform`]
+//! and [`World::roll_back`]; the clock, the processor queues and the
+//! metrics are the loop's own.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -63,9 +65,9 @@ pub fn run(
         instances,
         status: vec![TxnStatus::Running; n],
         nest,
-        clock: 0,
-        metrics: Metrics::default(),
     };
+    let mut clock: u64 = 0;
+    let mut metrics = Metrics::default();
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut queue: BinaryHeap<Event> = BinaryHeap::new();
     let mut event_seq: u64 = 0;
@@ -82,7 +84,7 @@ pub fn run(
         if world.instances[i].is_finished() {
             world.status[i] = TxnStatus::Committed;
             committed_at[i] = Some(at);
-            world.metrics.committed += 1;
+            metrics.committed += 1;
         } else {
             push(&mut queue, &mut event_seq, at, i as u32, 1);
         }
@@ -90,12 +92,12 @@ pub fn run(
 
     let mut events_processed: u64 = 0;
     while let Some(Reverse((time, _, txn_raw, attempt))) = queue.pop() {
-        if world.metrics.committed as usize == n {
+        if metrics.committed as usize == n {
             break;
         }
         events_processed += 1;
         if events_processed > config.max_events {
-            world.metrics.timed_out = true;
+            metrics.timed_out = true;
             break;
         }
         let txn = TxnId(txn_raw);
@@ -124,7 +126,7 @@ pub fn run(
             );
             continue;
         }
-        world.clock = time;
+        clock = time;
 
         match control.decide(txn, &world) {
             Decision::Grant => {
@@ -133,17 +135,11 @@ pub fn run(
                 // check, not service — charging it service time lets
                 // waiting polls starve the actual work at scale.
                 busy_until[proc] = time + config.step_service;
-                let observed = world.store.value(entity);
-                let step = world.instances[ti].perform(observed);
-                let record = world.store.perform(txn, step.seq, entity, |_| step.wrote);
-                debug_assert_eq!(record.observed, observed);
-                world.metrics.steps_performed += 1;
-                control.performed(&record, &world);
-                if world.instances[ti].is_finished() {
-                    world.status[ti] = TxnStatus::Committed;
+                world.perform(txn, control);
+                metrics.steps_performed += 1;
+                if world.status[ti] == TxnStatus::Committed {
                     committed_at[ti] = Some(time + config.step_service);
-                    world.metrics.committed += 1;
-                    control.committed(txn, &world);
+                    metrics.committed += 1;
                 } else {
                     let next_entity = world.instances[ti]
                         .next_entity()
@@ -169,7 +165,7 @@ pub fn run(
                 }
             }
             Decision::Defer => {
-                world.metrics.defers += 1;
+                metrics.defers += 1;
                 push(
                     &mut queue,
                     &mut event_seq,
@@ -181,24 +177,20 @@ pub fn run(
             Decision::Abort(victims) => {
                 busy_until[proc] = time + config.step_service;
                 assert!(!victims.is_empty(), "control must name at least one victim");
-                let rollback = world.store.roll_back(victims);
-                world.metrics.steps_undone += rollback.undone.len() as u64;
-                world.metrics.cascade_sizes.push(rollback.victims.len());
+                let (rollback, had_committed) = world.roll_back(victims, control);
+                metrics.steps_undone += rollback.undone.len() as u64;
+                metrics.cascade_sizes.push(rollback.victims.len());
+                metrics.commit_rollbacks += had_committed.len() as u64;
+                metrics.committed -= had_committed.len() as u64;
+                for v in had_committed {
+                    committed_at[v.index()] = None;
+                }
                 for &(v, cause) in &rollback.victims {
-                    let vi = v.index();
-                    world.metrics.aborts += 1;
+                    metrics.aborts += 1;
                     if cause == Cause::Cascaded {
-                        world.metrics.cascade_aborts += 1;
+                        metrics.cascade_aborts += 1;
                     }
-                    if world.status[vi] == TxnStatus::Committed {
-                        world.metrics.commit_rollbacks += 1;
-                        world.metrics.committed -= 1;
-                        committed_at[vi] = None;
-                    }
-                    world.status[vi] = TxnStatus::Restarting;
-                    world.instances[vi].reset();
-                    control.aborted(v, &world);
-                    let attempts = world.instances[vi].attempts();
+                    let attempts = world.instances[v.index()].attempts();
                     let backoff = config.restart_base
                         * (1u64 << (attempts.saturating_sub(1)).min(5) as u64)
                         + if config.restart_base > 0 {
@@ -228,12 +220,12 @@ pub fn run(
         }
     }
 
-    world.metrics.makespan = world.clock;
-    world.metrics.certified_skips = control.certified_skips();
-    world.metrics.certified_skips_per_universe = control.certified_skips_per_universe();
-    world.metrics.cert_re_arms = control.cert_re_arms();
-    world.metrics.decision_cost = control.decision_cost().unwrap_or_default();
-    world.metrics.commit_latencies = committed_at
+    metrics.makespan = clock;
+    metrics.certified_skips = control.certified_skips();
+    metrics.certified_skips_per_universe = control.certified_skips_per_universe();
+    metrics.cert_re_arms = control.cert_re_arms();
+    metrics.decision_cost = control.decision_cost().unwrap_or_default();
+    metrics.commit_latencies = committed_at
         .iter()
         .zip(arrivals)
         .filter_map(|(c, &a)| c.map(|c| c.saturating_sub(a)))
@@ -241,7 +233,7 @@ pub fn run(
     SimOutcome {
         execution: world.store.execution(),
         attempts: world.instances.iter().map(|i| i.attempts()).collect(),
-        metrics: world.metrics,
+        metrics,
         store: world.store,
     }
 }

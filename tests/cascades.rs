@@ -20,7 +20,9 @@ fn e(x: u32) -> EntityId {
 
 /// A control that grants everything but, once a configured step count is
 /// reached, aborts transaction 0 — whose published values everyone
-/// downstream has read. Exercises deep cascades deterministically.
+/// downstream has read. Exercises deep cascades deterministically. Until
+/// it fires nothing is rolled back, so the journal's length is the
+/// number of steps performed.
 struct CascadeTrigger {
     fire_at: u64,
     fired: bool,
@@ -32,7 +34,7 @@ impl Control for CascadeTrigger {
     }
 
     fn decide(&mut self, _txn: TxnId, world: &World) -> Decision {
-        if !self.fired && world.metrics.steps_performed >= self.fire_at {
+        if !self.fired && world.store.journal().len() as u64 >= self.fire_at {
             self.fired = true;
             return Decision::Abort(vec![TxnId(0)]);
         }
