@@ -33,9 +33,11 @@
 //!   Cascade-undone transactions whose sessions already moved on (they
 //!   had tentatively committed — the §6 commit hazard) go to the retry
 //!   queue.
-//! * The **GC thread** folds versions below
-//!   `min(first ticket of any running transaction, reader pins)` — below
-//!   that, no snapshot read and no undo can ever look.
+//! * The **GC thread** folds versions below the older of the reader
+//!   pins and the journal's undo floor ([`Store::undo_floor`]): the
+//!   first record of any running transaction or of anything their undo
+//!   cascade reaches. Below that, no snapshot read and no undo can ever
+//!   look. The drain ends with one last pass.
 //! * **Snapshot readers** pin a ticket and verify the snapshot there is
 //!   stable while GC runs underneath them.
 
@@ -120,11 +122,6 @@ impl Default for ServeConfig {
 /// transaction's instance and status live in the gate's [`World`].
 #[derive(Default)]
 struct Slot {
-    /// Tickets of the incarnation's first and latest steps (GC's floor).
-    tickets: Option<(u64, u64)>,
-    /// Committed and provably beyond the reach of any future cascade
-    /// (GC's sealing pass).
-    sealed: bool,
     /// First attempt of the first incarnation (latency measurement).
     started: Option<Instant>,
     /// First attempt → commit, microseconds; a cascade clears it.
@@ -134,10 +131,10 @@ struct Slot {
 /// Everything the single gate mutex protects.
 struct Gate {
     /// The host state the scheduler reads: instances, status, nest and
-    /// the live history — every step of a running, tentatively
-    /// committed or sealed transaction. A step's ticket is its journal
-    /// id + 1 (fresh MVCC chains have head ticket 0), and the journal's
-    /// values are the MVCC chain heads.
+    /// the live history — every step of a running or committed
+    /// transaction. A step's ticket is its journal id + 1 (fresh MVCC
+    /// chains have head ticket 0), and the journal's values are the MVCC
+    /// chain heads.
     world: World,
     /// The §6 scheduler.
     control: Box<dyn Control + Send>,
@@ -157,6 +154,9 @@ struct Gate {
     last_commit: Instant,
     /// Cross-session deadlocks broken by the stall watchdog.
     stall_breaks: u64,
+    /// The undo floor of GC's latest pass: no rollback undoes a record
+    /// below it.
+    undo_floor: u64,
 }
 
 /// Outcome of one step attempt (worker scheduling feedback).
@@ -368,11 +368,10 @@ impl Service {
                     if record.wrote != record.observed {
                         self.mvcc.install(entity, ticket, t, record.wrote);
                     }
-                    let slot = &mut g.slots[t.index()];
-                    slot.tickets = Some((slot.tickets.map_or(ticket, |(first, _)| first), ticket));
                     if !g.world.is_committed(t) {
                         return Attempt::Progressed;
                     }
+                    let slot = &mut g.slots[t.index()];
                     let started = slot.started.expect("started at first attempt");
                     slot.latency_us = Some(started.elapsed().as_micros() as u64);
                     g.commits += 1;
@@ -402,41 +401,28 @@ impl Service {
     /// every undone version, newest first, so each removal is a
     /// chain-head pop. Returns whether `requester` was rolled back.
     fn cascade_abort(&self, g: &mut Gate, victims: &[TxnId], requester: TxnId) -> bool {
-        // A sealed transaction's versions are folded into the chain
-        // base: its commit is permanent and there is nothing left to
-        // undo. The scheduler may still name it (its steps can sit in
-        // the live window past GC's floor), but it cannot be a victim.
-        // If every named victim is sealed, break the cycle from the
-        // other end: the requester is running, so always undoable.
-        let mut requested: Vec<TxnId> = victims
-            .iter()
-            .copied()
-            .filter(|v| !g.slots[v.index()].sealed)
-            .collect();
-        if requested.is_empty() {
-            requested.push(requester);
-        }
-        let (rollback, had_committed) = g.world.roll_back(requested, g.control.as_mut());
-        // Sealed transactions lie wholly below GC's floor and every
-        // unsealed one starts at or above it, while the cascade only
-        // reaches later records: it never reaches a sealed transaction.
+        // The schedulers name only uncommitted victims and the stall
+        // breaker only running ones. A cascade from them undoes nothing
+        // below GC's undo floor (DESIGN §9.3), so no pop below meets a
+        // folded version.
         debug_assert!(
-            rollback
-                .victims
-                .iter()
-                .all(|&(v, _)| !g.slots[v.index()].sealed),
-            "the undo cascade reached a sealed transaction"
+            victims.iter().all(|&v| !g.world.is_committed(v)),
+            "a committed transaction was named as a victim"
+        );
+        let (rollback, had_committed) = g
+            .world
+            .roll_back(victims.iter().copied(), g.control.as_mut());
+        debug_assert!(
+            rollback.undone.iter().all(|r| r.id >= g.undo_floor),
+            "the undo cascade reached below GC's undo floor {}",
+            g.undo_floor
         );
         for r in rollback.undone.iter().filter(|r| r.wrote != r.observed) {
             self.mvcc.remove(r.entity, r.id + 1);
         }
         g.undo_epoch += 1;
         for &(t, _) in &rollback.victims {
-            let slot = &mut g.slots[t.index()];
-            *slot = Slot {
-                started: slot.started,
-                ..Slot::default()
-            };
+            g.slots[t.index()].latency_us = None;
         }
         g.aborts += rollback.victims.len() as u64;
         // Tentatively-committed victims re-run via the retry queue
@@ -450,60 +436,14 @@ impl Service {
     /// One epoch-GC pass: fold versions no snapshot and no undo can
     /// reach. The frontier is computed under the gate (serializing with
     /// reader pins, which are also taken under the gate); the fold runs
-    /// outside it.
-    ///
-    /// Taint analysis for the undo floor: doom roots at steps of running
-    /// transactions, climbs to later steps on the same entity, and jumps
-    /// to *all* steps of any transaction it reaches — including
-    /// low-ticket steps on other entities (the §6 commit hazard). So the
-    /// floor starts at the smallest running first ticket and drags down
-    /// through every committed transaction straddling it, to a fixpoint.
-    /// A committed transaction wholly below the final floor can never be
-    /// reached by a future cascade *climb* (new doom roots only appear at
-    /// higher tickets), so it is **sealed**: its steps stay in the
-    /// journal as history, and its versions below the floor become
-    /// foldable. The one remaining reach — the scheduler naming it as an
-    /// explicit victim while its steps still sit in the live window — is
-    /// closed on the other side: [`cascade_abort`](Service::cascade_abort)
-    /// refuses sealed victims.
+    /// outside it. The undo floor is record ids, tickets are ids + 1.
     fn gc_pass(&self) {
         let frontier = {
             let mut g = self.gate.lock().expect("gate poisoned");
-            let Gate { world, slots, .. } = &mut *g;
-            let mut floor = slots
-                .iter()
-                .zip(&world.status)
-                .filter(|(_, &st)| st == TxnStatus::Running)
-                .filter_map(|(s, _)| s.tickets.map(|(first, _)| first))
-                .min()
-                .unwrap_or(world.store.next_id() + 1);
-            loop {
-                let mut changed = false;
-                for (s, &st) in slots.iter().zip(&world.status) {
-                    if st != TxnStatus::Committed || s.sealed {
-                        continue;
-                    }
-                    if let Some((first, last)) = s.tickets {
-                        if last >= floor && first < floor {
-                            floor = first;
-                            changed = true;
-                        }
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            for (s, &st) in slots.iter_mut().zip(&world.status) {
-                if st == TxnStatus::Committed
-                    && !s.sealed
-                    && s.tickets.is_none_or(|(_, last)| last < floor)
-                {
-                    s.sealed = true;
-                    s.tickets = None;
-                }
-            }
-            self.epochs.frontier(floor)
+            let g = &mut *g;
+            let running: Vec<TxnId> = g.world.txns_with_status(TxnStatus::Running).collect();
+            g.undo_floor = g.world.store.undo_floor(running);
+            self.epochs.frontier(g.undo_floor + 1)
         };
         let folded = self.mvcc.gc_before(frontier);
         self.gc_folded.fetch_add(folded as u64, Ordering::Relaxed);
@@ -736,6 +676,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             undo_epoch: 0,
             last_commit: Instant::now(),
             stall_breaks: 0,
+            undo_floor: 0,
         }),
         latches: LatchTree::new(),
         mvcc: MvccStore::new(STORE_SHARDS, workload.initial.iter().copied()),
@@ -800,6 +741,9 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
         clean
     });
     let wall = started.elapsed();
+    if config.gc_interval.is_some() {
+        service.gc_pass();
+    }
 
     let g = service.gate.lock().expect("gate poisoned");
     let mut latencies: Vec<u64> = g.slots.iter().filter_map(|s| s.latency_us).collect();
@@ -947,6 +891,10 @@ mod tests {
             report.render()
         );
         assert!(report.render().contains("fast-path grants"));
+        // The drain ends with a GC pass; with nothing left running the
+        // undo floor is the journal's end and every version folds.
+        assert!(report.gc_folded > 0, "{}", report.render());
+        assert_eq!(report.live_versions, 0, "{}", report.render());
     }
 
     #[test]

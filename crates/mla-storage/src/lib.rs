@@ -11,7 +11,9 @@
 //! computes that suffix itself: [`Store::roll_back`] expands the
 //! requested victims with every transaction the undo reaches and undoes
 //! them all. It is the one rollback cascade of the workspace; the
-//! simulator's abort arm and the service's gate both call it.
+//! simulator's abort arm and the service's gate both call it, and the
+//! service's version GC asks the same cascade, as a dry run, how far
+//! back any rollback could still reach ([`Store::undo_floor`]).
 //!
 //! The surviving journal is replayable as an [`Execution`], which is how
 //! every simulation and every service drain feeds its actual history
@@ -221,10 +223,29 @@ impl Store {
         let undone = self.cascade.undo_list(&self.journal);
         self.undo(&undone)
             .expect("the cascade undoes whole transactions, newest record first");
-        Rollback {
-            victims: self.cascade.clear(),
-            undone,
+        let victims = self.cascade.unmark();
+        for &(t, _) in &victims {
+            self.cascade.first_live[t.index()] = NO_RECORD;
         }
+        Rollback { victims, undone }
+    }
+
+    /// The smallest record id any rollback of `roots` could undo, now or
+    /// after later steps: the first live record among `roots` and every
+    /// transaction their undo cascade reaches, or [`next_id`](Self::next_id)
+    /// if they have none.
+    ///
+    /// Runs [`roll_back`](Self::roll_back)'s cascade as a dry run and
+    /// undoes nothing. With `roots` the running transactions this is a
+    /// commit point: a cascade only reaches later records, and every
+    /// future root is running now or performs all its records later, so
+    /// the floor never falls and no rollback ever undoes a record below
+    /// it.
+    pub fn undo_floor(&mut self, roots: impl IntoIterator<Item = TxnId>) -> u64 {
+        self.cascade.expand(&self.journal, roots);
+        let floor = self.cascade.first_live_of(&self.cascade.victims);
+        self.cascade.unmark();
+        floor.min(self.next_id)
     }
 
     /// Undoes `records`, which must be supplied in **reverse** performance
@@ -360,13 +381,18 @@ impl Cascade {
         }
     }
 
-    /// The journal from the first live record of any of `txns`.
-    fn suffix<'j>(&self, journal: &'j [StepRecord], txns: &[TxnId]) -> &'j [StepRecord] {
-        let from = txns
-            .iter()
+    /// The id of the first live record of any of `txns`, or
+    /// [`NO_RECORD`].
+    fn first_live_of(&self, txns: &[TxnId]) -> u64 {
+        txns.iter()
             .map(|t| self.first_live[t.index()])
             .min()
-            .unwrap_or(NO_RECORD);
+            .unwrap_or(NO_RECORD)
+    }
+
+    /// The journal from the first live record of any of `txns`.
+    fn suffix<'j>(&self, journal: &'j [StepRecord], txns: &[TxnId]) -> &'j [StepRecord] {
+        let from = self.first_live_of(txns);
         &journal[journal.partition_point(|r| r.id < from)..]
     }
 
@@ -422,18 +448,16 @@ impl Cascade {
             .collect()
     }
 
-    /// Forgets the cascade once its records are undone, returning its
-    /// victims with their causes.
-    fn clear(&mut self) -> Vec<(TxnId, Cause)> {
+    /// Forgets the expanded cascade, returning its victims with their
+    /// causes. `first_live` is left alone: that is the caller's, once it
+    /// has undone the victims' records.
+    fn unmark(&mut self) -> Vec<(TxnId, Cause)> {
         for e in self.entities.drain(..) {
             self.entity_min[e] = NO_RECORD;
         }
         self.victims
             .drain(..)
-            .map(|t| {
-                self.first_live[t.index()] = NO_RECORD;
-                (t, self.mark[t.index()].take().expect("victims are marked"))
-            })
+            .map(|t| (t, self.mark[t.index()].take().expect("victims are marked")))
             .collect()
     }
 }
@@ -486,7 +510,7 @@ mod tests {
     fn undo_rejects_stale_record() {
         let mut s = Store::new([]);
         let r0 = s.perform(t(0), 0, e(0), |_| 1);
-        let _r1 = s.perform(t(1), 0, e(0), |_| 2);
+        let r1 = s.perform(t(1), 0, e(0), |_| 2);
         // r0 is no longer the latest access to e0.
         let err = s.undo(&[r0]).unwrap_err();
         assert!(matches!(
@@ -498,7 +522,6 @@ mod tests {
             }
         ));
         // Undo in proper cascade order works.
-        let r1 = s.latest_access(e(0)).unwrap();
         s.undo(&[r1, r0]).unwrap();
         assert_eq!(s.value(e(0)), 0);
     }

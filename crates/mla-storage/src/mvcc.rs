@@ -20,10 +20,11 @@
 //! * rollback [`remove`](MvccStore::remove)s, newest first, the
 //!   versions of the records [`Store::roll_back`](crate::Store::roll_back)
 //!   undid, exposing each predecessor;
-//! * [`gc_before`](MvccStore::gc_before) folds every version no live
-//!   frontier can reach into the chain base — the same invariant the
-//!   closure engine's live-window eviction uses (once nothing live can
-//!   reach a version, nothing ever will again).
+//! * [`gc_before`](MvccStore::gc_before) folds every version below a
+//!   frontier into the chain base. The service's frontier is the older
+//!   of the oldest reader pin and the journal's
+//!   [`undo_floor`](crate::Store::undo_floor): once no rollback of a
+//!   running transaction can reach a version, none ever will again.
 
 use std::collections::HashMap;
 use std::sync::RwLock;
@@ -179,10 +180,12 @@ impl MvccStore {
     /// it is still the read target for snapshots in `[base_ticket,
     /// next-version)`). Returns how many versions were reclaimed.
     ///
-    /// Sound when the caller's frontier is a lower bound on (a) every
-    /// live reader pin and (b) the first ticket of every transaction that
-    /// can still be rolled back: below that, no read and no undo can ever
-    /// target a folded version again.
+    /// Sound when the caller's frontier is at or below (a) every live
+    /// reader pin and (b) the ticket of every version a rollback can
+    /// still pop — for a chain mirroring a journal, one past its
+    /// [`undo_floor`](crate::Store::undo_floor) from the running
+    /// transactions: below that, no read and no undo can ever target a
+    /// folded version again.
     pub fn gc_before(&self, frontier: u64) -> usize {
         let mut reclaimed = 0;
         for shard in &self.shards {
@@ -214,24 +217,6 @@ impl MvccStore {
                     .sum::<usize>()
             })
             .sum()
-    }
-
-    /// Number of entities with a materialized chain.
-    pub fn entity_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("mvcc shard lock poisoned").len())
-            .sum()
-    }
-
-    /// Sum of latest values over `entities` (conservation audits).
-    pub fn total(&self, entities: impl IntoIterator<Item = EntityId>) -> Value {
-        entities.into_iter().map(|e| self.latest(e).1).sum()
-    }
-
-    /// Sum of snapshot values over `entities` as of `ticket`.
-    pub fn total_at(&self, entities: impl IntoIterator<Item = EntityId>, ticket: u64) -> Value {
-        entities.into_iter().map(|e| self.read_at(e, ticket)).sum()
     }
 }
 
@@ -303,14 +288,5 @@ mod tests {
         // Undo of the live head still works after folding underneath it.
         s.remove(e(1), 6);
         assert_eq!(s.latest(e(1)).1, 80);
-    }
-
-    #[test]
-    fn totals_and_counts() {
-        let s = MvccStore::new(3, [(e(0), 5), (e(1), 7)]);
-        s.install(e(0), 1, TxnId(0), 6);
-        assert_eq!(s.total([e(0), e(1), e(2)]), 13);
-        assert_eq!(s.total_at([e(0), e(1)], 0), 12);
-        assert_eq!(s.entity_count(), 2);
     }
 }

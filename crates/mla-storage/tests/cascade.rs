@@ -1,6 +1,8 @@
 //! `Store::roll_back`, the workspace's one rollback cascade, against
 //! hand-built journals and against the whole-journal reference it
-//! replaced.
+//! replaced; and `Store::undo_floor`, the same cascade as a dry run,
+//! against that reference, against the ticket-straddling floor it
+//! replaced in the service's GC, and over time.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
@@ -90,6 +92,28 @@ fn a_victim_never_performed_is_still_rolled_back() {
     assert_eq!(store.journal(), &[other]);
 }
 
+#[test]
+fn undo_floor_follows_the_cascade_back_past_its_roots() {
+    // The root reaches t1 through e1; t1's earlier write to e0 dirtied
+    // t2's read, and t2 began before t1 did.
+    let mut store = Store::new([]);
+    store.perform(t(2), 0, e(5), |v| v);
+    store.perform(t(1), 0, e(0), |_| 1);
+    store.perform(t(2), 1, e(0), |v| v);
+    store.perform(t(0), 0, e(1), |_| 2);
+    store.perform(t(1), 1, e(1), |_| 3);
+    assert_eq!(store.undo_floor([t(0)]), 0);
+    assert_eq!(store.undo_floor([t(1)]), 0);
+    assert_eq!(store.undo_floor([t(2)]), 0);
+    // A cascade reaches only later records: a lone reader of nothing
+    // anyone wrote later floors at its own first record.
+    let last = store.perform(t(3), 0, e(7), |_| 4);
+    assert_eq!(store.undo_floor([t(3)]), last.id);
+    assert_eq!(store.undo_floor([]), store.next_id());
+    assert_eq!(store.roll_back([t(0)]).undone.len(), 5);
+    assert_eq!(store.journal(), &[last]);
+}
+
 /// The cascade as first written, kept as the reference: whole-journal
 /// passes over ordered sets until nothing is added.
 fn expand_cascade(store: &Store, mut victims: BTreeSet<TxnId>) -> BTreeSet<TxnId> {
@@ -148,6 +172,67 @@ fn roll_back(store: &mut Store, requested: &[u32], seq: &mut [u32]) {
     assert_eq!(rollback.undone, undo);
 }
 
+/// The reference undo floor: the first live record of any transaction
+/// the reference cascade reaches from `running`, or the next id.
+fn reference_floor(store: &Store, running: &BTreeSet<TxnId>) -> u64 {
+    let reach = expand_cascade(store, running.clone());
+    store
+        .journal()
+        .iter()
+        .find(|r| reach.contains(&r.txn))
+        .map_or(store.next_id(), |r| r.id)
+}
+
+/// The floor the service's GC used before the undo floor: the first
+/// record of any running transaction, dragged down through every other
+/// transaction whose first and last records straddle it, to a fixpoint.
+fn straddler_floor(store: &Store, running: &BTreeSet<TxnId>) -> u64 {
+    let mut span: HashMap<TxnId, (u64, u64)> = HashMap::new();
+    for r in store.journal() {
+        span.entry(r.txn).or_insert((r.id, r.id)).1 = r.id;
+    }
+    let mut floor = running
+        .iter()
+        .filter_map(|t| span.get(t))
+        .map(|&(first, _)| first)
+        .min()
+        .unwrap_or(store.next_id());
+    loop {
+        let dragged = span
+            .iter()
+            .filter(|(t, &(first, last))| !running.contains(t) && first < floor && last >= floor)
+            .map(|(_, &(first, _))| first)
+            .min();
+        match dragged {
+            Some(first) => floor = first,
+            None => return floor,
+        }
+    }
+}
+
+/// Performs a random journal of reads and writes with rollbacks mixed
+/// in, as in `cascade_matches_the_reference`.
+fn random_journal(ops: &[(u32, u32, u8)]) -> Store {
+    let mut store = Store::new([]);
+    let mut seq = [0u32; 6];
+    for &(x, entity, kind) in ops {
+        match kind {
+            0 => roll_back(&mut store, &[x], &mut seq),
+            _ => {
+                store.perform(t(x), seq[x as usize], e(entity), |v| {
+                    if kind == 1 {
+                        v
+                    } else {
+                        v + Value::from(kind)
+                    }
+                });
+                seq[x as usize] += 1;
+            }
+        }
+    }
+    store
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -176,5 +261,90 @@ proptest! {
         }
         roll_back(&mut store, &last, &mut seq);
         prop_assert!(store.execution().len() == store.journal().len());
+    }
+}
+
+proptest! {
+    // The journal shapes where the dry run's rescan matters are rare:
+    // without it, the first failing case is number 67 of (c) and 255
+    // of (a).
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// (a) The undo floor of a random set of running transactions is the
+    /// first record the reference cascade reaches from them, and no
+    /// rollback of any subset of them undoes a record below it. (b) It
+    /// is never below the straddler floor, the rest of the journal's
+    /// transactions counting as committed.
+    #[test]
+    fn undo_floor_bounds_every_rollback_of_the_running(
+        ops in proptest::collection::vec((0u32..6, 0u32..4, 0u8..5), 1..64),
+        running in 0u8..64,
+    ) {
+        let mut store = random_journal(&ops);
+        let named: Vec<u32> = (0..6).filter(|x| running & 1 << x != 0).collect();
+        let running: Vec<TxnId> = named.iter().map(|&x| t(x)).collect();
+        let set: BTreeSet<TxnId> = running.iter().copied().collect();
+        let floor = store.undo_floor(running.iter().copied());
+        prop_assert_eq!(floor, reference_floor(&store, &set));
+        prop_assert!(floor >= straddler_floor(&store, &set));
+        for subset in 0..1u32 << running.len() {
+            let mut copy = store.clone();
+            let requested = running
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| subset & 1 << i != 0)
+                .map(|(_, &v)| v);
+            let rollback = copy.roll_back(requested);
+            prop_assert!(rollback.undone.iter().all(|r| r.id >= floor));
+        }
+        // The dry run leaves the journal as it was and no marks behind:
+        // it repeats, and a rollback after it still matches the
+        // reference.
+        let journal = store.journal().to_vec();
+        prop_assert_eq!(store.undo_floor(running.iter().copied()), floor);
+        prop_assert_eq!(store.journal(), &journal[..]);
+        roll_back(&mut store, &named, &mut [0; 6]);
+    }
+
+    /// (c) As the service runs — idle transactions start, running ones
+    /// perform steps, commit, or are rolled back with their cascade —
+    /// the undo floor of the running transactions never falls, and it
+    /// stays the reference's and at or above the straddler floor.
+    #[test]
+    fn undo_floor_never_falls(
+        ops in proptest::collection::vec((0u32..6, 0u32..4, 0u8..6), 1..96),
+    ) {
+        let mut store = Store::new([]);
+        let mut seq = [0u32; 6];
+        let mut running = BTreeSet::new();
+        let mut committed = BTreeSet::new();
+        let mut floor = 0;
+        for (x, entity, kind) in ops {
+            match kind {
+                0 if running.contains(&t(x)) => {
+                    // The victims restart: idle until their next step.
+                    roll_back(&mut store, &[x], &mut seq);
+                    running.retain(|v: &TxnId| seq[v.index()] > 0);
+                    committed.retain(|v: &TxnId| seq[v.index()] > 0);
+                }
+                5 if running.contains(&t(x)) && seq[x as usize] > 0 => {
+                    running.remove(&t(x));
+                    committed.insert(t(x));
+                }
+                1..=4 if !committed.contains(&t(x)) => {
+                    running.insert(t(x));
+                    store.perform(t(x), seq[x as usize], e(entity), |v| {
+                        if kind == 1 { v } else { v + Value::from(kind) }
+                    });
+                    seq[x as usize] += 1;
+                }
+                _ => continue,
+            }
+            let next = store.undo_floor(running.iter().copied());
+            prop_assert!(next >= floor, "the undo floor fell from {} to {}", floor, next);
+            prop_assert_eq!(next, reference_floor(&store, &running));
+            prop_assert!(next >= straddler_floor(&store, &running));
+            floor = next;
+        }
     }
 }

@@ -48,6 +48,10 @@ fn drain_and_audit(load: &ServeLoad, config: &ServeConfig) -> u64 {
         load.txn_count() as u64,
         "every submitted transaction must commit"
     );
+    // The drain's last GC pass folds every version: nothing is left
+    // running, so nothing can be undone.
+    assert!(report.gc_folded > 0, "GC must fold");
+    assert_eq!(report.live_versions, 0, "a clean drain folds every version");
 
     // The theorem oracle: the recorded history is correctable.
     assert_correctable(load, &report.history);
@@ -91,9 +95,9 @@ fn certified_partitioned_history_passes_the_oracle() {
 fn contended_histories_pass_the_oracle_and_conserve_money() {
     // Transfers race atomic audits over one shared account ring: the
     // shape that actually defers, waits, and cascades. The second input
-    // runs GC every 100 µs, so sealing races the undo cascade (and the
-    // debug build's assertion that no cascade reaches a sealed
-    // transaction).
+    // runs GC every 100 µs, so folding races the undo cascade (and the
+    // debug build's assertion that no cascade undoes a record below
+    // GC's undo floor).
     let load = contended_load(6, 6, 4, 3);
     let gc_intervals = [
         ServeConfig::default().gc_interval,
@@ -112,6 +116,8 @@ fn contended_histories_pass_the_oracle_and_conserve_money() {
         );
         assert!(report.clean);
         assert_eq!(report.committed, 36);
+        assert!(report.gc_folded > 0);
+        assert_eq!(report.live_versions, 0);
         assert_correctable(&load, &report.history);
         assert_program_order(&report.history);
 
