@@ -10,8 +10,9 @@
 //!
 //! `rows/dec` is the deterministic work measure (closure rows processed
 //! per decision); wall-clock is reported alongside. The incremental
-//! column's rebuild count stays at the number of genuine shrink events
-//! (aborts, compactions) instead of one per decision.
+//! column's rebuild count is zero: aborts rederive the rows they touch
+//! and compaction renumbers, so only the forced arm rebuilds, once per
+//! decision, rederiving every live row in place.
 
 use mla_cc::VictimPolicy;
 use mla_workload::banking::{generate, BankingConfig};

@@ -53,6 +53,10 @@ pub struct AdmissionCore {
     /// Whether grants run the eviction pass (the A2 ablation turns it
     /// off to measure checking against the full history).
     eviction: bool,
+    /// Transactions rolled back since the engine last judged a step: a
+    /// cascade's victims, removed from the engine together by one
+    /// rederive before its next use.
+    aborting: Vec<TxnId>,
     policy: VictimPolicy,
 }
 
@@ -65,6 +69,7 @@ impl AdmissionCore {
             guard: None,
             evicted: HashSet::new(),
             eviction: true,
+            aborting: Vec::new(),
             policy,
         }
     }
@@ -92,14 +97,18 @@ impl AdmissionCore {
     /// the certified fast path. Otherwise returns the engine to judge
     /// it, created on first use. When the candidate is an off-footprint
     /// stray that just disarmed a universe whose steps the engine never
-    /// saw, the engine is rebuilt from a replay of every step granted so
-    /// far — acyclic, since each one either passed the engine or was
-    /// certified.
+    /// saw, a new engine is caught up on a replay of every step granted
+    /// so far — acyclic, since each one either passed the engine or was
+    /// certified — and told which of their transactions have committed.
     pub(crate) fn engine_for(
         &mut self,
         candidate: &Step,
         world: &World,
     ) -> Option<&mut ClosureEngine<RuntimeSpec>> {
+        if let Some(engine) = self.engine.as_mut() {
+            engine.remove_txns(&self.aborting);
+        }
+        self.aborting.clear();
         let mut voided = false;
         if let Some(guard) = self.guard.as_mut() {
             // Re-arm any voided universe whose blamed strays have all
@@ -122,6 +131,9 @@ impl AdmissionCore {
                         .expect("certified history must replay acyclically");
                     engine.commit_step();
                 }
+                for t in world.txns_with_status(mla_sim::TxnStatus::Committed) {
+                    engine.finish_txn(t);
+                }
             }
             self.engine = Some(engine);
         }
@@ -129,13 +141,22 @@ impl AdmissionCore {
     }
 
     /// Commits the candidate the engine accepted, then evicts every
-    /// committed transaction no uncommitted one reaches any more.
-    pub(crate) fn grant(&mut self, world: &World) {
+    /// committed transaction no uncommitted one reaches any more. The
+    /// engine skips the pass unless a commit or an abort was reported
+    /// since the last one.
+    pub(crate) fn grant(&mut self) {
         let engine = self.engine.as_mut().expect("granted through the engine");
         engine.commit_step();
         if self.eviction {
-            self.evicted
-                .extend(engine.evict_unreachable(|t| !world.is_committed(t)));
+            self.evicted.extend(engine.evict_unreachable());
+        }
+    }
+
+    /// Records that `txn` committed: it stops being an eviction source,
+    /// so the next grant runs the eviction pass.
+    pub(crate) fn committed(&mut self, txn: TxnId) {
+        if let Some(engine) = self.engine.as_mut() {
+            engine.finish_txn(txn);
         }
     }
 
@@ -167,14 +188,13 @@ impl AdmissionCore {
         }
     }
 
-    /// Records a rollback of `txn`'s steps: it is live again, the engine
-    /// schedules one rebuild for the whole cascade, and any certificate
-    /// blame it held drains.
+    /// Records a rollback of `txn`'s steps: it is live again, any
+    /// certificate blame it held drains, and before the engine judges
+    /// the next step it deletes the rows of the whole cascade and
+    /// rederives the rows that held them, once.
     pub(crate) fn aborted(&mut self, txn: TxnId) {
         self.evicted.remove(&txn);
-        if let Some(engine) = self.engine.as_mut() {
-            engine.remove_txn(txn);
-        }
+        self.aborting.push(txn);
         if let Some(guard) = self.guard.as_mut() {
             guard.on_aborted(txn);
         }
@@ -288,9 +308,9 @@ mod tests {
         w
     }
 
-    /// A core whose engine took t0's steps directly and then granted
-    /// t1's through [`AdmissionCore::grant`], which runs the eviction
-    /// pass.
+    /// A core whose engine took t0's steps directly, heard of t0's
+    /// commit, and then granted t1's through [`AdmissionCore::grant`],
+    /// which runs the eviction pass.
     fn core_after_grants(w: &World) -> AdmissionCore {
         let mut core = AdmissionCore::new(RuntimeSpec::new(2), VictimPolicy::FewestSteps);
         let journal: Vec<Step> = w.store.journal().iter().map(|r| r.as_step()).collect();
@@ -301,7 +321,8 @@ mod tests {
             engine.commit_step();
         }
         engine.apply_step(*last).expect("journal is acyclic");
-        core.grant(w);
+        core.committed(TxnId(0));
+        core.grant();
         core
     }
 
@@ -318,7 +339,7 @@ mod tests {
         let next = w.candidate(TxnId(1));
         let engine = core.engine_for(&next, &w).unwrap();
         engine.apply_step(next).expect("disjoint entity");
-        core.grant(&w);
+        core.grant();
         assert_eq!(core.evicted_count(), 1);
         assert_eq!(core.engine.as_ref().unwrap().live_count(), 2);
     }

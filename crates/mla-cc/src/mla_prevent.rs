@@ -163,7 +163,7 @@ impl Control for MlaPrevent {
                     // §6: every closure-predecessor's last step sits at a
                     // suitable breakpoint, so performing now keeps the
                     // closure consistent with the performance order.
-                    self.core.grant(world);
+                    self.core.grant();
                     self.clear_out_edges(txn);
                     return Decision::Grant;
                 }
@@ -187,9 +187,10 @@ impl Control for MlaPrevent {
         }
     }
 
-    /// `txn`'s wait edges drop.
+    /// `txn`'s wait edges drop, and it stops being an eviction source.
     fn committed(&mut self, txn: TxnId, _world: &World) {
         self.waits.detach_node(txn.0);
+        self.core.committed(txn);
     }
 
     /// `txn`'s wait edges drop with its engine rows and any certificate

@@ -9,7 +9,8 @@
 //! step indices, so the diagnostic is the batch saturation's.
 //!
 //! A replay with no rejection yields the witness batch by batch. After
-//! each transaction's last step the engine evicts every finished
+//! each transaction's last step it is finished
+//! ([`ClosureEngine::finish_txn`]) and the engine evicts every finished
 //! transaction that no transaction with steps left reaches in the
 //! closure ([`ClosureEngine::evict_unreachable`]); each evicted set is
 //! a *retired batch*. Nothing outside a retired batch, or later in the
@@ -184,10 +185,10 @@ pub fn check(h: &History) -> Verdict {
 }
 
 /// Replays one cluster's steps (`indices` into `exec`) through `engine`,
-/// evicting after each transaction's last step with "has steps left" as
-/// the source test. Numbers the batches in retirement order into
-/// `batch_of` and returns how many there were, or `None` when a step is
-/// rejected. The cluster's last step leaves no source, so every member
+/// finishing each transaction after its last step and evicting then, so
+/// the sources are the transactions with steps left. Numbers the batches
+/// in retirement order into `batch_of` and returns how many there were,
+/// or `None` when a step is rejected. The cluster's last step leaves no source, so every member
 /// is retired by the time it returns.
 fn replay(
     engine: &mut ClosureEngine<&History>,
@@ -205,7 +206,8 @@ fn replay(
         if left[step.txn.index()] > 0 {
             continue;
         }
-        let retired = engine.evict_unreachable(|t| left[t.index()] > 0);
+        engine.finish_txn(step.txn);
+        let retired = engine.evict_unreachable();
         if !retired.is_empty() {
             for t in retired {
                 batch_of[t.index()] = batches;

@@ -2,7 +2,7 @@
 //! the `replay_audit` banking shape under `MlaDetect`, the heap
 //! allocations made inside `Control::decide` and the scheduler hooks
 //! stay at or below two per applied engine step. Appends extend each
-//! breakpoint description in place, and rollback, rebuild, eviction and
+//! breakpoint description in place, and rollback, removal, eviction and
 //! Pearce–Kelly reordering reuse buffers the engine owns, so what is
 //! left is amortised growth plus the per-abort witness and victim list.
 //!
