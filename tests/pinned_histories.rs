@@ -3,7 +3,8 @@
 //! histories. Any change to the closure engine, the Pearce–Kelly order
 //! or a scheduler rule that moves a single grant, defer or victim moves
 //! a hash or a count here, and any change to the work a decision does
-//! moves the closure engine's row and edge counters.
+//! moves the closure engine's row and edge counters. Every pinned
+//! banking history must also pass `mla-check`.
 //!
 //! The certified pins replay the partitioned workload under a doctored
 //! certificate, so each run voids a universe mid-run: `MlaPrevent`
@@ -14,6 +15,7 @@
 mod common;
 
 use multilevel_atomicity::cc::{MlaDetect, MlaPrevent, VictimPolicy};
+use multilevel_atomicity::check::{self as mla_check, History};
 use multilevel_atomicity::core::cert::StaticCert;
 use multilevel_atomicity::model::{EntityId, TxnId};
 use multilevel_atomicity::sim::{run, Control, SimConfig, SimOutcome};
@@ -26,27 +28,27 @@ const TRANSFERS: usize = 512;
 /// `(seed, history hash, commits, aborts, defers, rows touched, edges
 /// inserted)` under `MlaDetect`.
 const DETECT: [(u64, u64, u64, u64, u64, u64, u64); 8] = [
-    (1, 13007645284252365900, 515, 62, 0, 2985, 3323),
-    (2, 17378994795600343332, 515, 37, 0, 3408, 5345),
-    (3, 4809312223094042827, 515, 125, 0, 3425, 4067),
-    (4, 5467942433295742187, 515, 76, 0, 4113, 5585),
-    (5, 5184705673934757935, 515, 85, 0, 4047, 5358),
-    (6, 252127855636301996, 515, 24, 0, 2813, 3214),
-    (7, 16780792341176625393, 515, 37, 0, 3277, 4098),
-    (8, 13559745852072462157, 515, 80, 0, 3875, 5024),
+    (1, 13007645284252365900, 515, 62, 0, 2643, 3042),
+    (2, 17378994795600343332, 515, 37, 0, 2736, 4010),
+    (3, 4809312223094042827, 515, 125, 0, 3014, 3632),
+    (4, 5467942433295742187, 515, 76, 0, 3010, 3934),
+    (5, 5184705673934757935, 515, 85, 0, 3134, 4057),
+    (6, 252127855636301996, 515, 24, 0, 2462, 2890),
+    (7, 16780792341176625393, 515, 37, 0, 2603, 3218),
+    (8, 13559745852072462157, 515, 80, 0, 2947, 3833),
 ];
 
 /// `(seed, history hash, commits, aborts, defers, rows touched, edges
 /// inserted)` under `MlaPrevent`.
 const PREVENT: [(u64, u64, u64, u64, u64, u64, u64); 8] = [
-    (1, 309615343605190379, 515, 20, 144, 3385, 4699),
-    (2, 7699278550475662923, 515, 10, 138, 3174, 3821),
-    (3, 13680357443307172917, 515, 21, 119, 2928, 3725),
-    (4, 15463424761573474667, 515, 9, 125, 2715, 3145),
-    (5, 6344479900936969878, 515, 18, 132, 3050, 4298),
-    (6, 11958736019825280014, 515, 13, 135, 2736, 3404),
-    (7, 11461585263562559111, 515, 23, 147, 3033, 3616),
-    (8, 9010442171637633277, 515, 16, 127, 3051, 3971),
+    (1, 309615343605190379, 515, 20, 144, 2776, 3916),
+    (2, 7699278550475662923, 515, 10, 138, 2718, 3333),
+    (3, 13680357443307172917, 515, 21, 119, 2448, 3126),
+    (4, 15463424761573474667, 515, 9, 125, 2433, 2937),
+    (5, 6344479900936969878, 515, 18, 132, 2589, 3799),
+    (6, 11958736019825280014, 515, 13, 135, 2439, 3143),
+    (7, 11461585263562559111, 515, 23, 147, 2646, 3312),
+    (8, 9010442171637633277, 515, 16, 127, 2599, 3422),
 ];
 
 /// `(seed, history hash, commits, defers, certified skips, voids,
@@ -102,6 +104,12 @@ fn replay(seed: u64, control: &mut dyn Control) -> [u64; 6] {
         control,
     );
     assert!(!out.metrics.timed_out, "seed {seed}: timed out");
+    let h = History::from_execution(&out.execution, &w.nest, &w.spec())
+        .expect("the replay matches its nest and spec");
+    assert!(
+        mla_check::check(&h).passed(),
+        "seed {seed}: history fails mla-check"
+    );
     let m = &out.metrics;
     let cost = control.decision_cost().expect("an engine-backed control");
     [

@@ -9,6 +9,7 @@
 mod common;
 
 use multilevel_atomicity::cc::{oracle, MlaDetect, MlaPrevent, VictimPolicy};
+use multilevel_atomicity::check::{check, History};
 use multilevel_atomicity::model::Value;
 use multilevel_atomicity::sim::{run, SimConfig};
 use multilevel_atomicity::workload::banking::{generate, BankingConfig};
@@ -186,11 +187,12 @@ fn stress_cad_prevent_many_seeds() {
 
 /// The 4,096-transfer `replay_audit` banking seed whose replay turns
 /// into a rollback storm under `MlaDetect`: tens of thousands of aborts,
-/// a third of them undoing commits. Pinned at its recorded counts so a
-/// liveness fix has a fixed target and an engine change that moves a
-/// decision shows here.
+/// half of them undoing commits. Pinned at its recorded counts, with no
+/// engine rebuild, so a liveness fix has a fixed target and an engine
+/// change that moves a decision shows here; the history must pass
+/// `mla-check`.
 #[test]
-#[ignore = "stress: a rollback-storm replay, about 30 s in release"]
+#[ignore = "stress: a rollback-storm replay, about 5 s in release"]
 fn stress_banking_storm_seed_detect() {
     const SEED: u64 = 876_045_703_028_766_174;
     let banking = common::replay_audit_banking(4096, SEED);
@@ -215,8 +217,14 @@ fn stress_banking_storm_seed_detect() {
             rebuilds,
             m.steps_performed
         ),
-        (4_120, 21_857, 10_370, 2_819, 50_732)
+        (4_120, 21_890, 10_130, 0, 50_446)
     );
     let total: Value = banking.accounts.iter().map(|&a| out.store.value(a)).sum();
     assert_eq!(total, banking.total_money());
+    let h = History::from_execution(&out.execution, &wl.nest, &wl.spec())
+        .expect("the replay matches its nest and spec");
+    assert!(
+        check(&h).passed(),
+        "the storm seed's history must pass mla-check"
+    );
 }
