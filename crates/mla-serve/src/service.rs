@@ -8,8 +8,8 @@
 //!  worker 1 ──┤   ┌─────────────┐    │
 //!    ...      ├──▶│ Gate (mutex) │◀──┴── snapshot readers (pins)
 //!  worker W ──┘   │  control     │
-//!      │          │  world       │          ┌───────────┐
-//!      └─ latch ─▶│  slots       │─ install▶│ MvccStore │
+//!                 │  world       │          ┌───────────┐
+//!                 │  slots       │─ install▶│ MvccStore │
 //!                 └─────────────┘           └───────────┘
 //! ```
 //!
@@ -17,16 +17,16 @@
 //!   `session % workers == worker`, round-robinning one step attempt per
 //!   session per pass, plus the shared retry queue of cascade-undone
 //!   transactions.
-//! * A step attempt first takes the **entity latch** (exclusive, FIFO),
-//!   then the **gate** — a single mutex holding the scheduler as a
-//!   [`Control`], the simulator's host state [`World`] (instances,
-//!   status, nest, and the live history as a journal [`Store`]), and
-//!   the service's own per-transaction slots. The scheduler decides
-//!   through [`Control::decide`]; a grant performs the step through
-//!   [`World::perform`], whose journal id + 1 is the step's ticket, and
-//!   installs a version — only if the step changed the value — *before*
-//!   the gate is released, so per-entity tickets are monotone (the latch
-//!   serializes same-entity attempts, the gate serializes ticket draws).
+//! * A step attempt is one hold of the **gate** — a single mutex holding
+//!   the scheduler as a [`Control`], the simulator's host state
+//!   [`World`] (instances, status, nest, and the live history as a
+//!   journal [`Store`]), and the service's own per-transaction slots.
+//!   The scheduler decides through [`Control::decide`]; a grant performs
+//!   the step through [`World::perform`], whose journal id + 1 is the
+//!   step's ticket, and installs a version — only if the step changed
+//!   the value — *before* the gate is released. Ticket draws and installs
+//!   are serialized by the gate alone, so per-entity tickets are
+//!   monotone, exactly as in the simulator's one global step order.
 //! * An **abort** rolls back through [`World::roll_back`] — the
 //!   journal's undo cascade and the scheduler's hooks, as in the
 //!   simulator — and pops the undone versions from their chains.
@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use mla_cc::{MlaDetect, MlaPrevent};
 use mla_model::{EntityId, Step, TxnId, Value};
 use mla_sim::{Control, Decision, TxnStatus, World};
-use mla_storage::{EpochRegistry, LatchMode, LatchTree, MvccStore, Store};
+use mla_storage::{EpochRegistry, MvccStore, Store};
 use mla_txn::TxnProfile;
 
 use crate::workload::ServeLoad;
@@ -168,10 +168,10 @@ enum Attempt {
     Committed,
     /// Scheduler said wait; retry later.
     Deferred,
-    /// The transaction was rolled back (as requester-victim or by a
-    /// concurrent cascade); it restarts from scratch.
+    /// The decision's cascade rolled the requester back; it restarts
+    /// from scratch on its next attempt.
     Aborted,
-    /// Already committed (a stale retry-queue entry).
+    /// Already committed.
     Done,
 }
 
@@ -217,9 +217,12 @@ pub struct ServeReport {
     pub p95_us: u64,
     /// 99th percentile.
     pub p99_us: u64,
-    /// Latch acquisitions and waits.
+    /// A placeholder that stays 0: the service takes no entity latch,
+    /// the gate alone orders steps. `perfbench/src/workloads.rs` reads
+    /// it; that is its only reason to exist.
     pub latch_acquisitions: u64,
-    /// Latch acquisitions that blocked.
+    /// A placeholder that stays 0, for the same reason as
+    /// [`ServeReport::latch_acquisitions`].
     pub latch_waits: u64,
     /// Versions folded by epoch GC.
     pub gc_folded: u64,
@@ -248,7 +251,6 @@ impl ServeReport {
              latency     p50 {p50} µs, p95 {p95} µs, p99 {p99} µs\n\
              conflicts   {aborts} rollbacks ({hazards} undone commits), {defers} defers, \
              {stalls} stall breaks\n\
-             latches     {lacq} acquisitions, {lw} blocked\n\
              gc          {folded} versions folded in {passes} passes, {live} live at drain\n\
              snapshots   {checks} checks, {viol} violations\n\
              certificate {skips} fast-path grants{per}, {rearms} re-arms",
@@ -267,8 +269,6 @@ impl ServeReport {
             hazards = self.commit_hazards,
             defers = self.defers,
             stalls = self.stall_breaks,
-            lacq = self.latch_acquisitions,
-            lw = self.latch_waits,
             folded = self.gc_folded,
             passes = self.gc_passes,
             live = self.live_versions,
@@ -295,11 +295,14 @@ impl ServeReport {
 /// The shared service state all threads operate on.
 struct Service {
     gate: Mutex<Gate>,
-    latches: LatchTree,
     mvcc: MvccStore,
     epochs: EpochRegistry,
     /// Set once every transaction has committed (or the deadline hit).
     shutdown: AtomicBool,
+    /// Mirrors `!gate.retries.is_empty()`, stored (Release) under the gate
+    /// and loaded (Acquire) by workers to skip an empty queue without the
+    /// gate. A stale read costs one pass; the gate orders the queue.
+    retry_pending: AtomicBool,
     gc_folded: AtomicU64,
     gc_passes: AtomicU64,
     snapshot_checks: AtomicU64,
@@ -307,42 +310,51 @@ struct Service {
 }
 
 impl Service {
-    /// One admission attempt for transaction `t`: latch its next entity,
-    /// consult the scheduler under the gate, and on a grant journal the
-    /// step at a fresh ticket.
+    /// One step attempt for session transaction `t`, in one gate hold.
     fn step_once(&self, t: TxnId) -> Attempt {
-        // Phase 1 (gate): start the incarnation and find the next
-        // entity.
-        let entity = {
-            let mut g = self.gate.lock().expect("gate poisoned");
-            let g = &mut *g;
-            match g.world.status[t.index()] {
-                TxnStatus::Committed => return Attempt::Done,
-                TxnStatus::Idle => {
-                    g.world.status[t.index()] = TxnStatus::Running;
-                    g.slots[t.index()].started.get_or_insert_with(Instant::now);
-                }
-                TxnStatus::Running => {}
-            }
-            g.world
-                .instance(t)
-                .next_entity()
-                .expect("running transaction has a next step")
-        };
-
-        // Phase 2: exclusive entity latch — serializes same-entity
-        // admission so ticket order is per-entity monotone. Taken
-        // *outside* the gate: latch waits must not block the gate.
-        let _latch = self.latches.acquire_point(entity, LatchMode::Exclusive);
-
-        // Phase 3 (gate): decide and, on grant, ticket + install.
         let mut g = self.gate.lock().expect("gate poisoned");
-        // Revalidate: a cascade may have rolled `t` back while we
-        // waited on the latch.
-        if g.world.status[t.index()] != TxnStatus::Running
-            || g.world.instance(t).next_entity() != Some(entity)
-        {
-            return Attempt::Aborted;
+        let attempt = self.attempt(&mut g, t);
+        self.note_drained(&g);
+        attempt
+    }
+
+    /// One step attempt for the oldest retry-queue entry, in one gate
+    /// hold; the entry goes to the back of the queue unless it
+    /// committed. Returns whether the queue had an entry.
+    fn retry_once(&self) -> bool {
+        let mut g = self.gate.lock().expect("gate poisoned");
+        let Some(t) = g.retries.pop_front() else {
+            return false;
+        };
+        if !matches!(self.attempt(&mut g, t), Attempt::Committed | Attempt::Done) {
+            g.retries.push_back(t);
+        }
+        self.note_drained(&g);
+        true
+    }
+
+    /// Publishes the retry queue's state and ends the drain once every
+    /// transaction is committed and nothing waits for a retry. Called at
+    /// the end of every gate hold that changes either.
+    fn note_drained(&self, g: &Gate) {
+        self.retry_pending
+            .store(!g.retries.is_empty(), Ordering::Release);
+        if g.commits == g.slots.len() as u64 && g.retries.is_empty() {
+            self.shutdown.store(true, Ordering::Release);
+        }
+    }
+
+    /// The body of a step attempt for `t`, under the held gate: start
+    /// its incarnation, consult the scheduler, and on a grant journal
+    /// its next step at a fresh ticket and install the step's version.
+    fn attempt(&self, g: &mut Gate, t: TxnId) -> Attempt {
+        match g.world.status[t.index()] {
+            TxnStatus::Committed => return Attempt::Done,
+            TxnStatus::Idle => {
+                g.world.status[t.index()] = TxnStatus::Running;
+                g.slots[t.index()].started.get_or_insert_with(Instant::now);
+            }
+            TxnStatus::Running => {}
         }
         // Decide loop: an Abort decision rolls its victims back and
         // *immediately* re-decides under the same gate lock. Dropping the
@@ -354,7 +366,6 @@ impl Service {
         // requester, or strictly shrinks the set of live victim records,
         // so the loop is bounded by the slot count. Each decide can be
         // costly, so a set `shutdown` ends the loop before the next one.
-        let g = &mut *g;
         for _round in 0..=g.slots.len() {
             if self.shutdown.load(Ordering::Acquire) {
                 return Attempt::Deferred;
@@ -362,11 +373,10 @@ impl Service {
             match g.control.decide(t, &g.world) {
                 Decision::Grant => {
                     let record = g.world.perform(t, g.control.as_mut());
-                    debug_assert_eq!(record.entity, entity);
-                    debug_assert_eq!(self.mvcc.latest(entity).1, record.observed);
+                    debug_assert_eq!(self.mvcc.latest(record.entity).1, record.observed);
                     let ticket = record.id + 1;
                     if record.wrote != record.observed {
-                        self.mvcc.install(entity, ticket, t, record.wrote);
+                        self.mvcc.install(record.entity, ticket, t, record.wrote);
                     }
                     if !g.world.is_committed(t) {
                         return Attempt::Progressed;
@@ -476,6 +486,7 @@ impl Service {
         if let Some(v) = victim {
             self.cascade_abort(&mut g, &[v], v);
             g.stall_breaks += 1;
+            self.note_drained(&g);
         }
         // Restart the clock either way: one stall, one break.
         g.last_commit = Instant::now();
@@ -509,8 +520,9 @@ impl Service {
 }
 
 /// Worker main loop: drain the retry queue first, then round-robin this
-/// worker's sessions, one step attempt each.
-fn worker_loop(service: &Service, sessions: &[Vec<TxnId>], total_txns: u64) {
+/// worker's sessions, one step attempt each. Every attempt is one gate
+/// hold; a session in backoff, or a pass with nothing to do, takes none.
+fn worker_loop(service: &Service, sessions: &[Vec<TxnId>]) {
     // Per-session cursor into its transaction stream, plus a backoff
     // horizon: a session whose transaction was rolled back sits out for
     // an exponentially growing interval, so abort storms drain instead
@@ -519,70 +531,27 @@ fn worker_loop(service: &Service, sessions: &[Vec<TxnId>], total_txns: u64) {
     let mut resume_at: Vec<Option<Instant>> = vec![None; sessions.len()];
     let mut strikes: Vec<u32> = vec![0; sessions.len()];
     while !service.shutdown.load(Ordering::Acquire) {
-        let mut progressed = false;
-
         // Cascade-undone commits first: their sessions already moved on.
-        let retry = service
-            .gate
-            .lock()
-            .expect("gate poisoned")
-            .retries
-            .pop_front();
-        if let Some(t) = retry {
-            match service.step_once(t) {
-                Attempt::Committed | Attempt::Done => {}
-                // Not finished: requeue so any worker can keep driving it.
-                _ => service
-                    .gate
-                    .lock()
-                    .expect("gate poisoned")
-                    .retries
-                    .push_back(t),
-            }
-            progressed = true;
-        }
+        let mut progressed = service.retry_pending.load(Ordering::Acquire) && service.retry_once();
 
         for (s, stream) in sessions.iter().enumerate() {
             if service.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            // Skip transactions that already committed (possibly driven
-            // by the retry queue).
-            while cursor[s] < stream.len() {
-                let t = stream[cursor[s]];
-                let committed = service
-                    .gate
-                    .lock()
-                    .expect("gate poisoned")
-                    .world
-                    .is_committed(t);
-                if committed {
-                    cursor[s] += 1;
-                } else {
-                    break;
-                }
-            }
-            if cursor[s] >= stream.len() {
+            let Some(&t) = stream.get(cursor[s]) else {
                 continue;
-            }
+            };
             if resume_at[s].is_some_and(|at| Instant::now() < at) {
                 continue;
             }
             resume_at[s] = None;
             progressed = true;
-            let t = stream[cursor[s]];
             match service.step_once(t) {
-                Attempt::Committed => {
+                Attempt::Committed | Attempt::Done => {
                     cursor[s] += 1;
                     strikes[s] = 0;
-                    let g = service.gate.lock().expect("gate poisoned");
-                    if g.commits == total_txns && g.retries.is_empty() {
-                        drop(g);
-                        service.shutdown.store(true, Ordering::Release);
-                        return;
-                    }
                 }
-                Attempt::Progressed | Attempt::Done => strikes[s] = 0,
+                Attempt::Progressed => strikes[s] = 0,
                 Attempt::Deferred | Attempt::Aborted => {
                     strikes[s] = (strikes[s] + 1).min(7);
                     let backoff = Duration::from_micros(50 << strikes[s]);
@@ -592,17 +561,9 @@ fn worker_loop(service: &Service, sessions: &[Vec<TxnId>], total_txns: u64) {
         }
 
         if !progressed {
-            // All own sessions drained: stay alive for retry-queue work
-            // until the drain completes, and close the shutdown race
-            // where the final commit lands on another worker's retry
-            // drive.
-            let g = service.gate.lock().expect("gate poisoned");
-            if g.commits == total_txns && g.retries.is_empty() {
-                drop(g);
-                service.shutdown.store(true, Ordering::Release);
-                return;
-            }
-            drop(g);
+            // Every own session is drained or backing off. Stay alive for
+            // retry-queue work; the gate hold of the drain's last commit
+            // sets `shutdown`, whichever worker makes it.
             std::thread::yield_now();
         }
     }
@@ -678,10 +639,10 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             stall_breaks: 0,
             undo_floor: 0,
         }),
-        latches: LatchTree::new(),
         mvcc: MvccStore::new(STORE_SHARDS, workload.initial.iter().copied()),
         epochs: EpochRegistry::new(SNAPSHOT_READERS + 2),
         shutdown: AtomicBool::new(false),
+        retry_pending: AtomicBool::new(false),
         gc_folded: AtomicU64::new(0),
         gc_passes: AtomicU64::new(0),
         snapshot_checks: AtomicU64::new(0),
@@ -700,7 +661,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
                 .filter(|(s, _)| s % workers == w)
                 .map(|(_, v)| v.clone())
                 .collect();
-            scope.spawn(move || worker_loop(service, &session_slice, txn_count as u64));
+            scope.spawn(move || worker_loop(service, &session_slice));
         }
         if let Some(interval) = config.gc_interval {
             let service = &service;
@@ -756,7 +717,6 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
         let idx = ((latencies.len() as f64) * p).ceil() as usize;
         latencies[idx.clamp(1, latencies.len()) - 1]
     };
-    let (latch_acquisitions, latch_waits) = service.latches.stats();
     ServeReport {
         load: workload.name.clone(),
         sched: g.control.name().to_string(),
@@ -776,8 +736,8 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
         p50_us: pct(0.50),
         p95_us: pct(0.95),
         p99_us: pct(0.99),
-        latch_acquisitions,
-        latch_waits,
+        latch_acquisitions: 0,
+        latch_waits: 0,
         gc_folded: service.gc_folded.load(Ordering::Relaxed),
         gc_passes: service.gc_passes.load(Ordering::Relaxed),
         snapshot_checks: service.snapshot_checks.load(Ordering::Relaxed),
@@ -895,15 +855,5 @@ mod tests {
         // undo floor is the journal's end and every version folds.
         assert!(report.gc_folded > 0, "{}", report.render());
         assert_eq!(report.live_versions, 0, "{}", report.render());
-    }
-
-    #[test]
-    fn history_is_ticket_ordered_and_seq_contiguous() {
-        let load = contended_load(4, 5, 3, 0);
-        let report = quick(SchedKind::Prevent, &load, 2);
-        assert!(report.clean);
-        // Per-transaction seqs are 0..n in history order — Execution
-        // accepts it.
-        assert!(mla_model::Execution::new(report.history.clone()).is_ok());
     }
 }

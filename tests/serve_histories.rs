@@ -5,8 +5,8 @@
 //!
 //! The service runs are nondeterministic (OS scheduling), so these tests
 //! assert *universally quantified* properties: correctability of the
-//! recorded history, per-entity ticket monotonicity, conservation of the
-//! transferred totals, and full-commit drains.
+//! recorded history, per-entity value chains in ticket order,
+//! conservation of the transferred totals, and full-commit drains.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -56,7 +56,31 @@ fn drain_and_audit(load: &ServeLoad, config: &ServeConfig) -> u64 {
     // The theorem oracle: the recorded history is correctable.
     assert_correctable(load, &report.history);
     assert_program_order(&report.history);
+    assert_value_chains(load, &report.history);
     report.committed
+}
+
+/// Histories come out in ticket order, so on each entity every step
+/// must observe what the previous step on it wrote, and the first one
+/// the load's initial value. A step drawn out of per-entity order, or a
+/// step left behind by an undo that removed the write it observed,
+/// breaks the chain.
+fn assert_value_chains(load: &ServeLoad, history: &[Step]) {
+    let mut current: HashMap<u32, i64> = load
+        .workload
+        .initial
+        .iter()
+        .map(|&(e, v)| (e.0, v))
+        .collect();
+    for (i, step) in history.iter().enumerate() {
+        let before = current.insert(step.entity.0, step.wrote).unwrap_or(0);
+        assert_eq!(
+            step.observed, before,
+            "history step {i} (txn {} seq {}) observed {} on entity {}, \
+             but the previous step on it left {before}",
+            step.txn.0, step.seq, step.observed, step.entity.0
+        );
+    }
 }
 
 /// Histories come out in global admission-ticket order, which must be
@@ -120,6 +144,7 @@ fn contended_histories_pass_the_oracle_and_conserve_money() {
         assert_eq!(report.live_versions, 0);
         assert_correctable(&load, &report.history);
         assert_program_order(&report.history);
+        assert_value_chains(&load, &report.history);
 
         // Conservation: replaying the last write per entity sums to the
         // initial ring total.
@@ -131,5 +156,20 @@ fn contended_histories_pass_the_oracle_and_conserve_money() {
             .map(|a| last.get(&a).copied().unwrap_or(100))
             .sum();
         assert_eq!(total, load.initial_total, "ring total must be conserved");
+    }
+}
+
+#[test]
+fn four_worker_contended_histories_chain_values_in_ticket_order() {
+    // Four workers race over four accounts, every other transaction an
+    // audit reading the whole ring: same-entity steps from different
+    // workers meet at the gate, which alone orders their tickets.
+    let load = contended_load(8, 8, 4, 2);
+    for sched in [SchedKind::Detect, SchedKind::Prevent] {
+        let cfg = ServeConfig {
+            workers: 4,
+            ..config(sched)
+        };
+        assert_eq!(drain_and_audit(&load, &cfg), 64);
     }
 }
