@@ -164,12 +164,12 @@ fn four_worker_contended_histories_chain_values_in_ticket_order() {
     // Four workers race over four accounts, every other transaction an
     // audit reading the whole ring: same-entity steps from different
     // workers meet at the gate, which alone orders their tickets.
-    let load = contended_load(8, 8, 4, 2);
+    let load = contended_load(16, 8, 4, 2);
     for sched in [SchedKind::Detect, SchedKind::Prevent] {
         let cfg = ServeConfig {
             workers: 4,
             ..config(sched)
         };
-        assert_eq!(drain_and_audit(&load, &cfg), 64);
+        assert_eq!(drain_and_audit(&load, &cfg), 128);
     }
 }
