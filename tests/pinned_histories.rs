@@ -29,19 +29,19 @@ const TRANSFERS: usize = 512;
 /// inserted)` under `MlaDetect`.
 const DETECT: [(u64, u64, u64, u64, u64, u64, u64); 8] = [
     (1, 13007645284252365900, 515, 62, 0, 2643, 3042),
-    (2, 17378994795600343332, 515, 37, 0, 2736, 4010),
+    (2, 17378994795600343332, 515, 37, 0, 2733, 4010),
     (3, 4809312223094042827, 515, 125, 0, 3014, 3632),
-    (4, 5467942433295742187, 515, 76, 0, 3010, 3934),
+    (4, 5467942433295742187, 515, 76, 0, 3007, 3934),
     (5, 5184705673934757935, 515, 85, 0, 3134, 4057),
-    (6, 252127855636301996, 515, 24, 0, 2462, 2890),
-    (7, 16780792341176625393, 515, 37, 0, 2603, 3218),
-    (8, 13559745852072462157, 515, 80, 0, 2947, 3833),
+    (6, 252127855636301996, 515, 24, 0, 2461, 2890),
+    (7, 16780792341176625393, 515, 37, 0, 2602, 3218),
+    (8, 13559745852072462157, 515, 80, 0, 2946, 3833),
 ];
 
 /// `(seed, history hash, commits, aborts, defers, rows touched, edges
 /// inserted)` under `MlaPrevent`.
 const PREVENT: [(u64, u64, u64, u64, u64, u64, u64); 8] = [
-    (1, 309615343605190379, 515, 20, 144, 2776, 3916),
+    (1, 309615343605190379, 515, 20, 144, 2775, 3916),
     (2, 7699278550475662923, 515, 10, 138, 2718, 3333),
     (3, 13680357443307172917, 515, 21, 119, 2448, 3126),
     (4, 15463424761573474667, 515, 9, 125, 2433, 2937),
