@@ -119,15 +119,6 @@ impl BitSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// Grows the capacity to at least `new_len`, preserving contents.
-    /// Shrinking is a no-op (existing bits stay addressable).
-    pub fn grow(&mut self, new_len: usize) {
-        if new_len > self.len {
-            self.blocks.resize(new_len.div_ceil(BLOCK_BITS), 0);
-            self.len = new_len;
-        }
-    }
-
     /// Iterates over set elements in increasing order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -139,7 +130,7 @@ impl BitSet {
 }
 
 impl Default for BitSet {
-    /// An empty set with zero capacity (grow before inserting).
+    /// An empty set with zero capacity.
     fn default() -> Self {
         BitSet::new(0)
     }

@@ -245,22 +245,6 @@ impl IncrementalTopo {
         }
     }
 
-    /// Whether a path `u -> ... -> v` of length >= 1 exists.
-    /// (Linear scan; intended for assertions and tests, not hot paths.)
-    pub fn has_path(&self, u: NodeId, v: NodeId) -> bool {
-        let mut stack = self.succ[u as usize].clone();
-        let mut seen = vec![false; self.node_count()];
-        while let Some(w) = stack.pop() {
-            if w == v {
-                return true;
-            }
-            if !std::mem::replace(&mut seen[w as usize], true) {
-                stack.extend_from_slice(&self.succ[w as usize]);
-            }
-        }
-        false
-    }
-
     fn insert_raw(&mut self, u: NodeId, v: NodeId) {
         self.succ[u as usize].push(v);
         self.pred[v as usize].push(u);

@@ -311,9 +311,10 @@ impl TxnInstance {
 /// A transaction program as *declared* to a service front-end: the
 /// recipe for minting runtime [`TxnInstance`]s (one per attempt), plus
 /// the static facts a scheduler wants before the first step runs — the
-/// declared entity footprint (what ranges to latch, what a certificate
-/// must cover) and the transaction's nest path (its position in the
-/// k-nest, hence its atomicity levels against everyone else).
+/// declared entity footprint (what a certificate must cover, and the
+/// entities a service's snapshot probes scan) and the transaction's
+/// nest path (its position in the k-nest, hence its atomicity levels
+/// against everyone else).
 ///
 /// The simulator builds instances directly; `mla-serve` builds profiles,
 /// because a live session retries after an abort and every attempt needs
@@ -384,12 +385,6 @@ impl TxnProfile {
     /// Whether the declaration covers `e`.
     pub fn declares(&self, e: EntityId) -> bool {
         self.footprint.binary_search_by_key(&e.0, |x| x.0).is_ok()
-    }
-
-    /// The inclusive entity bounds of the footprint — the interval a
-    /// whole-transaction latch would take. `None` for an empty program.
-    pub fn footprint_bounds(&self) -> Option<(EntityId, EntityId)> {
-        Some((*self.footprint.first()?, *self.footprint.last()?))
     }
 
     /// The transaction's nest path.
@@ -651,7 +646,6 @@ mod tests {
         );
         assert!(profile.declares(e(2)));
         assert!(!profile.declares(e(7)));
-        assert_eq!(profile.footprint_bounds(), Some((e(0), e(3))));
         assert_eq!(profile.nest_path(), &[0, 1]);
         // Each attempt gets an independent instance.
         let mut a = profile.instantiate();
