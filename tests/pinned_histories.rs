@@ -32,7 +32,7 @@ const DETECT: [(u64, u64, u64, u64, u64, u64, u64); 8] = [
     (2, 17378994795600343332, 515, 37, 0, 2733, 4010),
     (3, 4809312223094042827, 515, 125, 0, 3014, 3632),
     (4, 5467942433295742187, 515, 76, 0, 3007, 3934),
-    (5, 5184705673934757935, 515, 85, 0, 3134, 4057),
+    (5, 5184705673934757935, 515, 85, 0, 3133, 4057),
     (6, 252127855636301996, 515, 24, 0, 2461, 2890),
     (7, 16780792341176625393, 515, 37, 0, 2602, 3218),
     (8, 13559745852072462157, 515, 80, 0, 2946, 3833),
