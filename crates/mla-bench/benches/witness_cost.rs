@@ -35,7 +35,7 @@ fn bench_witness(c: &mut Criterion) {
             continue; // only correctable inputs have witnesses
         }
         group.bench_with_input(BenchmarkId::new("extend", exec.len()), &exec, |b, _| {
-            b.iter(|| std::hint::black_box(extend_to_total_order(&ctx, &closure).unwrap().len()))
+            b.iter(|| std::hint::black_box(extend_to_total_order(&(&ctx, &closure)).unwrap().len()))
         });
     }
     group.finish();

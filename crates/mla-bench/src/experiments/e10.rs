@@ -67,7 +67,7 @@ pub fn run(quick: bool) -> Table {
             "prevention histories are correctable by construction"
         );
         let t1 = Instant::now();
-        let witness = witness_execution(&ctx, &closure).expect("acyclic extends");
+        let witness = witness_execution(&(&ctx, &closure)).expect("acyclic extends");
         let witness_us = closure_us + t1.elapsed().as_secs_f64() * 1e6;
         let valid =
             exec.equivalent(&witness) && is_multilevel_atomic(&witness, &wl.nest, &spec).unwrap();

@@ -12,14 +12,18 @@
 //! each transaction's last step it is finished
 //! ([`ClosureEngine::finish_txn`]) and the engine evicts every finished
 //! transaction that no transaction with steps left reaches in the
-//! closure ([`ClosureEngine::evict_unreachable`]); each evicted set is
+//! closure ([`ClosureEngine::retire_unreachable`]); each evicted set is
 //! a *retired batch*. Nothing outside a retired batch, or later in the
-//! history, is ever related before a step in it, so the batches'
-//! Lemma 1 witnesses (`mla-core::extend`, via [`decide`] on each
-//! batch's projection) concatenated in retirement order are equivalent
-//! to the recorded execution, and multilevel atomic because batches do
-//! not interleave (DESIGN.md §10.2). The check's working set is the
-//! engine's live window, not the cluster.
+//! history, is ever related before a step in it, so the engine's rows of
+//! the batch, on the batch's columns, are exactly the coherent closure
+//! of the batch's projection. Each batch's Lemma 1 witness is read off
+//! those rows as the batch retires ([`Extender`] over the engine's
+//! [`RetiredBatch`](mla_core::RetiredBatch), one `Extender` for the
+//! whole check), with no second saturation. The witnesses concatenated
+//! in retirement order are equivalent to the recorded execution, and
+//! multilevel atomic because batches do not interleave (DESIGN.md
+//! §10.2). The check's working set is the engine's live window, not the
+//! cluster.
 //!
 //! Per-cluster witnesses are concatenated into one global witness:
 //! clusters share no entities, so the concatenation is equivalent to
@@ -28,7 +32,7 @@
 //! permits.
 
 use mla_core::theorem::{decide, Correctability, StepRef};
-use mla_core::ClosureEngine;
+use mla_core::{ClosureEngine, Extender, FrontierView};
 use mla_model::{Execution, Step, TxnId};
 
 use crate::decompose::communication_clusters;
@@ -139,46 +143,37 @@ impl Verdict {
 /// a rejected step means the closure is cyclic, and the whole cluster
 /// is then handed to [`decide`] for the reported cycle. Otherwise the
 /// transactions the engine evicts together form a retired batch, and
-/// the cluster's witness is the Lemma 1 witness of each batch, in
-/// retirement order (see the [module docs](self)).
+/// the cluster's witness is the Lemma 1 witness of each batch, read off
+/// the engine's rows as the batch retires, in retirement order (see the
+/// [module docs](self)).
 pub fn check(h: &History) -> Verdict {
     let exec = h.exec();
     let clusters = communication_clusters(exec);
-    let txns = h.nest().txn_count();
     // Steps each transaction has yet to perform in the replay: one with
     // none left is no eviction source.
-    let mut left = vec![0u32; txns];
+    let mut left = vec![0u32; h.nest().txn_count()];
     for s in exec.steps() {
         left[s.txn.index()] += 1;
     }
-    let mut batch_of = vec![0u32; txns];
     // Clusters share no entity, so one engine serves them all: each
     // cluster's last step retires whatever of it is still live.
     let mut engine = ClosureEngine::new(h.nest().clone(), h);
-    let mut witness_steps: Vec<Step> = Vec::with_capacity(exec.len());
+    let mut lemma1 = Extender::default();
+    let mut witness: Vec<Step> = Vec::with_capacity(exec.len());
     for (members, indices) in clusters.members.iter().zip(&clusters.step_indices) {
-        let Some(batches) = replay(&mut engine, exec, indices, &mut left, &mut batch_of) else {
+        if !replay(
+            &mut engine,
+            exec,
+            indices,
+            &mut left,
+            &mut lemma1,
+            &mut witness,
+        ) {
             return whole_cluster_violation(h, members, indices);
-        };
-        for batch in retired_batches(exec, indices, &batch_of, batches) {
-            // One transaction's steps are their own witness.
-            if batch.iter().all(|s| s.txn == batch[0].txn) {
-                witness_steps.extend(batch);
-                continue;
-            }
-            let proj = Execution::new(batch).expect("a batch keeps whole transactions in order");
-            match decide(&proj, h.nest(), h)
-                .expect("History validation guarantees a well-formed context")
-            {
-                Correctability::Correctable { witness } => witness_steps.extend(witness.steps()),
-                Correctability::NotCorrectable { .. } => {
-                    unreachable!("a batch's closure lies inside the engine's acyclic one")
-                }
-            }
         }
     }
     Verdict::Pass {
-        witness: Execution::new(witness_steps)
+        witness: Execution::new(witness)
             .expect("concatenating disjoint-transaction witnesses preserves step order"),
         clusters: clusters.len(),
     }
@@ -186,57 +181,42 @@ pub fn check(h: &History) -> Verdict {
 
 /// Replays one cluster's steps (`indices` into `exec`) through `engine`,
 /// finishing each transaction after its last step and evicting then, so
-/// the sources are the transactions with steps left. Numbers the batches
-/// in retirement order into `batch_of` and returns how many there were,
-/// or `None` when a step is rejected. The cluster's last step leaves no source, so every member
-/// is retired by the time it returns.
+/// the sources are the transactions with steps left. Appends each
+/// retired batch's Lemma 1 witness to `witness` as the batch retires.
+/// Returns `false` when a step is rejected. The cluster's last step
+/// leaves no source, so every member is retired by the time it returns.
 fn replay(
     engine: &mut ClosureEngine<&History>,
     exec: &Execution,
     indices: &[usize],
     left: &mut [u32],
-    batch_of: &mut [u32],
-) -> Option<u32> {
-    let mut batches = 0;
+    lemma1: &mut Extender,
+    witness: &mut Vec<Step>,
+) -> bool {
     for &i in indices {
         let step = exec.steps()[i];
-        engine.apply_step(step).ok()?;
+        if engine.apply_step(step).is_err() {
+            return false;
+        }
         engine.commit_step();
         left[step.txn.index()] -= 1;
         if left[step.txn.index()] > 0 {
             continue;
         }
         engine.finish_txn(step.txn);
-        let retired = engine.evict_unreachable();
-        if !retired.is_empty() {
-            for t in retired {
-                batch_of[t.index()] = batches;
-            }
-            batches += 1;
-        }
+        engine.retire_unreachable(|batch| {
+            let order = lemma1
+                .total_order(batch)
+                .expect("committed engine state is acyclic");
+            witness.extend(order.iter().map(|&v| batch.step(v)));
+        });
     }
     debug_assert_eq!(
         engine.live_count(),
         0,
         "a finished cluster leaves nothing live"
     );
-    Some(batches)
-}
-
-/// The recorded steps of each retired batch, in recorded order, batches
-/// in retirement order.
-fn retired_batches(
-    exec: &Execution,
-    indices: &[usize],
-    batch_of: &[u32],
-    batches: u32,
-) -> Vec<Vec<Step>> {
-    let mut out: Vec<Vec<Step>> = vec![Vec::new(); batches as usize];
-    for &i in indices {
-        let s = exec.steps()[i];
-        out[batch_of[s.txn.index()] as usize].push(s);
-    }
-    out
+    true
 }
 
 /// The cluster's closure cycle, from the batch decision procedure over

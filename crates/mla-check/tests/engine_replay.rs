@@ -1,9 +1,11 @@
 //! Strong mode against the batch decision procedure.
 //!
 //! `check` replays each cluster through the closure engine and builds
-//! its witness one retired batch at a time; `theorem::decide` saturates
-//! the whole history's coherent closure at once. The two share no code
-//! on the verdict path, so agreement here is a real cross-check:
+//! its witness one retired batch at a time, running Lemma 1 over the
+//! engine's own rows of the batch as it retires; `theorem::decide`
+//! saturates the whole history's coherent closure at once. The two
+//! share no code on the verdict path (only Lemma 1's `extend`, which
+//! orders a `Pass`), so agreement here is a real cross-check:
 //!
 //! * on generated histories and their mutants the verdicts agree, and
 //!   every `Pass` witness is an equivalent multilevel-atomic execution;

@@ -73,8 +73,9 @@ pub use cert::StaticCert;
 pub use closure::CoherentClosure;
 pub use engine::{
     ClosureEngine, CycleWitness, EngineCounters, PairProbe, ParallelStats, RelationSignature,
+    RetiredBatch,
 };
-pub use extend::{extend_to_total_order, witness_execution};
+pub use extend::{extend_to_total_order, witness_execution, Extender, FrontierView};
 pub use nest::{Nest, NestBuilder};
 pub use spec::{AtomicSpec, BreakpointSpecification, ExecContext, FixedSpec, FreeSpec};
 pub use theorem::{decide, is_correctable, Correctability};

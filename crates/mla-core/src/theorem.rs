@@ -77,7 +77,7 @@ pub fn decide_ctx(ctx: &ExecContext<'_>) -> Correctability {
     let closure = CoherentClosure::compute(ctx);
     if closure.is_partial_order() {
         let witness =
-            witness_execution(ctx, &closure).expect("acyclic closure always extends (Lemma 1)");
+            witness_execution(&(ctx, &closure)).expect("acyclic closure always extends (Lemma 1)");
         Correctability::Correctable { witness }
     } else {
         let cycle = closure

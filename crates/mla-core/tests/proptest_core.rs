@@ -155,7 +155,7 @@ proptest! {
         let ctx = ExecContext::new(&exec, &nest, &spec).unwrap();
         let closure = CoherentClosure::compute(&ctx);
         if closure.is_partial_order() {
-            let w = witness_execution(&ctx, &closure).unwrap();
+            let w = witness_execution(&(&ctx, &closure)).unwrap();
             prop_assert!(exec.equivalent(&w), "witness equivalent: {} vs {}", &exec, &w);
             prop_assert!(is_multilevel_atomic(&w, &nest, &spec).unwrap(),
                 "witness atomic: {}", &w);

@@ -27,6 +27,9 @@ pub type NodeId = u32;
 pub struct DiGraph {
     succ: Vec<Vec<NodeId>>,
     edge_count: usize,
+    /// Emptied successor lists [`DiGraph::reset`] dropped from the node
+    /// range, kept for the next reset that grows it again.
+    spare: Vec<Vec<NodeId>>,
 }
 
 impl DiGraph {
@@ -35,6 +38,7 @@ impl DiGraph {
         DiGraph {
             succ: vec![Vec::new(); n],
             edge_count: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -45,6 +49,20 @@ impl DiGraph {
             g.add_edge(u, v);
         }
         g
+    }
+
+    /// Empties the graph to `n` isolated nodes, keeping the successor
+    /// lists' buffers, so a graph rebuilt over and over allocates only
+    /// when it outgrows what it held before.
+    pub fn reset(&mut self, n: usize) {
+        self.succ.iter_mut().for_each(Vec::clear);
+        while self.succ.len() > n {
+            self.spare.extend(self.succ.pop());
+        }
+        while self.succ.len() < n {
+            self.succ.push(self.spare.pop().unwrap_or_default());
+        }
+        self.edge_count = 0;
     }
 
     /// Number of nodes.
@@ -176,6 +194,17 @@ mod tests {
         assert!(r.has_edge(2, 1));
         assert!(r.has_edge(0, 2));
         assert_eq!(r.edge_count(), 3);
+    }
+
+    #[test]
+    fn reset_empties_and_resizes() {
+        let mut g = DiGraph::from_edges(3, [(0, 1), (1, 2)]);
+        g.reset(2);
+        assert_eq!((g.node_count(), g.edge_count()), (2, 0));
+        assert!(g.successors(0).is_empty() && g.successors(1).is_empty());
+        g.reset(4);
+        g.add_edge(3, 0);
+        assert_eq!(g.edges().collect::<Vec<_>>(), vec![(3, 0)]);
     }
 
     #[test]

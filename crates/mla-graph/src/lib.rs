@@ -7,7 +7,8 @@
 //! * [`DiGraph`] — a compact adjacency-list directed graph over dense
 //!   `u32` node indices.
 //! * [`scc::tarjan`] / [`scc::Condensation`] — strongly connected
-//!   components and the component DAG. The constructive proof of the
+//!   components and the component DAG ([`scc::Tarjan`] keeps the
+//!   buffers between runs). The constructive proof of the
 //!   paper's combinatorial Lemma 1 orders SCCs of a segment graph at each
 //!   nesting stage; `Condensation` is exactly that object.
 //! * [`topo`] — topological sorting and concrete cycle extraction, used to
@@ -39,5 +40,5 @@ pub use bitset::BitSet;
 pub use dense::DenseMap;
 pub use digraph::DiGraph;
 pub use incremental::IncrementalTopo;
-pub use scc::{tarjan, Condensation};
+pub use scc::{tarjan, Condensation, Tarjan};
 pub use topo::{find_cycle, topo_sort, Cycle, TopoResult};

@@ -62,71 +62,123 @@ impl Condensation {
 ///
 /// Components are numbered in reverse topological order of the component
 /// DAG: if there is an edge from component `a` to component `b != a`, then
-/// `a > b`.
+/// `a > b`. This is one [`Tarjan::run`] on fresh buffers.
 pub fn tarjan(g: &DiGraph) -> Condensation {
-    const UNVISITED: u32 = u32::MAX;
-    let n = g.node_count();
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut comp_of = vec![UNVISITED; n];
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut members: Vec<Vec<NodeId>> = Vec::new();
-    let mut next_index = 0u32;
+    let mut scc = Tarjan::default();
+    scc.run(g);
+    let members = (0..scc.count() as u32)
+        .map(|c| scc.members(c).to_vec())
+        .collect();
+    Condensation {
+        comp_of: scc.comp_of,
+        members,
+    }
+}
 
-    // Explicit DFS frame: (node, next successor position to examine).
-    let mut call: Vec<(NodeId, usize)> = Vec::new();
+/// Tarjan's algorithm with its working buffers kept between runs, so a
+/// caller that condenses one graph after another (Lemma 1 condenses a
+/// segment graph per stage) allocates only when a graph outgrows the
+/// largest before it. [`tarjan`] is one run on fresh buffers.
+#[derive(Clone, Debug, Default)]
+pub struct Tarjan {
+    index: Vec<u32>,
+    lowlink: Vec<u32>,
+    on_stack: Vec<bool>,
+    stack: Vec<NodeId>,
+    /// Explicit DFS frames: (node, next successor position to examine).
+    call: Vec<(NodeId, usize)>,
+    comp_of: Vec<u32>,
+    /// Nodes in the order their components were emitted: component `c`
+    /// is `popped[starts[c]..starts[c + 1]]`.
+    popped: Vec<NodeId>,
+    starts: Vec<u32>,
+}
 
-    for root in 0..n as NodeId {
-        if index[root as usize] != UNVISITED {
-            continue;
+impl Tarjan {
+    /// Condenses `g`, numbering components as [`tarjan`] does, and
+    /// returns how many there are.
+    pub fn run(&mut self, g: &DiGraph) -> usize {
+        const UNVISITED: u32 = u32::MAX;
+        let n = g.node_count();
+        for buf in [&mut self.index, &mut self.comp_of] {
+            buf.clear();
+            buf.resize(n, UNVISITED);
         }
-        call.push((root, 0));
-        index[root as usize] = next_index;
-        lowlink[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
+        self.lowlink.clear();
+        self.lowlink.resize(n, 0);
+        self.on_stack.clear();
+        self.on_stack.resize(n, false);
+        self.popped.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        let mut next_index = 0u32;
 
-        while let Some(&mut (v, ref mut pos)) = call.last_mut() {
-            let succs = g.successors(v);
-            if *pos < succs.len() {
-                let w = succs[*pos];
-                *pos += 1;
-                if index[w as usize] == UNVISITED {
-                    index[w as usize] = next_index;
-                    lowlink[w as usize] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w as usize] = true;
-                    call.push((w, 0));
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(index[w as usize]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
-                }
-                if lowlink[v as usize] == index[v as usize] {
-                    let comp_id = members.len() as u32;
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w as usize] = false;
-                        comp_of[w as usize] = comp_id;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
+        for root in 0..n as NodeId {
+            if self.index[root as usize] != UNVISITED {
+                continue;
+            }
+            self.call.push((root, 0));
+            self.index[root as usize] = next_index;
+            self.lowlink[root as usize] = next_index;
+            next_index += 1;
+            self.stack.push(root);
+            self.on_stack[root as usize] = true;
+
+            while let Some(&mut (v, ref mut pos)) = self.call.last_mut() {
+                let succs = g.successors(v);
+                if *pos < succs.len() {
+                    let w = succs[*pos];
+                    *pos += 1;
+                    if self.index[w as usize] == UNVISITED {
+                        self.index[w as usize] = next_index;
+                        self.lowlink[w as usize] = next_index;
+                        next_index += 1;
+                        self.stack.push(w);
+                        self.on_stack[w as usize] = true;
+                        self.call.push((w, 0));
+                    } else if self.on_stack[w as usize] {
+                        self.lowlink[v as usize] =
+                            self.lowlink[v as usize].min(self.index[w as usize]);
                     }
-                    members.push(comp);
+                } else {
+                    self.call.pop();
+                    if let Some(&(parent, _)) = self.call.last() {
+                        self.lowlink[parent as usize] =
+                            self.lowlink[parent as usize].min(self.lowlink[v as usize]);
+                    }
+                    if self.lowlink[v as usize] == self.index[v as usize] {
+                        let comp_id = self.starts.len() as u32 - 1;
+                        loop {
+                            let w = self.stack.pop().expect("tarjan stack underflow");
+                            self.on_stack[w as usize] = false;
+                            self.comp_of[w as usize] = comp_id;
+                            self.popped.push(w);
+                            if w == v {
+                                break;
+                            }
+                        }
+                        self.starts.push(self.popped.len() as u32);
+                    }
                 }
             }
         }
+        self.count()
     }
 
-    Condensation { comp_of, members }
+    /// Number of components the last run found.
+    pub fn count(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The last run's component of every node.
+    pub fn comp_of(&self) -> &[u32] {
+        &self.comp_of
+    }
+
+    /// The nodes of component `c` of the last run.
+    pub fn members(&self, c: u32) -> &[NodeId] {
+        &self.popped[self.starts[c as usize] as usize..self.starts[c as usize + 1] as usize]
+    }
 }
 
 #[cfg(test)]
@@ -227,6 +279,26 @@ mod tests {
             let (cu, cv) = (c.comp_of[u as usize], c.comp_of[v as usize]);
             if cu != cv {
                 assert!(pos[&cu] < pos[&cv]);
+            }
+        }
+    }
+
+    #[test]
+    fn reused_buffers_condense_each_graph_afresh() {
+        // One Tarjan over graphs of shrinking and growing size must
+        // number every graph as a fresh run does.
+        let graphs = [
+            DiGraph::from_edges(6, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5)]),
+            DiGraph::from_edges(2, [(1, 0)]),
+            DiGraph::from_edges(5, [(0, 1), (1, 2), (3, 1), (2, 4), (4, 2)]),
+        ];
+        let mut scc = Tarjan::default();
+        for g in &graphs {
+            let fresh = tarjan(g);
+            assert_eq!(scc.run(g), fresh.len());
+            assert_eq!(scc.comp_of(), fresh.comp_of.as_slice());
+            for (c, members) in fresh.members.iter().enumerate() {
+                assert_eq!(scc.members(c as u32), members.as_slice());
             }
         }
     }

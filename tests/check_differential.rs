@@ -17,6 +17,11 @@
 //!    strengthen: on a value-consistent history the recorded order
 //!    itself realizes, so `Unrealizable` on a strong-pass history is a
 //!    soundness bug.
+//! 4. **The per-batch reference.** `check` reads each retired batch's
+//!    Lemma 1 witness off the closure engine's rows; a reference that
+//!    replays through the engine's public eviction API and runs
+//!    `decide` on each batch's projection must give the same witness,
+//!    step for step.
 //!
 //! The tier-1 sweep sizes put well over 500 generated histories through
 //! the oracle comparison; the `#[ignore]`d loop runs the unbounded
@@ -25,14 +30,15 @@
 use multilevel_atomicity::cc::{MlaDetect, MlaPrevent, VictimPolicy};
 use multilevel_atomicity::check::checker::Verdict;
 use multilevel_atomicity::check::{
-    check, check_weak, format_history, generate, mutate, parse, GenConfig, History, WeakVerdict,
-    MUTATIONS,
+    check, check_weak, communication_clusters, format_history, generate, mutate, parse, GenConfig,
+    History, WeakVerdict, MUTATIONS,
 };
 use multilevel_atomicity::core::atomicity::is_multilevel_atomic;
-use multilevel_atomicity::core::theorem::decide;
+use multilevel_atomicity::core::theorem::{decide, Correctability};
+use multilevel_atomicity::core::ClosureEngine;
 use multilevel_atomicity::explore::{explore, BoundedNest};
 use multilevel_atomicity::model::program::{ScriptOp, ScriptProgram};
-use multilevel_atomicity::model::{EntityId, Execution, TxnId};
+use multilevel_atomicity::model::{EntityId, Execution, Step, TxnId};
 use multilevel_atomicity::serve::{
     contended_load, partitioned_load, run as serve_run, ServeConfig,
 };
@@ -42,7 +48,11 @@ use multilevel_atomicity::workload::mixed::{self, IsolationDegree, MixedConfig};
 use multilevel_atomicity::workload::Workload;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
+use std::path::Path;
 use std::sync::Arc;
+
+mod common;
 
 /// A random workload in the partitioned family (the construction the
 /// certificate-soundness suite uses): universe-local scripts, a shared
@@ -326,6 +336,140 @@ fn weak_mode_never_contradicts_a_strong_pass() {
         realized >= 10,
         "weak mode realized only {realized} histories"
     );
+}
+
+/// The witness `check` gave before it read batches off the engine: the
+/// same cluster-by-cluster replay through the engine's public API
+/// (`finish_txn` after each transaction's last step, then
+/// `evict_unreachable`), each retired batch's steps projected in
+/// recorded order and handed to `decide`, the witnesses concatenated in
+/// retirement order. `None` when the engine rejects a step.
+fn per_batch_decide_witness(h: &History) -> Option<Vec<Step>> {
+    let exec = h.exec();
+    let mut left: HashMap<TxnId, usize> = HashMap::new();
+    for s in exec.steps() {
+        *left.entry(s.txn).or_default() += 1;
+    }
+    let mut engine = ClosureEngine::new(h.nest().clone(), h);
+    let mut witness = Vec::with_capacity(exec.len());
+    for indices in &communication_clusters(exec).step_indices {
+        let mut batch_of: HashMap<TxnId, usize> = HashMap::new();
+        for &i in indices {
+            let step = exec.steps()[i];
+            engine.apply_step(step).ok()?;
+            engine.commit_step();
+            let n = left.get_mut(&step.txn).expect("counted above");
+            *n -= 1;
+            if *n == 0 {
+                engine.finish_txn(step.txn);
+                let batch = batch_of.len();
+                for &t in engine.evict_unreachable() {
+                    batch_of.insert(t, batch);
+                }
+            }
+        }
+        let mut batches: Vec<Vec<Step>> = Vec::new();
+        for &i in indices {
+            let step = exec.steps()[i];
+            let b = batch_of[&step.txn];
+            batches.resize_with(batches.len().max(b + 1), Vec::new);
+            batches[b].push(step);
+        }
+        for batch in batches.into_iter().filter(|b| !b.is_empty()) {
+            let proj = Execution::new(batch).expect("a batch keeps whole transactions");
+            match decide(&proj, h.nest(), h).expect("history is self-consistent") {
+                Correctability::Correctable { witness: w } => witness.extend(w.steps()),
+                Correctability::NotCorrectable { cycle } => {
+                    panic!("a retired batch's projection is cyclic: {cycle}")
+                }
+            }
+        }
+    }
+    Some(witness)
+}
+
+/// `check`'s witness equals the per-batch reference step for step and
+/// is an equivalent multilevel-atomic execution, and the reference
+/// passes exactly when `check` does. Returns whether the history passed.
+fn assert_witness_matches_reference(h: &History, label: &str) -> bool {
+    match (check(h), per_batch_decide_witness(h)) {
+        (Verdict::Pass { witness, .. }, Some(reference)) => {
+            assert_eq!(
+                witness.steps(),
+                reference.as_slice(),
+                "{label}: witness differs from the per-batch decide reference"
+            );
+            assert!(
+                witness.equivalent(h.exec())
+                    && is_multilevel_atomic(&witness, h.nest(), h).expect("self-consistent"),
+                "{label}: witness is not an equivalent multilevel-atomic execution"
+            );
+            true
+        }
+        (Verdict::Fail { .. }, None) => false,
+        (verdict, reference) => panic!(
+            "{label}: check says {}, the reference replay {}",
+            verdict.render(),
+            if reference.is_some() {
+                "passes"
+            } else {
+                "fails"
+            }
+        ),
+    }
+}
+
+#[test]
+fn witnesses_match_the_per_batch_decide_reference() {
+    // The `replay_audit` audit shape: 192-transfer banking replays under
+    // MlaDetect, one cluster each, 32 seeds.
+    for seed in 1..=32u64 {
+        let banking = common::replay_audit_banking(192, seed);
+        let wl = &banking.workload;
+        let out = sim_run(wl, &mut detector(wl), seed);
+        let h = History::from_execution(&out.execution, &wl.nest, &wl.spec())
+            .expect("the replay matches its nest and spec");
+        assert!(
+            assert_witness_matches_reference(&h, &format!("banking seed {seed}")),
+            "banking seed {seed}: an admitted history failed"
+        );
+    }
+    // Every valid corpus file.
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/valid");
+    let mut files = 0;
+    for entry in std::fs::read_dir(&dir).expect("corpus/valid exists") {
+        let path = entry.expect("readable corpus entry").path();
+        let text = std::fs::read_to_string(&path).expect("readable corpus file");
+        let h = parse(&text).expect("corpus files parse");
+        assert!(
+            assert_witness_matches_reference(&h, &path.display().to_string()),
+            "{}: a valid corpus file failed",
+            path.display()
+        );
+        files += 1;
+    }
+    assert!(files >= 40, "only {files} corpus files");
+    // The generated sweep and its mutants, both verdicts.
+    let mut passed = 0;
+    for i in 0..300u64 {
+        let mut rng = SmallRng::seed_from_u64(0x0A11_0000 + i);
+        let cfg = GenConfig {
+            txns: rng.gen_range(1..=6usize),
+            entities: rng.gen_range(1..=4usize),
+            k: rng.gen_range(2..=4usize),
+            break_pct: rng.gen_range(0..=80u32),
+            ..GenConfig::default()
+        };
+        let h = generate(&cfg, &mut rng);
+        passed += usize::from(assert_witness_matches_reference(&h, &format!("gen {i}")));
+        for m in MUTATIONS {
+            if let Some(mutant) = mutate(&h, m, &mut rng) {
+                let label = format!("gen {i} {m:?}");
+                passed += usize::from(assert_witness_matches_reference(&mutant, &label));
+            }
+        }
+    }
+    assert!(passed >= 250, "only {passed} generated histories passed");
 }
 
 /// Every universe in one nest at a *different* k-level — the mixed
