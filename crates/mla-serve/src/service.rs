@@ -16,7 +16,11 @@
 //! * Each **worker** (thread-per-core front-end) owns the sessions with
 //!   `session % workers == worker`, round-robinning one step attempt per
 //!   session per pass, plus the shared retry queue of cascade-undone
-//!   transactions.
+//!   transactions. A session whose attempt was deferred or rolled back
+//!   sits out a timed backoff. When a pass finds nothing to attempt,
+//!   the worker takes the deferred session due first early, provided
+//!   some step was performed or rolled back since it deferred: only
+//!   those change what the scheduler would decide (see `worker_loop`).
 //! * A step attempt is one hold of the **gate** — a single mutex holding
 //!   the scheduler as a [`Control`], the simulator's host state
 //!   [`World`] (instances, status, nest, and the live history as a
@@ -194,6 +198,9 @@ pub struct ServeReport {
     pub commit_hazards: u64,
     /// Deferred step attempts.
     pub defers: u64,
+    /// Deferred sessions attempted before their backoff ended, because
+    /// their worker had nothing else to attempt (summed across workers).
+    pub early_takes: u64,
     /// Wall-clock of the drain.
     pub wall: Duration,
     /// Wall-clock of static certification (zero when not requested).
@@ -249,8 +256,8 @@ impl ServeReport {
             "{load} via {sched} — {workers} workers, {sessions} sessions\n\
              committed   {committed} txns in {wall:.3?} ({tp:.0} txn/s){dirty}\n\
              latency     p50 {p50} µs, p95 {p95} µs, p99 {p99} µs\n\
-             conflicts   {aborts} rollbacks ({hazards} undone commits), {defers} defers, \
-             {stalls} stall breaks\n\
+             conflicts   {aborts} rollbacks ({hazards} undone commits), {defers} defers \
+             ({early} taken early), {stalls} stall breaks\n\
              gc          {folded} versions folded in {passes} passes, {live} live at drain\n\
              snapshots   {checks} checks, {viol} violations\n\
              certificate {skips} fast-path grants{per}, {rearms} re-arms",
@@ -268,6 +275,7 @@ impl ServeReport {
             aborts = self.aborts,
             hazards = self.commit_hazards,
             defers = self.defers,
+            early = self.early_takes,
             stalls = self.stall_breaks,
             folded = self.gc_folded,
             passes = self.gc_passes,
@@ -303,6 +311,11 @@ struct Service {
     /// and loaded (Acquire) by workers to skip an empty queue without the
     /// gate. A stale read costs one pass; the gate orders the queue.
     retry_pending: AtomicBool,
+    /// Bumped under the gate by every grant and every cascade: the only
+    /// gate changes that can turn a deferral into another decision.
+    /// Workers read it without the gate to see whether re-deciding a
+    /// deferred session can be worth a hold (`Backoff::early_take`).
+    changes: AtomicU64,
     gc_folded: AtomicU64,
     gc_passes: AtomicU64,
     snapshot_checks: AtomicU64,
@@ -311,11 +324,12 @@ struct Service {
 
 impl Service {
     /// One step attempt for session transaction `t`, in one gate hold.
-    fn step_once(&self, t: TxnId) -> Attempt {
+    /// Also returns the change counter as the hold left it.
+    fn step_once(&self, t: TxnId) -> (Attempt, u64) {
         let mut g = self.gate.lock().expect("gate poisoned");
         let attempt = self.attempt(&mut g, t);
         self.note_drained(&g);
-        attempt
+        (attempt, self.changes.load(Ordering::Relaxed))
     }
 
     /// One step attempt for the oldest retry-queue entry, in one gate
@@ -373,6 +387,7 @@ impl Service {
             match g.control.decide(t, &g.world) {
                 Decision::Grant => {
                     let record = g.world.perform(t, g.control.as_mut());
+                    self.changes.fetch_add(1, Ordering::Release);
                     debug_assert_eq!(self.mvcc.latest(record.entity).1, record.observed);
                     let ticket = record.id + 1;
                     if record.wrote != record.observed {
@@ -422,6 +437,7 @@ impl Service {
         let (rollback, had_committed) = g
             .world
             .roll_back(victims.iter().copied(), g.control.as_mut());
+        self.changes.fetch_add(1, Ordering::Release);
         debug_assert!(
             rollback.undone.iter().all(|r| r.id >= g.undo_floor),
             "the undo cascade reached below GC's undo floor {}",
@@ -519,54 +535,136 @@ impl Service {
     }
 }
 
+/// One worker's per-session backoff: when each of its sessions may be
+/// attempted again, and whether re-deciding a deferred one before then
+/// can be worth a gate hold.
+struct Backoff {
+    /// Horizons: a session is not attempted in a pass before its entry
+    /// (`None` when it is not backing off).
+    resume_at: Vec<Option<Instant>>,
+    /// Consecutive deferred or rolled-back attempts, capped at 7.
+    strikes: Vec<u32>,
+    /// Deferral stamps: the change counter as the hold of the session's
+    /// last attempt left it, `None` unless that attempt deferred.
+    deferred_at: Vec<Option<u64>>,
+}
+
+impl Backoff {
+    fn new(sessions: usize) -> Self {
+        Backoff {
+            resume_at: vec![None; sessions],
+            strikes: vec![0; sessions],
+            deferred_at: vec![None; sessions],
+        }
+    }
+
+    /// Whether session `s` is still inside its backoff.
+    fn backing_off(&self, s: usize) -> bool {
+        self.resume_at[s].is_some_and(|at| Instant::now() < at)
+    }
+
+    /// Records how an attempt of session `s` ended, with the change
+    /// counter as its hold left it. Progress clears the backoff. A
+    /// deferral or a rollback starts one of `50 µs << strikes` (up to
+    /// 6.4 ms) from `now()`, so abort storms drain instead of
+    /// re-colliding at full speed; a deferral also stamps `changes`.
+    fn record(&mut self, s: usize, attempt: Attempt, changes: u64, now: impl FnOnce() -> Instant) {
+        self.deferred_at[s] = None;
+        match attempt {
+            Attempt::Progressed | Attempt::Committed | Attempt::Done => {
+                self.strikes[s] = 0;
+                self.resume_at[s] = None;
+            }
+            Attempt::Deferred | Attempt::Aborted => {
+                self.strikes[s] = (self.strikes[s] + 1).min(7);
+                self.resume_at[s] = Some(now() + Duration::from_micros(50 << self.strikes[s]));
+                if attempt == Attempt::Deferred {
+                    self.deferred_at[s] = Some(changes);
+                }
+            }
+        }
+    }
+
+    /// The session to attempt when a pass attempted nothing: of the
+    /// sessions whose last attempt deferred before the change counter
+    /// reached `changes()`, the one whose backoff ends first. A session
+    /// rolled back is never taken early, and neither is one deferred at
+    /// `changes()`: no step has been performed or rolled back since, so
+    /// re-deciding it could only defer again (see [`worker_loop`]).
+    ///
+    /// The counter is read only when some session carries a stamp: every
+    /// grant writes it, so an idle worker with nothing deferred (say, one
+    /// whose sessions drained) leaves its cache line to the workers
+    /// still granting, as it did before early takes existed.
+    fn early_take(&self, changes: impl FnOnce() -> u64) -> Option<usize> {
+        if self.deferred_at.iter().all(Option::is_none) {
+            return None;
+        }
+        let changes = changes();
+        (0..self.deferred_at.len())
+            .filter(|&s| self.deferred_at[s].is_some_and(|c| c != changes))
+            .min_by_key(|&s| self.resume_at[s])
+    }
+}
+
 /// Worker main loop: drain the retry queue first, then round-robin this
 /// worker's sessions, one step attempt each. Every attempt is one gate
-/// hold; a session in backoff, or a pass with nothing to do, takes none.
-fn worker_loop(service: &Service, sessions: &[Vec<TxnId>]) {
-    // Per-session cursor into its transaction stream, plus a backoff
-    // horizon: a session whose transaction was rolled back sits out for
-    // an exponentially growing interval, so abort storms drain instead
-    // of re-colliding at full speed.
+/// hold; a session in backoff takes none. Returns the worker's early
+/// takes.
+///
+/// A deferral is a wait for other transactions to reach breakpoints
+/// (§6), but its backoff is a timer that holds the session out even
+/// when the worker has nothing else to do. So when a pass attempts
+/// nothing, the worker attempts the session [`Backoff::early_take`]
+/// names, if any, and otherwise yields. The guard is exact. A deferral's
+/// blockers are read off the closure and the transactions' performed
+/// steps, which only a grant or a cascade changes, and both bump
+/// `changes` under the gate. The waits-for edges the deferral left
+/// kept the waits-for graph acyclic, and re-deciding swaps them for the
+/// same edges. So a deferred session re-decided on an unchanged counter
+/// can only defer again. Timed backoff still orders the sessions while
+/// some are due, and a rolled-back session keeps its full backoff.
+fn worker_loop(service: &Service, sessions: &[Vec<TxnId>]) -> u64 {
+    // Per-session cursor into its transaction stream.
     let mut cursor: Vec<usize> = vec![0; sessions.len()];
-    let mut resume_at: Vec<Option<Instant>> = vec![None; sessions.len()];
-    let mut strikes: Vec<u32> = vec![0; sessions.len()];
+    let mut backoff = Backoff::new(sessions.len());
+    let mut early_takes = 0;
+    let step = |s: usize, cursor: &mut [usize], backoff: &mut Backoff| {
+        let (attempt, changes) = service.step_once(sessions[s][cursor[s]]);
+        if matches!(attempt, Attempt::Committed | Attempt::Done) {
+            cursor[s] += 1;
+        }
+        backoff.record(s, attempt, changes, Instant::now);
+    };
     while !service.shutdown.load(Ordering::Acquire) {
         // Cascade-undone commits first: their sessions already moved on.
         let mut progressed = service.retry_pending.load(Ordering::Acquire) && service.retry_once();
 
         for (s, stream) in sessions.iter().enumerate() {
             if service.shutdown.load(Ordering::Acquire) {
-                return;
+                return early_takes;
             }
-            let Some(&t) = stream.get(cursor[s]) else {
-                continue;
-            };
-            if resume_at[s].is_some_and(|at| Instant::now() < at) {
+            if cursor[s] == stream.len() || backoff.backing_off(s) {
                 continue;
             }
-            resume_at[s] = None;
             progressed = true;
-            match service.step_once(t) {
-                Attempt::Committed | Attempt::Done => {
-                    cursor[s] += 1;
-                    strikes[s] = 0;
-                }
-                Attempt::Progressed => strikes[s] = 0,
-                Attempt::Deferred | Attempt::Aborted => {
-                    strikes[s] = (strikes[s] + 1).min(7);
-                    let backoff = Duration::from_micros(50 << strikes[s]);
-                    resume_at[s] = Some(Instant::now() + backoff);
-                }
-            }
+            step(s, &mut cursor, &mut backoff);
         }
 
         if !progressed {
             // Every own session is drained or backing off. Stay alive for
             // retry-queue work; the gate hold of the drain's last commit
             // sets `shutdown`, whichever worker makes it.
-            std::thread::yield_now();
+            match backoff.early_take(|| service.changes.load(Ordering::Acquire)) {
+                Some(s) => {
+                    early_takes += 1;
+                    step(s, &mut cursor, &mut backoff);
+                }
+                None => std::thread::yield_now(),
+            }
         }
     }
+    early_takes
 }
 
 /// Runs `load` to completion under `config` and reports.
@@ -643,6 +741,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
         epochs: EpochRegistry::new(SNAPSHOT_READERS + 2),
         shutdown: AtomicBool::new(false),
         retry_pending: AtomicBool::new(false),
+        changes: AtomicU64::new(0),
         gc_folded: AtomicU64::new(0),
         gc_passes: AtomicU64::new(0),
         snapshot_checks: AtomicU64::new(0),
@@ -651,7 +750,8 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
 
     let started = Instant::now();
     let deadline = config.deadline;
-    let clean = std::thread::scope(|scope| {
+    let (clean, early_takes) = std::thread::scope(|scope| {
+        let mut worker_threads = Vec::with_capacity(workers);
         for w in 0..workers {
             let service = &service;
             let session_slice: Vec<Vec<TxnId>> = load
@@ -661,7 +761,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
                 .filter(|(s, _)| s % workers == w)
                 .map(|(_, v)| v.clone())
                 .collect();
-            scope.spawn(move || worker_loop(service, &session_slice));
+            worker_threads.push(scope.spawn(move || worker_loop(service, &session_slice)));
         }
         if let Some(interval) = config.gc_interval {
             let service = &service;
@@ -699,7 +799,11 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        clean
+        let early_takes: u64 = worker_threads
+            .into_iter()
+            .map(|w| w.join().expect("worker panicked"))
+            .sum();
+        (clean, early_takes)
     });
     let wall = started.elapsed();
     if config.gc_interval.is_some() {
@@ -726,6 +830,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
         aborts: g.aborts,
         commit_hazards: g.cascade_undone_commits,
         defers: g.defers,
+        early_takes,
         wall,
         cert_wall,
         certified,
@@ -762,6 +867,68 @@ mod tests {
             ..ServeConfig::default()
         };
         run(load, &config)
+    }
+
+    #[test]
+    fn an_unchanged_counter_takes_nothing_early() {
+        let now = Instant::now();
+        let mut backoff = Backoff::new(3);
+        backoff.record(0, Attempt::Deferred, 7, || now);
+        backoff.record(2, Attempt::Deferred, 7, || now);
+        assert_eq!(backoff.early_take(|| 7), None);
+    }
+
+    #[test]
+    fn a_moved_counter_takes_the_deferred_session_due_first() {
+        let now = Instant::now();
+        let mut backoff = Backoff::new(4);
+        // Session 0 deferred twice, so its backoff ends later than
+        // session 2's; session 1 progressed and session 3 never ran.
+        backoff.record(0, Attempt::Deferred, 3, || now);
+        backoff.record(0, Attempt::Deferred, 4, || now);
+        backoff.record(1, Attempt::Progressed, 4, || now);
+        backoff.record(2, Attempt::Deferred, 5, || now);
+        assert_eq!(backoff.early_take(|| 6), Some(2));
+        // At 5, nothing changed since session 2 deferred.
+        assert_eq!(backoff.early_take(|| 5), Some(0));
+    }
+
+    #[test]
+    fn a_rolled_back_session_is_never_taken_early() {
+        let now = Instant::now();
+        let mut backoff = Backoff::new(2);
+        backoff.record(0, Attempt::Aborted, 1, || now);
+        assert_eq!(backoff.early_take(|| 2), None);
+        // A rollback backs off exactly as long as a deferral:
+        // `50 µs << strikes`, capped at 6.4 ms.
+        backoff.record(1, Attempt::Deferred, 1, || now);
+        assert_eq!(backoff.resume_at[0], Some(now + Duration::from_micros(100)));
+        assert_eq!(backoff.resume_at[0], backoff.resume_at[1]);
+        assert_eq!(backoff.early_take(|| 2), Some(1));
+        // A rollback after a deferral drops the deferral's stamp.
+        for _ in 0..9 {
+            backoff.record(1, Attempt::Aborted, 2, || now);
+        }
+        assert_eq!(
+            backoff.resume_at[1],
+            Some(now + Duration::from_micros(6_400))
+        );
+        assert_eq!(backoff.early_take(|| 9), None);
+    }
+
+    #[test]
+    fn a_session_past_its_horizon_runs_in_the_pass_whatever_the_counter_says() {
+        let long_ago = Instant::now() - Duration::from_secs(1);
+        let mut backoff = Backoff::new(2);
+        backoff.record(0, Attempt::Deferred, 4, || long_ago);
+        backoff.record(1, Attempt::Deferred, 4, || {
+            Instant::now() + Duration::from_secs(60)
+        });
+        // The counter has not moved, so nothing is taken early, yet the
+        // pass attempts session 0: its backoff is over.
+        assert_eq!(backoff.early_take(|| 4), None);
+        assert!(!backoff.backing_off(0));
+        assert!(backoff.backing_off(1));
     }
 
     #[test]

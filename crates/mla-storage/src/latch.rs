@@ -267,14 +267,20 @@ mod tests {
                 while arrived.load(Ordering::SeqCst) != i {
                     std::thread::yield_now();
                 }
-                let handle = std::thread::spawn(move || {
-                    let g = tree.acquire(e(0), e(0), LatchMode::Exclusive);
-                    order.lock().unwrap().push(i);
-                    drop(g);
-                });
+                let handle = {
+                    let tree = Arc::clone(&tree);
+                    std::thread::spawn(move || {
+                        let g = tree.acquire(e(0), e(0), LatchMode::Exclusive);
+                        order.lock().unwrap().push(i);
+                        drop(g);
+                    })
+                };
                 // Wait until the request is actually queued before
-                // releasing the next arrival.
-                std::thread::sleep(std::time::Duration::from_millis(10));
+                // releasing the next arrival: a request bumps the wait
+                // counter under the tree's lock when it queues.
+                while tree.stats().1 < i + 1 {
+                    std::thread::yield_now();
+                }
                 arrived.fetch_add(1, Ordering::SeqCst);
                 all_queued.wait();
                 handle.join().unwrap();

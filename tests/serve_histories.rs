@@ -14,7 +14,7 @@ use std::time::Duration;
 use multilevel_atomicity::check::{check, History, Verdict};
 use multilevel_atomicity::model::{Execution, Step};
 use multilevel_atomicity::serve::{
-    contended_load, partitioned_load, run, SchedKind, ServeConfig, ServeLoad,
+    contended_load, partitioned_load, run, SchedKind, ServeConfig, ServeLoad, ServeReport,
 };
 
 fn config(sched: SchedKind) -> ServeConfig {
@@ -38,8 +38,8 @@ fn assert_correctable(load: &ServeLoad, history: &[Step]) {
 }
 
 /// Drains `load` under `config` and runs the full battery of
-/// history-level checks. Returns the committed count.
-fn drain_and_audit(load: &ServeLoad, config: &ServeConfig) -> u64 {
+/// history-level checks. Returns the report.
+fn drain_and_audit(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
     let report = run(load, config);
     assert!(report.clean, "drain must complete before the deadline");
     assert_eq!(report.snapshot_violations, 0, "snapshot probes must hold");
@@ -57,7 +57,26 @@ fn drain_and_audit(load: &ServeLoad, config: &ServeConfig) -> u64 {
     assert_correctable(load, &report.history);
     assert_program_order(&report.history);
     assert_value_chains(load, &report.history);
-    report.committed
+    report
+}
+
+/// Conservation on a contended load: replaying the last write per
+/// account sums to the initial ring total.
+fn assert_conserved(load: &ServeLoad, history: &[Step]) {
+    let mut last: HashMap<u32, i64> = load
+        .workload
+        .initial
+        .iter()
+        .map(|&(e, v)| (e.0, v))
+        .collect();
+    for step in history {
+        last.insert(step.entity.0, step.wrote);
+    }
+    assert_eq!(
+        last.values().sum::<i64>(),
+        load.initial_total,
+        "ring total must be conserved"
+    );
 }
 
 /// Histories come out in ticket order, so on each entity every step
@@ -103,7 +122,7 @@ fn assert_program_order(history: &[Step]) {
 fn partitioned_histories_pass_the_oracle_under_both_schedulers() {
     let load = partitioned_load(8, 4);
     for sched in [SchedKind::Detect, SchedKind::Prevent] {
-        assert_eq!(drain_and_audit(&load, &config(sched)), 32);
+        assert_eq!(drain_and_audit(&load, &config(sched)).committed, 32);
     }
 }
 
@@ -112,7 +131,7 @@ fn certified_partitioned_history_passes_the_oracle() {
     let load = partitioned_load(6, 8);
     let mut cfg = config(SchedKind::Prevent);
     cfg.certified = true;
-    assert_eq!(drain_and_audit(&load, &cfg), 48);
+    assert_eq!(drain_and_audit(&load, &cfg).committed, 48);
 }
 
 #[test]
@@ -145,17 +164,7 @@ fn contended_histories_pass_the_oracle_and_conserve_money() {
         assert_correctable(&load, &report.history);
         assert_program_order(&report.history);
         assert_value_chains(&load, &report.history);
-
-        // Conservation: replaying the last write per entity sums to the
-        // initial ring total.
-        let mut last: HashMap<u32, i64> = HashMap::new();
-        for step in &report.history {
-            last.insert(step.entity.0, step.wrote);
-        }
-        let total: i64 = (0..4u32)
-            .map(|a| last.get(&a).copied().unwrap_or(100))
-            .sum();
-        assert_eq!(total, load.initial_total, "ring total must be conserved");
+        assert_conserved(&load, &report.history);
     }
 }
 
@@ -170,6 +179,25 @@ fn four_worker_contended_histories_chain_values_in_ticket_order() {
             workers: 4,
             ..config(sched)
         };
-        assert_eq!(drain_and_audit(&load, &cfg), 128);
+        let report = drain_and_audit(&load, &cfg);
+        assert_eq!(report.committed, 128);
+        assert_conserved(&load, &report.history);
     }
+}
+
+#[test]
+fn one_worker_contended_prevent_history_passes_every_check() {
+    // One worker serves all sixteen sessions. Whenever they are all
+    // backing off, it takes the deferred session due first early
+    // instead of idling, so early takes interleave with the timed
+    // backoff throughout the drain. Every eighth transaction is an
+    // audit over the whole ring.
+    let load = contended_load(16, 32, 16, 8);
+    let cfg = ServeConfig {
+        workers: 1,
+        ..config(SchedKind::Prevent)
+    };
+    let report = drain_and_audit(&load, &cfg);
+    assert_eq!(report.committed, 16 * 32);
+    assert_conserved(&load, &report.history);
 }
