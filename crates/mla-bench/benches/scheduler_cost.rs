@@ -1,6 +1,5 @@
-//! Criterion benches: whole-simulation cost per control (the scheduler
-//! overhead axis of E4), the A2 window-eviction ablation, and the A4
-//! incremental-vs-full-rebuild closure-maintenance comparison.
+//! Criterion bench: whole-simulation cost per control (the scheduler
+//! overhead axis of E4).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mla_bench::runner::{run_cell, ControlKind};
@@ -24,8 +23,6 @@ fn bench_controls(c: &mut Criterion) {
         ControlKind::Timestamp,
         ControlKind::Sgt(policy),
         ControlKind::MlaDetect(policy),
-        ControlKind::MlaDetectNoEvict(policy),
-        ControlKind::MlaDetectFullRebuild(policy),
         ControlKind::MlaPrevent(policy),
     ] {
         group.bench_with_input(
@@ -43,40 +40,5 @@ fn bench_controls(c: &mut Criterion) {
     group.finish();
 }
 
-/// A4 side by side: per-step delta cost vs per-step full-rebuild cost
-/// over the same decision procedure, at live-window sizes where the
-/// quadratic rebuild bill dominates.
-fn bench_closure_maintenance(c: &mut Criterion) {
-    let policy = VictimPolicy::FewestSteps;
-    let mut group = c.benchmark_group("closure_maintenance");
-    group.sample_size(10);
-    for transfers in [64usize, 96] {
-        let b = generate(BankingConfig {
-            transfers,
-            bank_audits: 1,
-            credit_audits: 1,
-            arrival_spacing: 2, // dense injection: large live windows
-            ..BankingConfig::default()
-        });
-        for kind in [
-            ControlKind::MlaDetect(policy),
-            ControlKind::MlaDetectFullRebuild(policy),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("banking{transfers}"), kind.label()),
-                &kind,
-                |bch, &kind| {
-                    bch.iter(|| {
-                        std::hint::black_box(
-                            run_cell(&b.workload, kind, 0xA4).outcome.metrics.committed,
-                        )
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_controls, bench_closure_maintenance);
+criterion_group!(benches, bench_controls);
 criterion_main!(benches);

@@ -1,4 +1,4 @@
-//! Runs the experiments (E1-E13, A2-A8; A6 retired) and prints their
+//! Runs the experiments (E1-E13, A3, A7, A8) and prints their
 //! tables — the data behind EXPERIMENTS.md. `--quick` picks the reduced
 //! sweeps, `--only E4,A8` a subset, and `--json <path>` also writes
 //! machine-readable results. Bad arguments print the usage and exit 2.

@@ -1,9 +1,8 @@
-//! Experiment implementations E1–E13 and A2–A8 (A5 and A6 retired). Each returns a [`Table`];
-//! the `quick` flag shrinks sweeps for CI/tests.
+//! Experiment implementations E1–E13, A3, A7 and A8 (A2, A4, A5 and A6
+//! retired). Each returns a [`Table`]; the `quick` flag shrinks sweeps
+//! for CI/tests.
 
-pub mod a2;
 pub mod a3;
-pub mod a4;
 pub mod a7;
 pub mod a8;
 pub mod e1;
@@ -68,7 +67,7 @@ pub fn seeds(quick: bool) -> Vec<u64> {
 /// One experiment: the id its table's title opens with, and its runner.
 pub type Experiment = (&'static str, fn(bool) -> Table);
 
-/// Every experiment, in the order `run_all` renders them.
+/// Every experiment, in the order `all_experiments` renders them.
 pub const REGISTRY: &[Experiment] = &[
     ("E1", e1::run),
     ("E2", e2::run),
@@ -83,24 +82,16 @@ pub const REGISTRY: &[Experiment] = &[
     ("E11", e11::run),
     ("E12", e12::run),
     ("E13", e13::run),
-    ("A4", a4::run),
     ("A7", a7::run),
     ("A8", a8::run),
-    ("A2", a2::run),
     ("A3", a3::run),
 ];
-
-/// Every experiment, rendered in registry order. EXPERIMENTS.md is
-/// regenerated from this.
-pub fn run_all(quick: bool) -> Vec<Table> {
-    REGISTRY.iter().map(|(_, run)| run(quick)).collect()
-}
 
 /// The `all_experiments` command line.
 pub const USAGE: &str = "usage: all_experiments [--quick] [--only ID[,ID...]] [--json PATH]
   --quick        reduced sweeps
   --only IDS     run only these experiments, e.g. E4,A8 (case-insensitive;
-                 ids E1-E13, A2-A4, A7, A8)
+                 ids E1-E13, A3, A7, A8)
   --json PATH    also write the tables as JSON to PATH";
 
 /// A parsed `all_experiments` command line.
@@ -166,12 +157,18 @@ mod tests {
     }
 
     #[test]
-    fn registry_has_eighteen_unique_ids() {
+    fn registry_has_sixteen_unique_ids() {
         let mut ids: Vec<&str> = REGISTRY.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids.len(), 18);
+        assert_eq!(
+            ids,
+            [
+                "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13",
+                "A7", "A8", "A3"
+            ]
+        );
         ids.sort_unstable();
         ids.dedup();
-        assert_eq!(ids.len(), 18);
+        assert_eq!(ids.len(), 16);
     }
 
     #[test]

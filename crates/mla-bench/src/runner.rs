@@ -22,12 +22,6 @@ pub enum ControlKind {
     Sgt(VictimPolicy),
     /// Multilevel-atomicity cycle detection.
     MlaDetect(VictimPolicy),
-    /// Multilevel-atomicity cycle detection without window eviction (A2).
-    MlaDetectNoEvict(VictimPolicy),
-    /// Multilevel-atomicity cycle detection with a forced full closure
-    /// rebuild before every decision (A4: the pre-incremental cost
-    /// model, same decisions).
-    MlaDetectFullRebuild(VictimPolicy),
     /// Multilevel-atomicity cycle prevention.
     MlaPrevent(VictimPolicy),
     /// Cycle detection armed with an `mla-lint` static safety
@@ -47,8 +41,6 @@ impl ControlKind {
             ControlKind::Timestamp => "timestamp",
             ControlKind::Sgt(_) => "sgt",
             ControlKind::MlaDetect(_) => "mla-detect",
-            ControlKind::MlaDetectNoEvict(_) => "mla-detect/noevict",
-            ControlKind::MlaDetectFullRebuild(_) => "mla-detect/rebuild",
             ControlKind::MlaPrevent(_) => "mla-prevent",
             ControlKind::MlaDetectCertified(_) => "mla-detect/certified",
             ControlKind::MlaPreventCertified(_) => "mla-prevent/certified",
@@ -153,8 +145,6 @@ fn simulate(
         ControlKind::Timestamp => Box::new(TimestampOrdering::new()),
         ControlKind::Sgt(policy) => Box::new(SgtControl::new(wl.txn_count(), policy)),
         ControlKind::MlaDetect(policy) => Box::new(detect(policy)),
-        ControlKind::MlaDetectNoEvict(policy) => Box::new(detect(policy).without_eviction()),
-        ControlKind::MlaDetectFullRebuild(policy) => Box::new(detect(policy).with_full_rebuild()),
         ControlKind::MlaDetectCertified(policy) => Box::new(
             detect(policy).with_static_cert(cert.expect("certificate built before the timer")),
         ),
@@ -184,14 +174,8 @@ pub struct Aggregate {
     pub wasted: f64,
     /// Total commit rollbacks.
     pub commit_rollbacks: u64,
-    /// Largest cascade across seeds.
-    pub max_cascade: usize,
     /// Mean wall seconds per run.
     pub wall_seconds: f64,
-    /// Total closure rebuilds across seeds (engine-backed controls only).
-    pub closure_rebuilds: u64,
-    /// Total closure edges inserted across seeds.
-    pub closure_edges: u64,
     /// Mean closure rows processed per decision.
     pub rows_per_decision: f64,
     /// Seeds aggregated.
@@ -222,10 +206,7 @@ pub fn run_seeds(wl: &Workload, kind: ControlKind, seeds: &[u64]) -> Aggregate {
         agg.defers += m.defers;
         agg.wasted += m.wasted_work();
         agg.commit_rollbacks += m.commit_rollbacks;
-        agg.max_cascade = agg.max_cascade.max(m.max_cascade());
         agg.wall_seconds += cell.wall_seconds;
-        agg.closure_rebuilds += m.decision_cost.rebuilds;
-        agg.closure_edges += m.decision_cost.edges_inserted;
         agg.rows_per_decision += m.rows_per_decision();
         agg.runs += 1;
     }
@@ -269,8 +250,6 @@ mod tests {
             (&b, ControlKind::Timestamp),
             (&b, ControlKind::Sgt(policy)),
             (&b, ControlKind::MlaDetect(policy)),
-            (&b, ControlKind::MlaDetectNoEvict(policy)),
-            (&b, ControlKind::MlaDetectFullRebuild(policy)),
             (&b, ControlKind::MlaPrevent(policy)),
             (&p, ControlKind::MlaDetect(policy)),
             (&p, ControlKind::MlaDetectCertified(policy)),

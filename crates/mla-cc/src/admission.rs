@@ -50,9 +50,6 @@ pub struct AdmissionCore {
     /// A rollback (commit rollbacks included) takes its transaction out
     /// again, so the sweep never counts a resurrected one as drained.
     evicted: HashSet<TxnId>,
-    /// Whether grants run the eviction pass (the A2 ablation turns it
-    /// off to measure checking against the full history).
-    eviction: bool,
     /// Transactions rolled back since the engine last judged a step: a
     /// cascade's victims, removed from the engine together by one
     /// rederive before its next use.
@@ -68,7 +65,6 @@ impl AdmissionCore {
             engine: None,
             guard: None,
             evicted: HashSet::new(),
-            eviction: true,
             aborting: Vec::new(),
             policy,
         }
@@ -86,11 +82,6 @@ impl AdmissionCore {
             "certificate depth must match the spec"
         );
         self.guard = Some(CertGuard::new(cert, rearm));
-    }
-
-    /// Stops grants from evicting (the A2 ablation).
-    pub(crate) fn disable_eviction(&mut self) {
-        self.eviction = false;
     }
 
     /// Puts `candidate` to the certificate first. `None` is a grant on
@@ -147,9 +138,7 @@ impl AdmissionCore {
     pub(crate) fn grant(&mut self) {
         let engine = self.engine.as_mut().expect("granted through the engine");
         engine.commit_step();
-        if self.eviction {
-            self.evicted.extend(engine.evict_unreachable());
-        }
+        self.evicted.extend(engine.evict_unreachable());
     }
 
     /// Records that `txn` committed: it stops being an eviction source,

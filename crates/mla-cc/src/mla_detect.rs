@@ -13,7 +13,10 @@
 //! batch closure is never recomputed: a rollback deletes the victim's
 //! rows and rederives only the rows that held it, and dead rows and
 //! columns are dropped by an order-preserving renumbering, so the
-//! `rebuilds` counter stays at zero outside the A1 ablation.
+//! `rebuilds` counter stays at zero. Every grant runs the engine's
+//! eviction pass, which projects out the committed transactions no live
+//! one reaches; eviction never changes a verdict
+//! (`tests/closure_engine_equivalence.rs` holds it to that).
 //! "Presumably, fewer cycles would be detected using the multilevel
 //! atomicity definition than if strict serializability were required,
 //! leading to fewer rollbacks" — experiment E5 measures exactly this
@@ -30,10 +33,6 @@ use crate::victim::VictimPolicy;
 /// The optimistic multilevel-atomicity control.
 pub struct MlaDetect {
     core: AdmissionCore,
-    /// A1 ablation: force a closure rebuild (every live row rederived in
-    /// place) before every decision, charging per-step batch cost for the
-    /// frontier through the same code path.
-    full_rebuild: bool,
     /// Closure checks performed (for the E5 cost accounting).
     pub checks: u64,
     /// Checks that found a cycle.
@@ -46,26 +45,9 @@ impl MlaDetect {
     pub fn new(spec: RuntimeSpec, policy: VictimPolicy) -> Self {
         MlaDetect {
             core: AdmissionCore::new(spec, policy),
-            full_rebuild: false,
             checks: 0,
             cycles_found: 0,
         }
-    }
-
-    /// Disables eviction (the A2 ablation: pay for checking the full
-    /// history on every decision).
-    pub fn without_eviction(mut self) -> Self {
-        self.core.disable_eviction();
-        self
-    }
-
-    /// Forces a full closure rebuild before every decision (the A1
-    /// ablation): same decisions, same code path, but per-step batch
-    /// cost instead of delta cost. This is the baseline the incremental
-    /// engine is benchmarked against.
-    pub fn with_full_rebuild(mut self) -> Self {
-        self.full_rebuild = true;
-        self
     }
 
     /// Arms the certified fast path with an `mla-lint` [`StaticCert`]
@@ -111,9 +93,6 @@ impl Control for MlaDetect {
         let Some(engine) = self.core.engine_for(&candidate, world) else {
             return Decision::Grant;
         };
-        if self.full_rebuild {
-            engine.force_rebuild();
-        }
         match engine.apply_step(candidate) {
             Ok(()) => {
                 self.core.grant();
@@ -269,55 +248,6 @@ mod tests {
         assert!(cost.steps_applied > 0);
         assert_eq!(cost.rebuilds, 0, "grant path must not batch-recompute");
         assert_eq!(cost.rollbacks, 0);
-    }
-
-    #[test]
-    fn full_rebuild_ablation_decides_identically() {
-        // The A1 ablation runs the same decision procedure through the
-        // same engine, only paying batch cost per step: outcomes must be
-        // identical, and the rebuild counter must show the charge.
-        let (nest, instances, spec, initial) = banking_setup(8, 4);
-        let arrivals = vec![0u64; instances.len()];
-        let mut inc = MlaDetect::new(spec.clone(), VictimPolicy::FewestSteps);
-        let out_inc = run(
-            nest.clone(),
-            instances,
-            initial.clone(),
-            &arrivals,
-            &SimConfig::seeded(25),
-            &mut inc,
-        );
-        // Fresh instances: TxnInstance is stateful and not Clone.
-        let (_, instances, _, _) = banking_setup(8, 4);
-        let mut full = MlaDetect::new(spec.clone(), VictimPolicy::FewestSteps).with_full_rebuild();
-        let out_full = run(
-            nest.clone(),
-            instances,
-            initial,
-            &arrivals,
-            &SimConfig::seeded(25),
-            &mut full,
-        );
-        assert_eq!(out_inc.metrics.committed, out_full.metrics.committed);
-        assert_eq!(out_inc.metrics.aborts, out_full.metrics.aborts);
-        assert_eq!(out_inc.execution.steps(), out_full.execution.steps());
-        assert_eq!(inc.checks, full.checks);
-        assert_eq!(
-            full.core().cost().rebuilds,
-            full.checks,
-            "one rebuild per decision"
-        );
-        assert!(
-            inc.core().cost().rebuilds < full.core().cost().rebuilds,
-            "incremental mode must rebuild strictly less"
-        );
-        assert!(
-            inc.core().cost().rows_touched < full.core().cost().rows_touched,
-            "incremental mode must do strictly less closure work \
-             ({} vs {})",
-            inc.core().cost().rows_touched,
-            full.core().cost().rows_touched
-        );
     }
 
     #[test]

@@ -26,9 +26,10 @@
 //!   Incrementally", SIGMOD 1993): only the rows that held the victim's
 //!   column are reset to their base pairs and re-closed.
 //!
-//! No maintenance path recomputes the window. [`ClosureEngine::force_rebuild`]
-//! keeps a full rederive of every live row as the reference the A1/A4
-//! ablations and the tests compare against; nothing else reaches it.
+//! No maintenance path recomputes the window. [`ClosureEngine::rebuild`]
+//! rederives every live row at once; it is the reference the engine
+//! tests compare the incremental paths against, and nothing else calls
+//! it.
 //!
 //! # How incrementality stays sound
 //!
@@ -344,9 +345,9 @@ pub struct EngineCounters {
     /// Worklist rows processed across all fixpoints — the per-decision
     /// work measure.
     pub rows_touched: u64,
-    /// Full rebuilds performed. Only [`ClosureEngine::force_rebuild`]
-    /// schedules one, so this is zero outside the A1/A4 ablations and
-    /// tests.
+    /// Full rebuilds performed. Only [`ClosureEngine::rebuild`] counts
+    /// one, and no scheduler calls it, so this is zero outside the
+    /// engine tests.
     pub rebuilds: u64,
     /// Tentative steps rolled back (cycle rejections and scheduler
     /// defers).
@@ -540,8 +541,6 @@ pub struct ClosureEngine<S> {
     entity_rows: Vec<Vec<u32>>,
     dead: Vec<bool>,
     dead_count: usize,
-    /// Set by [`force_rebuild`](ClosureEngine::force_rebuild) only.
-    needs_rebuild: bool,
     tentative: bool,
     journal: Vec<Op>,
     queue: VecDeque<u32>,
@@ -579,7 +578,6 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
             entity_rows: Vec::new(),
             dead: Vec::new(),
             dead_count: 0,
-            needs_rebuild: false,
             tentative: false,
             journal: Vec::new(),
             queue: VecDeque::new(),
@@ -600,13 +598,9 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     /// returns the closure cycle the step would have created.
     ///
     /// Steps must arrive in per-transaction sequence order (the
-    /// scheduler's performance order). A rebuild scheduled by
-    /// [`force_rebuild`](Self::force_rebuild) runs first.
+    /// scheduler's performance order).
     pub fn apply_step(&mut self, step: Step) -> Result<(), CycleWitness> {
         assert!(!self.tentative, "previous tentative step not resolved");
-        if self.needs_rebuild {
-            self.rebuild();
-        }
         self.counters.steps_applied += 1;
         self.tentative = true;
         match self.apply_inner(step) {
@@ -706,7 +700,7 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     /// `eviction_preserves_carrier_chains_cad_regression`). An earlier
     /// cohort rule ("evict once everyone uncommitted at `C`'s commit has
     /// committed") was unsound when restricted to started transactions
-    /// and never fired in steady state otherwise; see the A2 ablation.
+    /// and never fired in steady state otherwise.
     ///
     /// After a pass every live column is a source or reached from one,
     /// and only a lost source can break that: grants only add pairs and
@@ -948,32 +942,21 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
         self.m.debug_check_masks();
     }
 
-    /// Schedules a full rebuild before the next
-    /// [`apply_step`](Self::apply_step): every live row is rederived in
-    /// place. The ablation hook: calling this before every decision makes
-    /// the engine re-close the whole window per decision through the same
-    /// code path. The topo's order and edge lists are kept, not rebuilt,
-    /// so this is the frontier's batch cost only. It is the only way to
-    /// reach the rebuild.
-    pub fn force_rebuild(&mut self) {
+    /// Full rebuild, now: every live row is rederived in place from its
+    /// base pairs. Rows, columns, topo order and adjacency keep their
+    /// numbers and order (an edge the closure still holds is re-found
+    /// where it is), so the rebuilt engine decides exactly as the
+    /// incremental one. This is the reference the engine tests compare
+    /// the incremental paths against; no scheduler calls it. Counted in
+    /// [`EngineCounters::rebuilds`].
+    pub fn rebuild(&mut self) {
         assert!(!self.tentative, "resolve the pending step first");
-        self.needs_rebuild = true;
-    }
-
-    /// Performs a rebuild [`force_rebuild`](Self::force_rebuild)
-    /// scheduled, now instead of at the next
-    /// [`apply_step`](Self::apply_step): the reference state the
-    /// incremental paths are compared against.
-    pub fn flush_rebuild(&mut self) {
-        assert!(!self.tentative, "resolve the pending step first");
-        if self.needs_rebuild {
-            self.rebuild();
-        }
-    }
-
-    /// Whether a tentative step is pending resolution.
-    pub fn pending(&self) -> bool {
-        self.tentative
+        self.counters.rebuilds += 1;
+        let mut rows = std::mem::take(&mut self.seeds);
+        rows.clear();
+        rows.extend((0..self.steps.len() as u32).filter(|&v| !self.dead[v as usize]));
+        self.rederive(&mut rows);
+        self.seeds = rows;
     }
 
     /// Accumulated work counters.
@@ -1083,9 +1066,6 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     pub fn probe_pair(&mut self, a: Step, b: Step) -> PairProbe {
         assert!(!self.tentative, "previous tentative step not resolved");
         assert_ne!(a.txn, b.txn, "probe steps must belong to different txns");
-        if self.needs_rebuild {
-            self.rebuild();
-        }
         self.tentative = true;
         let (first_ok, second_ok, signature) = match self.apply_inner(a) {
             Ok(()) => match self.apply_inner(b) {
@@ -1131,22 +1111,6 @@ impl<S: BreakpointSpecification> ClosureEngine<S> {
     }
 
     // ---- internals ------------------------------------------------------
-
-    /// Full rebuild: every live row is rederived from its base pairs, the
-    /// batch-cost reference behind [`force_rebuild`](Self::force_rebuild).
-    /// Rows, columns, topo order and adjacency keep their numbers and
-    /// order (an edge the closure still holds is re-found where it is),
-    /// so the rebuilt engine decides exactly as the incremental one.
-    /// Counted in [`EngineCounters::rebuilds`].
-    fn rebuild(&mut self) {
-        self.counters.rebuilds += 1;
-        self.needs_rebuild = false;
-        let mut rows = std::mem::take(&mut self.seeds);
-        rows.clear();
-        rows.extend((0..self.steps.len() as u32).filter(|&v| !self.dead[v as usize]));
-        self.rederive(&mut rows);
-        self.seeds = rows;
-    }
 
     /// Empties the live `rows` and re-closes them: base pairs, then the
     /// worklist fixpoint in performance order. Their old in-edges stay
@@ -1876,7 +1840,7 @@ mod tests {
         assert!(witness.steps.len() >= 2);
         // Rolled back: the same step set minus the offender is intact.
         assert_eq!(engine.live_count(), 3);
-        assert!(!engine.pending());
+        assert!(!engine.tentative);
     }
 
     #[test]
@@ -1922,7 +1886,7 @@ mod tests {
         assert_eq!(engine.m, m_before);
         assert_eq!(engine.topo.edge_count(), edges_before);
         assert_eq!(engine.relation_signature(), sig_before);
-        assert!(!engine.pending());
+        assert!(!engine.tentative);
     }
 
     #[test]
@@ -1946,7 +1910,7 @@ mod tests {
         assert!(probe.first_ok);
         assert!(!probe.second_ok);
         assert_eq!(engine.live_count(), live_before);
-        assert!(!engine.pending());
+        assert!(!engine.tentative);
         // A denial in either order means dependence.
         assert!(!engine.steps_commute(step(0, 1, 8), step(2, 0, 9)));
     }

@@ -35,26 +35,6 @@ impl Condensation {
     pub fn is_acyclic_ignoring_self_loops(&self) -> bool {
         self.members.iter().all(|m| m.len() == 1)
     }
-
-    /// The component DAG: an edge `c -> d` for every original edge between
-    /// distinct components, deduplicated.
-    pub fn component_dag(&self, g: &DiGraph) -> DiGraph {
-        let mut dag = DiGraph::new(self.len());
-        for (u, v) in g.edges() {
-            let (cu, cv) = (self.comp_of[u as usize], self.comp_of[v as usize]);
-            if cu != cv {
-                dag.add_edge_unique(cu, cv);
-            }
-        }
-        dag
-    }
-
-    /// Component indices in a topological order of the component DAG
-    /// (sources first). Tarjan emits components in reverse topological
-    /// order, so this is simply the reversed index sequence.
-    pub fn topo_component_order(&self) -> Vec<u32> {
-        (0..self.len() as u32).rev().collect()
-    }
 }
 
 /// Computes the strongly connected components of `g` with an iterative
@@ -256,31 +236,6 @@ mod tests {
         let c = tarjan(&DiGraph::new(5));
         assert_eq!(c.len(), 5);
         assert!(c.is_acyclic_ignoring_self_loops());
-    }
-
-    #[test]
-    fn component_dag_deduplicates_edges() {
-        // Two nodes in comp A both point into comp B: one DAG edge.
-        let g = DiGraph::from_edges(4, [(0, 1), (1, 0), (0, 2), (1, 2), (2, 3), (3, 2)]);
-        let c = tarjan(&g);
-        let dag = c.component_dag(&g);
-        assert_eq!(dag.edge_count(), 1);
-        assert_eq!(dag.node_count(), 2);
-    }
-
-    #[test]
-    fn topo_component_order_respects_edges() {
-        let g = DiGraph::from_edges(5, [(0, 1), (1, 2), (3, 1), (2, 4)]);
-        let c = tarjan(&g);
-        let order = c.topo_component_order();
-        let pos: std::collections::HashMap<u32, usize> =
-            order.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        for (u, v) in g.edges() {
-            let (cu, cv) = (c.comp_of[u as usize], c.comp_of[v as usize]);
-            if cu != cv {
-                assert!(pos[&cu] < pos[&cv]);
-            }
-        }
     }
 
     #[test]

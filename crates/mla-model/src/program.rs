@@ -26,11 +26,6 @@ pub struct LocalState {
 }
 
 impl LocalState {
-    /// A state at `pc = 0` with the given registers.
-    pub fn with_regs(regs: Vec<Value>) -> Self {
-        LocalState { pc: 0, regs }
-    }
-
     /// The all-zero start state with `n` registers.
     pub fn zeroed(n: usize) -> Self {
         LocalState {

@@ -1,6 +1,12 @@
 //! The `mla-serve` binary: boot the service on a generated workload,
 //! drain it, audit the history, and report.
+//!
+//! The history is dumped before anything is printed, and a failed write
+//! to stdout (a reader that closed early, as `| head` does) is ignored:
+//! the exit status always follows the drain, the snapshot checks and the
+//! oracle.
 
+use std::io::Write;
 use std::time::Duration;
 
 use mla_check::History;
@@ -44,6 +50,11 @@ fn count_or_die(flag: &str, v: Option<String>, min: usize) -> usize {
     n
 }
 
+/// Prints one report line, ignoring a stdout that has gone away.
+fn say(line: std::fmt::Arguments) {
+    let _ = writeln!(std::io::stdout().lock(), "{line}");
+}
+
 fn main() {
     let mut load_kind = "contended".to_string();
     let mut sessions = 64usize;
@@ -81,7 +92,7 @@ fn main() {
             "--dump-history" => dump_history = Some(parse_or_die(&a, args.next())),
             "--quiet" => quiet = true,
             "--help" | "-h" => {
-                print!("{USAGE}");
+                let _ = write!(std::io::stdout().lock(), "{USAGE}");
                 return;
             }
             other => {
@@ -103,32 +114,38 @@ fn main() {
     let gen_wall = gen_started.elapsed();
 
     let mut report = run(&load, &config);
-    if !quiet {
-        println!("{}", report.render());
-    }
 
     let audit_started = std::time::Instant::now();
     let exec = Execution::new(std::mem::take(&mut report.history))
         .expect("service histories are seq-contiguous");
     let history = History::from_execution(&exec, &load.workload.nest, &load.workload.spec())
         .expect("service history matches its nest and spec");
-    let verdict = mla_check::check(&history);
-    println!("oracle      {}", verdict.render());
-    if !quiet {
-        println!(
-            "phases      generate {gen_wall:.3?}, certify {:.3?}, drain {:.3?}, audit {:.3?}",
-            report.cert_wall,
-            report.wall,
-            audit_started.elapsed()
-        );
-    }
-
-    if let Some(path) = dump_history {
-        if let Err(e) = std::fs::write(&path, mla_check::format_history(&history)) {
+    let mut audit_wall = audit_started.elapsed();
+    if let Some(path) = &dump_history {
+        if let Err(e) = std::fs::write(path, mla_check::format_history(&history)) {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(2);
         }
-        println!("history     wrote {} steps to {path}", exec.len());
+    }
+    if !quiet {
+        say(format_args!("{}", report.render()));
+    }
+
+    let check_started = std::time::Instant::now();
+    let verdict = mla_check::check(&history);
+    audit_wall += check_started.elapsed();
+    say(format_args!("oracle      {}", verdict.render()));
+    if !quiet {
+        say(format_args!(
+            "phases      generate {gen_wall:.3?}, certify {:.3?}, drain {:.3?}, audit {audit_wall:.3?}",
+            report.cert_wall, report.wall,
+        ));
+    }
+    if let Some(path) = dump_history {
+        say(format_args!(
+            "history     wrote {} steps to {path}",
+            exec.len()
+        ));
     }
 
     if !report.clean {

@@ -101,12 +101,6 @@ pub struct Banking {
 }
 
 impl Banking {
-    /// The accounts of family `f`.
-    pub fn family_accounts(&self, f: usize) -> Vec<EntityId> {
-        let a = self.config.accounts_per_family;
-        (0..a).map(|j| EntityId((f * a + j) as u32)).collect()
-    }
-
     /// Total money initially in the bank.
     pub fn total_money(&self) -> Value {
         self.accounts.len() as Value * self.config.initial_balance

@@ -11,10 +11,9 @@
 //! the closure's partial-order check in both forms. Random aborts
 //! (cycle victims and spontaneous ones) exercise the engine's
 //! delete-and-rederive path mid-run, and random in-schedule window
-//! evictions and forced rebuilds exercise the scheduler's maintenance
-//! paths between decisions; after each run the engine's maintained
-//! relation is compared pairwise against the batch closure of the
-//! surviving execution.
+//! evictions and rebuilds run between decisions; after each run the
+//! engine's maintained relation is compared pairwise against the batch
+//! closure of the surviving execution.
 //!
 //! The abort differential drives cascades of removals, finishes and
 //! evictions and compares the engine, after every maintenance call,
@@ -24,7 +23,9 @@
 //! The eviction cases check [`ClosureEngine::evict_unreachable`], which
 //! skips its reachability pass when no source was lost, against a
 //! full-scan reference of the same rule after every grant, and pin each
-//! path that must force the pass.
+//! path that must force the pass. A lockstep against an engine that
+//! never evicts checks that eviction changes no verdict and leaves the
+//! projection of the full relation onto the transactions it keeps.
 //!
 //! Two exhaustive checks replace sampling with enumeration: every
 //! Mazurkiewicz-trace representative of a few bounded nests, as
@@ -37,7 +38,7 @@ use std::sync::Arc;
 use multilevel_atomicity::core::closure::CoherentClosure;
 use multilevel_atomicity::core::nest::Nest;
 use multilevel_atomicity::core::spec::ExecContext;
-use multilevel_atomicity::core::ClosureEngine;
+use multilevel_atomicity::core::{ClosureEngine, RelationSignature};
 use multilevel_atomicity::explore::{explore, BoundedNest, Schedule};
 use multilevel_atomicity::model::{EntityId, Execution, Step, TxnId};
 use multilevel_atomicity::txn::{PhaseTable, RuntimeBreakpoints, RuntimeSpec};
@@ -121,8 +122,7 @@ proptest! {
             }
             // A rebuild between decisions must be semantically invisible.
             if rng.gen_bool(0.08) {
-                engine.force_rebuild();
-                engine.flush_rebuild();
+                engine.rebuild();
             }
             let t = runnable[rng.gen_range(0..runnable.len())];
             // Occasionally abort a transaction with history outright,
@@ -275,8 +275,8 @@ proptest! {
     /// Scheduler-shaped random runs: eviction after every grant, finished
     /// transactions count as committed, aborts (denial victims and
     /// spontaneous ones, committed transactions included) restart the
-    /// transaction from its first step up to twice, and rebuilds are
-    /// forced at random. Every eviction must equal the full-scan
+    /// transaction from its first step up to twice, and rebuilds run at
+    /// random. Every eviction must equal the full-scan
     /// reference, and the surviving execution must be exactly the granted
     /// steps of unevicted, unaborted incarnations.
     #[test]
@@ -308,8 +308,7 @@ proptest! {
                 break;
             }
             if rng.gen_bool(0.08) {
-                engine.force_rebuild();
-                engine.flush_rebuild();
+                engine.rebuild();
             }
             if !accepted.is_empty() && rng.gen_bool(0.06) {
                 let t = accepted[rng.gen_range(0..accepted.len())].txn;
@@ -350,6 +349,107 @@ proptest! {
     }
 }
 
+/// `sig` restricted to the transactions `held` names: their rows, and in
+/// each row their columns only.
+fn restricted(sig: RelationSignature, held: &[u32]) -> RelationSignature {
+    sig.into_iter()
+        .filter(|((t, _), _)| held.contains(t))
+        .map(|(step, row)| {
+            (
+                step,
+                row.into_iter().filter(|(t, _)| held.contains(t)).collect(),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Eviction is a pure cost optimisation. Two engines take the same
+    /// scheduler-shaped offers: grants, defers, finishes, the requester
+    /// aborted on a denial, and random aborts of unfinished
+    /// transactions, each restarting up to twice. One engine runs the
+    /// eviction pass after every grant, as the §6 schedulers do; the
+    /// other never evicts. Their verdicts must agree on every offer, and
+    /// after every grant the evicting engine's relation must be the
+    /// other's projected onto the transactions it still holds
+    /// (DESIGN.md §6).
+    #[test]
+    fn eviction_never_changes_a_verdict(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let setup = random_setup(&mut rng);
+        let n = setup.scripts.len();
+        let mut evicting = ClosureEngine::new(setup.nest.clone(), setup.spec.clone());
+        let mut full = ClosureEngine::new(setup.nest.clone(), setup.spec.clone());
+        let mut next_seq = vec![0u32; n];
+        let mut restarts = vec![0u32; n];
+        let mut alive = vec![true; n];
+        let finished = |next_seq: &[u32], t: usize| next_seq[t] as usize == setup.scripts[t].len();
+        for _ in 0..240 {
+            let runnable: Vec<usize> = (0..n)
+                .filter(|&t| alive[t] && !finished(&next_seq, t))
+                .collect();
+            if runnable.is_empty() {
+                break;
+            }
+            let t = runnable[rng.gen_range(0..runnable.len())];
+            // A random abort of a running transaction with history, or
+            // the requester on a denial: both engines remove it, and it
+            // restarts from its first step.
+            let mut victim = (next_seq[t] > 0 && rng.gen_bool(0.06)).then_some(t);
+            if victim.is_none() {
+                let candidate = Step {
+                    txn: TxnId(t as u32),
+                    seq: next_seq[t],
+                    entity: setup.scripts[t][next_seq[t] as usize],
+                    observed: 0,
+                    wrote: 0,
+                };
+                let granted = evicting.apply_step(candidate).is_ok();
+                prop_assert_eq!(
+                    granted,
+                    full.apply_step(candidate).is_ok(),
+                    "eviction changed the verdict on {:?} (seed {})",
+                    candidate,
+                    seed
+                );
+                if !granted {
+                    victim = Some(t);
+                } else if rng.gen_bool(0.15) {
+                    evicting.rollback_step();
+                    full.rollback_step();
+                } else {
+                    evicting.commit_step();
+                    full.commit_step();
+                    evicting.evict_unreachable();
+                    let sig = evicting.relation_signature();
+                    let mut held: Vec<u32> = sig.iter().map(|((t, _), _)| *t).collect();
+                    held.dedup();
+                    prop_assert_eq!(
+                        &sig,
+                        &restricted(full.relation_signature(), &held),
+                        "the evicting engine's relation is not the projection (seed {})",
+                        seed
+                    );
+                    next_seq[t] += 1;
+                    if finished(&next_seq, t) {
+                        evicting.finish_txn(candidate.txn);
+                        full.finish_txn(candidate.txn);
+                    }
+                }
+            }
+            if let Some(v) = victim {
+                evicting.remove_txns(&[TxnId(v as u32)]);
+                full.remove_txns(&[TxnId(v as u32)]);
+                next_seq[v] = 0;
+                restarts[v] += 1;
+                alive[v] = restarts[v] <= 2;
+            }
+        }
+    }
+}
+
 /// The replayed reference: a fresh engine fed `engine`'s live steps in
 /// order, each applied and committed. No removal, rederive, eviction or
 /// compaction runs in it, so it shares no maintenance path with `engine`.
@@ -374,7 +474,7 @@ proptest! {
     /// aborted transaction restarting up to twice. After every
     /// maintenance call the engine's relation signature must equal that
     /// of a fresh engine fed its live steps, and that of a snapshot after
-    /// `force_rebuild` (the A1/A4 reference); its live execution must be
+    /// `rebuild` (the engine's reference); its live execution must be
     /// the granted steps of live incarnations, and every verdict must
     /// equal the batch closure's on the same steps. No maintenance call
     /// may rebuild.
@@ -396,8 +496,7 @@ proptest! {
                 "{what} left a relation a replay does not (seed {seed})"
             );
             let mut rebuilt = engine.snapshot();
-            rebuilt.force_rebuild();
-            rebuilt.flush_rebuild();
+            rebuilt.rebuild();
             assert_eq!(
                 rebuilt.relation_signature(),
                 engine.relation_signature(),
