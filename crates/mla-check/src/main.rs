@@ -1,6 +1,7 @@
 //! The `mla-check` binary: check recorded histories, or generate a
 //! seeded corpus.
 
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use rand::rngs::SmallRng;
@@ -32,6 +33,12 @@ USAGE: mla-check <COMMAND>
 Exit status: 0 all verdicts match expectation, 1 otherwise, 2 on
 usage/IO/parse errors.
 ";
+
+/// Prints one line to stdout, ignoring a stdout that has gone away: the
+/// exit status carries the verdict either way.
+fn say(line: std::fmt::Arguments) {
+    let _ = writeln!(std::io::stdout().lock(), "{line}");
+}
 
 fn parse_or_die<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
     v.and_then(|s| s.parse().ok()).unwrap_or_else(|| {
@@ -122,7 +129,7 @@ fn cmd_check(mut args: std::env::Args) -> i32 {
             (v.passed(), v.render(), obj)
         };
         if !json {
-            println!("{}: {line}", file.display());
+            say(format_args!("{}: {line}", file.display()));
         }
         objects.push(obj);
         if passed != expect_pass {
@@ -130,7 +137,7 @@ fn cmd_check(mut args: std::env::Args) -> i32 {
         }
     }
     if json {
-        println!("[{}]", objects.join(","));
+        say(format_args!("[{}]", objects.join(",")));
     }
     if mismatches > 0 {
         eprintln!(
@@ -180,6 +187,12 @@ fn cmd_gen(mut args: std::env::Args) -> i32 {
             }
         }
     }
+    // `generate` asserts these bounds; a flag outside them is a usage
+    // error, not a crash.
+    if cfg.k < 2 || cfg.min_len < 1 || cfg.min_len > cfg.max_len || cfg.break_pct > 100 {
+        eprintln!("need --k >= 2, 1 <= --min-len <= --max-len and --density <= 100\n\n{USAGE}");
+        return 2;
+    }
     let mut rng = SmallRng::seed_from_u64(seed);
     let (mut valid, mut invalid) = (0usize, 0usize);
     let mut bump = |bucket: &str| {
@@ -212,10 +225,10 @@ fn cmd_gen(mut args: std::env::Args) -> i32 {
             }
         }
     }
-    println!(
+    say(format_args!(
         "wrote {valid} valid + {invalid} invalid histories under {}",
         out.display()
-    );
+    ));
     0
 }
 
@@ -226,7 +239,7 @@ fn main() {
         Some("check") => cmd_check(args),
         Some("gen") => cmd_gen(args),
         Some("--help") | Some("-h") => {
-            print!("{USAGE}");
+            let _ = std::io::stdout().lock().write_all(USAGE.as_bytes());
             0
         }
         other => {

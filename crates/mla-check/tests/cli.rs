@@ -9,10 +9,13 @@
 //!   witness/cycle step encoding — and the human rendering's
 //!   `t<txn>#<seq>(@<global>)` cycle naming are pinned exactly, so any
 //!   drift is a deliberate format bump, not an accident.
+//! * **Exit statuses.** A stdout that closes early changes no verdict,
+//!   and out-of-range `gen` dimensions are usage errors (exit 2), not
+//!   a crash.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mla-check"))
@@ -205,5 +208,59 @@ fn check_json_diagnostics_match_the_snapshot() {
          fail.hist: FAIL: coherent-closure cycle t1#1(@3) t0#1(@2) in cluster {t0 t1}\n"
     );
 
+    std::fs::remove_dir_all(&root).expect("clean scratch dir");
+}
+
+/// Runs `mla-check` with a stdout whose reading end is already closed,
+/// so every write to it fails; returns the exit code.
+fn code_with_stdout_closed(args: &[&str], cwd: &Path) -> Option<i32> {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    bin()
+        .args(args)
+        .current_dir(cwd)
+        .stdout(writer)
+        .stderr(Stdio::null())
+        .status()
+        .expect("mla-check runs")
+        .code()
+}
+
+#[test]
+fn a_closed_stdout_changes_no_exit_status() {
+    let root = scratch("closed-stdout");
+    std::fs::write(root.join("pass.hist"), PASS_HIST).expect("write fixture");
+    std::fs::write(root.join("fail.hist"), FAIL_HIST).expect("write fixture");
+    for (args, code) in [
+        (&["check", "pass.hist"][..], 0),
+        (&["check", "pass.hist", "fail.hist"], 1),
+        (&["check", "--json", "fail.hist"], 1),
+        (&["check", "--json", "--expect", "fail", "fail.hist"], 0),
+        (&["gen", "--out", "corpus", "--count", "2"], 0),
+        (&["--help"], 0),
+    ] {
+        assert_eq!(code_with_stdout_closed(args, &root), Some(code), "{args:?}");
+    }
+    std::fs::remove_dir_all(&root).expect("clean scratch dir");
+}
+
+#[test]
+fn out_of_range_gen_dimensions_are_usage_errors() {
+    let root = scratch("gen-bounds");
+    for args in [
+        &["gen", "--k", "1"][..],
+        &["gen", "--min-len", "5", "--max-len", "2"],
+        &["gen", "--min-len", "0"],
+        &["gen", "--density", "101"],
+    ] {
+        let out = run(args, &root);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(stderr.contains("USAGE: mla-check"), "{args:?}: {stderr}");
+    }
+    assert!(
+        !root.join("corpus").exists(),
+        "a rejected gen must write nothing"
+    );
     std::fs::remove_dir_all(&root).expect("clean scratch dir");
 }

@@ -10,6 +10,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::io::Write;
+
 use mla_lint::analyze;
 use mla_workload::{banking, cad, mixed, partitioned, Workload};
 
@@ -37,6 +39,12 @@ fn workload_by_name(name: &str) -> Option<Vec<Workload>> {
     }
 }
 
+/// Prints to stdout, ignoring a stdout that has gone away: the exit
+/// status carries the verdict either way.
+fn say(text: std::fmt::Arguments) {
+    let _ = std::io::stdout().lock().write_fmt(text);
+}
+
 fn main() {
     let mut json = false;
     let mut targets: Vec<String> = Vec::new();
@@ -44,7 +52,9 @@ fn main() {
         match arg.as_str() {
             "--json" => json = true,
             "--help" | "-h" => {
-                println!("usage: mla-lint [banking|cad|mixed|partitioned|all] [--json]");
+                say(format_args!(
+                    "usage: mla-lint [banking|cad|mixed|partitioned|all] [--json]\n"
+                ));
                 return;
             }
             name => targets.push(name.to_string()),
@@ -68,10 +78,10 @@ fn main() {
     let reports: Vec<_> = workloads.iter().map(analyze).collect();
     if json {
         let body: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-        println!("[{}]", body.join(","));
+        say(format_args!("[{}]\n", body.join(",")));
     } else {
         for r in &reports {
-            print!("{}", r.render());
+            say(format_args!("{}", r.render()));
         }
     }
     if reports.iter().any(|r| r.has_errors()) {

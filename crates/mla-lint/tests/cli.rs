@@ -15,8 +15,9 @@
 //!   breakpoint table, which only a code change can introduce; the
 //!   exit-1 wiring is `Report::has_errors`, unit-pinned in
 //!   `src/diag.rs`), and 2 with a usage message on an unknown target.
+//!   A stdout that closes early changes none of them.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_mla-lint"))
@@ -108,4 +109,21 @@ fn unknown_target_exits_2_with_usage() {
         "mla-lint: unknown workload 'no-such-workload' \
          (expected banking, cad, mixed, partitioned, or all)\n"
     );
+}
+
+#[test]
+fn a_closed_stdout_keeps_the_gate_exit_status() {
+    for args in [&["all", "--json"][..], &["all"], &["--help"]] {
+        // The reading end closes before the binary starts, so every
+        // write to its stdout fails.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_mla-lint"))
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::null())
+            .status()
+            .expect("mla-lint runs");
+        assert_eq!(status.code(), Some(0), "{args:?}");
+    }
 }

@@ -80,6 +80,8 @@ impl<C: Criterion> ApplicationDatabase<C> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::ids::{EntityId, TxnId};
     use crate::program::{ScriptOp::*, ScriptProgram};
@@ -87,11 +89,11 @@ mod tests {
     fn two_disjoint_transfers() -> System {
         System::new(
             vec![
-                Box::new(ScriptProgram::new(vec![
+                Arc::new(ScriptProgram::new(vec![
                     Add(EntityId(0), -10),
                     Add(EntityId(1), 10),
                 ])),
-                Box::new(ScriptProgram::new(vec![
+                Arc::new(ScriptProgram::new(vec![
                     Add(EntityId(2), -5),
                     Add(EntityId(3), 5),
                 ])),
@@ -104,11 +106,11 @@ mod tests {
         // Both transactions read-modify-write x0 then x1.
         System::new(
             vec![
-                Box::new(ScriptProgram::new(vec![
+                Arc::new(ScriptProgram::new(vec![
                     Add(EntityId(0), 1),
                     Add(EntityId(1), 1),
                 ])),
-                Box::new(ScriptProgram::new(vec![
+                Arc::new(ScriptProgram::new(vec![
                     Add(EntityId(0), 1),
                     Add(EntityId(1), 1),
                 ])),

@@ -113,16 +113,6 @@ impl Execution {
             .collect()
     }
 
-    /// Global step indices accessing `entity`, in execution order.
-    pub fn entity_steps(&self, entity: EntityId) -> Vec<usize> {
-        self.steps
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.entity == entity)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// The dependency graph generating `<=_e`: an edge from each step to
     /// the next step of the same transaction and to the next step touching
     /// the same entity. The reflexive-transitive closure of this graph is
@@ -454,12 +444,10 @@ mod tests {
     }
 
     #[test]
-    fn txn_and_entity_views() {
+    fn txn_views() {
         let e = interleaved_disjoint();
         assert_eq!(e.txns(), vec![TxnId(0), TxnId(1)]);
         assert_eq!(e.txn_steps(TxnId(1)), vec![1, 3]);
-        assert_eq!(e.entity_steps(EntityId(2)), vec![1]);
-        assert!(e.entity_steps(EntityId(9)).is_empty());
 
         // Many transactions, first appearing out of id order and
         // revisited after later ones start.

@@ -9,6 +9,7 @@
 //! executions and generation of executions from interleaving schedules.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::execution::Execution;
 use crate::ids::{EntityId, TxnId, Value};
@@ -85,6 +86,19 @@ pub trait Program {
         sorted.sort_unstable();
         sorted.dedup();
         (sorted.len() == entities.len()).then_some(sorted)
+    }
+
+    /// The declared footprint, sorted and deduplicated: the
+    /// [`Program::step_entities`], else the [`Program::may_footprint`],
+    /// else nothing. A service's snapshot probes scan the union of these.
+    fn footprint(&self) -> Vec<EntityId> {
+        let mut entities = self
+            .step_entities()
+            .or_else(|| self.may_footprint())
+            .unwrap_or_default();
+        entities.sort_unstable();
+        entities.dedup();
+        entities
     }
 }
 
@@ -176,9 +190,11 @@ impl Program for ScriptProgram {
 
 /// A system of transactions (§3.1): programs plus entity initial values.
 /// All variables are internal — entities are only touched via the
-/// programs' steps.
+/// programs' steps. The programs are shared `Arc`s, so a generated
+/// workload hands the system the very programs its runtime instances
+/// drive.
 pub struct System {
-    programs: Vec<Box<dyn Program + Send + Sync>>,
+    programs: Vec<Arc<dyn Program + Send + Sync>>,
     initial: HashMap<EntityId, Value>,
 }
 
@@ -279,7 +295,7 @@ impl System {
     /// Builds a system. Transaction `i` runs `programs[i]`; entities not in
     /// `initial` start at 0.
     pub fn new(
-        programs: Vec<Box<dyn Program + Send + Sync>>,
+        programs: Vec<Arc<dyn Program + Send + Sync>>,
         initial: impl IntoIterator<Item = (EntityId, Value)>,
     ) -> Self {
         System {
@@ -295,7 +311,7 @@ impl System {
 
     /// The program of transaction `t`.
     pub fn program(&self, t: TxnId) -> Option<&(dyn Program + Send + Sync)> {
-        self.programs.get(t.index()).map(|b| b.as_ref())
+        self.programs.get(t.index()).map(|p| p.as_ref())
     }
 
     /// Initial value of an entity.
@@ -466,11 +482,11 @@ mod tests {
         // t0: move 10 from x0 to x1. t1: move 5 from x2 to x3.
         System::new(
             vec![
-                Box::new(ScriptProgram::new(vec![
+                Arc::new(ScriptProgram::new(vec![
                     Add(EntityId(0), -10),
                     Add(EntityId(1), 10),
                 ])),
-                Box::new(ScriptProgram::new(vec![
+                Arc::new(ScriptProgram::new(vec![
                     Add(EntityId(2), -5),
                     Add(EntityId(3), 5),
                 ])),
@@ -615,7 +631,7 @@ mod tests {
     #[test]
     fn accumulate_tracks_register() {
         let sys = System::new(
-            vec![Box::new(ScriptProgram::new(vec![
+            vec![Arc::new(ScriptProgram::new(vec![
                 Accumulate(EntityId(0)),
                 Accumulate(EntityId(1)),
             ]))],

@@ -1,6 +1,8 @@
 //! Property-based tests for the §3 model: executions, dependency order,
 //! equivalence, and validation.
 
+use std::sync::Arc;
+
 use mla_model::appdb::{is_correctable_by_enumeration, SerialCriterion};
 use mla_model::program::{ScriptOp, ScriptProgram, System};
 use mla_model::{EntityId, Execution, TxnId};
@@ -20,11 +22,11 @@ fn build(programs: &[Vec<(u32, i64)>]) -> System {
         programs
             .iter()
             .map(|ops| {
-                Box::new(ScriptProgram::new(
+                Arc::new(ScriptProgram::new(
                     ops.iter()
                         .map(|&(e, d)| ScriptOp::Add(EntityId(e), d))
                         .collect(),
-                )) as Box<dyn mla_model::Program + Send + Sync>
+                )) as Arc<dyn mla_model::Program + Send + Sync>
             })
             .collect(),
         (0..5).map(|e| (EntityId(e), 100)),

@@ -54,7 +54,6 @@ use mla_cc::{MlaDetect, MlaPrevent};
 use mla_model::{EntityId, Step, TxnId, Value};
 use mla_sim::{Control, Decision, TxnStatus, World};
 use mla_storage::{EpochRegistry, MvccStore, Store};
-use mla_txn::TxnProfile;
 
 use crate::workload::ServeLoad;
 
@@ -707,21 +706,21 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
         }
     };
 
-    let profiles = workload.profiles();
     // The entity universe (snapshot probes scan it).
-    let mut entities: Vec<EntityId> = profiles
+    let mut entities: Vec<EntityId> = workload
+        .programs
         .iter()
-        .flat_map(|p| p.footprint().iter().copied())
+        .flat_map(|p| p.footprint())
         .chain(workload.initial.iter().map(|&(e, _)| e))
         .collect();
-    entities.sort_unstable_by_key(|e| e.0);
+    entities.sort_unstable();
     entities.dedup();
 
     let service = Service {
         gate: Mutex::new(Gate {
             world: World {
                 store: Store::new(workload.initial.iter().copied()),
-                instances: profiles.iter().map(TxnProfile::instantiate).collect(),
+                instances: workload.instances(),
                 status: vec![TxnStatus::Idle; txn_count],
                 nest: workload.nest.clone(),
             },

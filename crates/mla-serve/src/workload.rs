@@ -28,8 +28,8 @@ use mla_workload::Workload;
 
 /// A workload plus its session assignment.
 pub struct ServeLoad {
-    /// The declared transactions (profiles, spec, and nest derive from
-    /// it).
+    /// The declared transactions: the service's instances, spec, nest
+    /// and snapshot-probe entities all derive from it.
     pub workload: Workload,
     /// Per-session transaction streams, executed in order.
     pub session_txns: Vec<Vec<TxnId>>,
@@ -171,8 +171,7 @@ mod tests {
             "forward-chain sessions must earn a static certificate"
         );
         // Footprints of different sessions are disjoint.
-        let profiles = load.workload.profiles();
-        let fp = |t: usize| profiles[t].footprint().to_vec();
+        let fp = |t: usize| load.workload.programs[t].footprint();
         assert!(fp(0).iter().all(|e| !fp(8).contains(e)));
     }
 

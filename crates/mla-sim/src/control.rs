@@ -12,8 +12,8 @@ use crate::world::World;
 pub enum Decision {
     /// Perform the step now.
     Grant,
-    /// Hold the request; the simulator retries after
-    /// [`crate::SimConfig::retry_delay`].
+    /// Hold the request; the simulator retries after a fixed delay of
+    /// 8 ticks.
     Defer,
     /// Roll back the named transactions (the simulator expands the set
     /// with every transaction reached by the undo cascade), restart them

@@ -10,9 +10,10 @@
 //! This crate reproduces that world as a deterministic, seeded
 //! discrete-event simulation:
 //!
-//! * processors with FIFO service (one step at a time, configurable
-//!   service time);
-//! * configurable message latency with seeded jitter;
+//! * four processors with FIFO service (one step at a time, one tick
+//!   each);
+//! * configurable message latency between processors, with seeded
+//!   jitter;
 //! * a [`Control`] trait — the concurrency control plugged into every
 //!   processor, deciding per arriving step: [`Decision::Grant`],
 //!   [`Decision::Defer`] (retry after a backoff), or

@@ -75,14 +75,6 @@ impl Metrics {
         sorted[idx]
     }
 
-    /// Aborts per committed transaction.
-    pub fn abort_ratio(&self) -> f64 {
-        if self.committed == 0 {
-            return self.aborts as f64;
-        }
-        self.aborts as f64 / self.committed as f64
-    }
-
     /// Largest cascade observed.
     pub fn max_cascade(&self) -> usize {
         self.cascade_sizes.iter().copied().max().unwrap_or(0)
@@ -139,14 +131,11 @@ mod tests {
     #[test]
     fn ratios() {
         let m = Metrics {
-            committed: 4,
-            aborts: 2,
             steps_performed: 100,
             steps_undone: 25,
             cascade_sizes: vec![1, 3, 2],
             ..Metrics::default()
         };
-        assert!((m.abort_ratio() - 0.5).abs() < 1e-9);
         assert!((m.wasted_work() - 0.25).abs() < 1e-9);
         assert_eq!(m.max_cascade(), 3);
     }

@@ -13,7 +13,9 @@ use mla_txn::TxnInstance;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::config::SimConfig;
+use crate::config::{
+    SimConfig, LATENCY_LOCAL, MAX_EVENTS, PROCESSORS, RESTART_BASE, RETRY_DELAY, STEP_SERVICE,
+};
 use crate::control::{Control, Decision};
 use crate::metrics::Metrics;
 use crate::world::{TxnStatus, World};
@@ -71,7 +73,7 @@ pub fn run(
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut queue: BinaryHeap<Event> = BinaryHeap::new();
     let mut event_seq: u64 = 0;
-    let mut busy_until = vec![0u64; config.processors.max(1)];
+    let mut busy_until = [0u64; PROCESSORS];
     let mut committed_at: Vec<Option<u64>> = vec![None; n];
 
     let push = |queue: &mut BinaryHeap<Event>, seq: &mut u64, time: u64, txn: u32, attempt: u32| {
@@ -96,7 +98,7 @@ pub fn run(
             break;
         }
         events_processed += 1;
-        if events_processed > config.max_events {
+        if events_processed > MAX_EVENTS {
             metrics.timed_out = true;
             break;
         }
@@ -134,11 +136,11 @@ pub fn run(
                 // processor: a deferred request is a scheduler-queue
                 // check, not service — charging it service time lets
                 // waiting polls starve the actual work at scale.
-                busy_until[proc] = time + config.step_service;
+                busy_until[proc] = time + STEP_SERVICE;
                 world.perform(txn, control);
                 metrics.steps_performed += 1;
                 if world.status[ti] == TxnStatus::Committed {
-                    committed_at[ti] = Some(time + config.step_service);
+                    committed_at[ti] = Some(time + STEP_SERVICE);
                     metrics.committed += 1;
                 } else {
                     let next_entity = world.instances[ti]
@@ -146,7 +148,7 @@ pub fn run(
                         .expect("unfinished transaction continues");
                     let next_proc = next_entity.index() % busy_until.len();
                     let latency = if next_proc == proc {
-                        config.latency_local
+                        LATENCY_LOCAL
                     } else {
                         config.latency_base
                             + if config.latency_jitter > 0 {
@@ -158,7 +160,7 @@ pub fn run(
                     push(
                         &mut queue,
                         &mut event_seq,
-                        time + config.step_service + latency,
+                        time + STEP_SERVICE + latency,
                         txn_raw,
                         attempt,
                     );
@@ -169,13 +171,13 @@ pub fn run(
                 push(
                     &mut queue,
                     &mut event_seq,
-                    time + config.step_service + config.retry_delay,
+                    time + STEP_SERVICE + RETRY_DELAY,
                     txn_raw,
                     attempt,
                 );
             }
             Decision::Abort(victims) => {
-                busy_until[proc] = time + config.step_service;
+                busy_until[proc] = time + STEP_SERVICE;
                 assert!(!victims.is_empty(), "control must name at least one victim");
                 let (rollback, had_committed) = world.roll_back(victims, control);
                 metrics.steps_undone += rollback.undone.len() as u64;
@@ -191,17 +193,13 @@ pub fn run(
                         metrics.cascade_aborts += 1;
                     }
                     let attempts = world.instances[v.index()].attempts();
-                    let backoff = config.restart_base
+                    let backoff = RESTART_BASE
                         * (1u64 << (attempts.saturating_sub(1)).min(5) as u64)
-                        + if config.restart_base > 0 {
-                            rng.gen_range(0..=config.restart_base)
-                        } else {
-                            0
-                        };
+                        + rng.gen_range(0..=RESTART_BASE);
                     push(
                         &mut queue,
                         &mut event_seq,
-                        time + config.step_service + backoff,
+                        time + STEP_SERVICE + backoff,
                         v.0,
                         attempts,
                     );
@@ -211,7 +209,7 @@ pub fn run(
                     push(
                         &mut queue,
                         &mut event_seq,
-                        time + config.step_service + config.retry_delay,
+                        time + STEP_SERVICE + RETRY_DELAY,
                         txn_raw,
                         attempt,
                     );

@@ -97,13 +97,7 @@ fn chaos_runs_preserve_all_invariants() {
         assert_eq!(out.metrics.committed, n as u64, "seed {seed}");
 
         // The surviving journal replays as a valid execution.
-        let sys = System::new(
-            chain_programs(n, entities)
-                .into_iter()
-                .map(|p| Box::new(ArcAdapter(p)) as Box<dyn Program + Send + Sync>)
-                .collect(),
-            [],
-        );
+        let sys = System::new(chain_programs(n, entities), []);
         sys.validate(&out.execution)
             .unwrap_or_else(|e| panic!("seed {seed}: invalid surviving history: {e}"));
         assert!(sys.is_complete(&out.execution), "seed {seed}");
@@ -131,27 +125,6 @@ fn chaos_runs_preserve_all_invariants() {
             out.metrics.aborts,
             "seed {seed}: cascade sizes must sum to total aborts"
         );
-    }
-}
-
-/// Adapter because `System` wants `Box` while the test shares `Arc`s.
-struct ArcAdapter(Arc<dyn Program + Send + Sync>);
-
-impl Program for ArcAdapter {
-    fn start(&self) -> mla_model::LocalState {
-        self.0.start()
-    }
-
-    fn next_entity(&self, state: &mla_model::LocalState) -> Option<EntityId> {
-        self.0.next_entity(state)
-    }
-
-    fn apply(
-        &self,
-        state: &mla_model::LocalState,
-        observed: mla_model::Value,
-    ) -> (mla_model::LocalState, mla_model::Value) {
-        self.0.apply(state, observed)
     }
 }
 

@@ -464,6 +464,8 @@ impl Cascade {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     fn e(x: u32) -> EntityId {
@@ -600,8 +602,8 @@ mod tests {
         use mla_model::program::{ScriptOp::*, ScriptProgram, System};
         let sys = System::new(
             vec![
-                Box::new(ScriptProgram::new(vec![Add(e(0), -10), Add(e(1), 10)])),
-                Box::new(ScriptProgram::new(vec![Add(e(0), -5)])),
+                Arc::new(ScriptProgram::new(vec![Add(e(0), -10), Add(e(1), 10)])),
+                Arc::new(ScriptProgram::new(vec![Add(e(0), -5)])),
             ],
             [(e(0), 100)],
         );

@@ -18,7 +18,10 @@
 //!
 //! [`TxnInstance`] is the runtime object schedulers drive: program state,
 //! performed steps, breakpoint queries, and reset-for-retry after an
-//! abort. [`RuntimeSpec`] adapts a set of runtime breakpoint definitions
+//! abort. It shares its program as an `Arc`, so the simulator and
+//! `mla-serve` drive instances of the very programs a workload holds,
+//! each instance made once and restarted in place with
+//! [`TxnInstance::reset`]. [`RuntimeSpec`] adapts a set of runtime breakpoint definitions
 //! back into an offline [`BreakpointSpecification`], which is how every
 //! simulation's final history is re-checked against Theorem 2.
 
@@ -308,106 +311,6 @@ impl TxnInstance {
     }
 }
 
-/// A transaction program as *declared* to a service front-end: the
-/// recipe for minting runtime [`TxnInstance`]s (one per attempt), plus
-/// the static facts a scheduler wants before the first step runs — the
-/// declared entity footprint (what a certificate must cover, and the
-/// entities a service's snapshot probes scan) and the transaction's
-/// nest path (its position in the k-nest, hence its atomicity levels
-/// against everyone else).
-///
-/// The simulator builds instances directly; `mla-serve` builds profiles,
-/// because a live session retries after an abort and every attempt needs
-/// a fresh instance from the same declaration.
-#[derive(Clone)]
-pub struct TxnProfile {
-    id: TxnId,
-    program: Arc<dyn Program + Send + Sync>,
-    breakpoints: Arc<dyn RuntimeBreakpoints>,
-    /// Declared footprint: sorted, deduplicated entities any attempt may
-    /// touch. Empty only for the empty program.
-    footprint: Vec<EntityId>,
-    /// The transaction's path in the k-nest.
-    nest_path: Vec<u32>,
-}
-
-impl TxnProfile {
-    /// Declares a transaction with an explicit footprint (must cover
-    /// every entity any run touches; this is trusted, the way a declared
-    /// workload is).
-    pub fn new(
-        id: TxnId,
-        program: Arc<dyn Program + Send + Sync>,
-        breakpoints: Arc<dyn RuntimeBreakpoints>,
-        mut footprint: Vec<EntityId>,
-        nest_path: Vec<u32>,
-    ) -> Self {
-        footprint.sort_unstable_by_key(|e| e.0);
-        footprint.dedup();
-        TxnProfile {
-            id,
-            program,
-            breakpoints,
-            footprint,
-            nest_path,
-        }
-    }
-
-    /// Declares a transaction whose footprint is derived from the
-    /// program's own static description ([`Program::step_entities`]).
-    ///
-    /// # Panics
-    /// Panics if the program cannot describe its accesses statically —
-    /// declare such programs with an explicit footprint via
-    /// [`TxnProfile::new`].
-    pub fn from_program(
-        id: TxnId,
-        program: Arc<dyn Program + Send + Sync>,
-        breakpoints: Arc<dyn RuntimeBreakpoints>,
-        nest_path: Vec<u32>,
-    ) -> Self {
-        let footprint = program
-            .step_entities()
-            .expect("program has no static step list; declare a footprint explicitly");
-        Self::new(id, program, breakpoints, footprint, nest_path)
-    }
-
-    /// The transaction id.
-    pub fn id(&self) -> TxnId {
-        self.id
-    }
-
-    /// The declared footprint (sorted, deduplicated).
-    pub fn footprint(&self) -> &[EntityId] {
-        &self.footprint
-    }
-
-    /// Whether the declaration covers `e`.
-    pub fn declares(&self, e: EntityId) -> bool {
-        self.footprint.binary_search_by_key(&e.0, |x| x.0).is_ok()
-    }
-
-    /// The transaction's nest path.
-    pub fn nest_path(&self) -> &[u32] {
-        &self.nest_path
-    }
-
-    /// The breakpoint structure (register it in a [`RuntimeSpec`] for
-    /// post-hoc Theorem 2 checking).
-    pub fn breakpoints(&self) -> &Arc<dyn RuntimeBreakpoints> {
-        &self.breakpoints
-    }
-
-    /// Mints a fresh instance at the program start — one per attempt.
-    pub fn instantiate(&self) -> TxnInstance {
-        TxnInstance::new(
-            self.id,
-            Arc::clone(&self.program),
-            Arc::clone(&self.breakpoints),
-        )
-    }
-}
-
 /// Adapts per-transaction runtime breakpoints into an offline
 /// [`BreakpointSpecification`] for post-hoc Theorem 2 checking. Unmapped
 /// transactions default to atomic (no mid-level breakpoints).
@@ -628,44 +531,6 @@ mod tests {
         let nest = Nest::new(4, vec![vec![0, 0]]).unwrap();
         let ctx = ExecContext::new(&exec, &nest, &spec).unwrap();
         assert_eq!(ctx.bd(0).boundaries(2), vec![2]);
-    }
-
-    #[test]
-    fn profile_mints_fresh_instances_with_declared_facts() {
-        let profile = TxnProfile::from_program(
-            TxnId(3),
-            transfer_program(),
-            transfer_breakpoints(),
-            vec![0, 1],
-        );
-        assert_eq!(profile.id(), TxnId(3));
-        assert_eq!(
-            profile.footprint(),
-            &[e(0), e(1), e(2), e(3)],
-            "sorted, deduplicated"
-        );
-        assert!(profile.declares(e(2)));
-        assert!(!profile.declares(e(7)));
-        assert_eq!(profile.nest_path(), &[0, 1]);
-        // Each attempt gets an independent instance.
-        let mut a = profile.instantiate();
-        a.perform(100);
-        let b = profile.instantiate();
-        assert_eq!(a.seq(), 1);
-        assert_eq!(b.seq(), 0);
-        assert_eq!(b.id(), TxnId(3));
-    }
-
-    #[test]
-    fn explicit_footprint_overrides_program() {
-        let profile = TxnProfile::new(
-            TxnId(0),
-            transfer_program(),
-            transfer_breakpoints(),
-            vec![e(9), e(1), e(9)],
-            vec![0],
-        );
-        assert_eq!(profile.footprint(), &[e(1), e(9)]);
     }
 
     #[test]

@@ -32,6 +32,9 @@ use rand::{Rng, SeedableRng};
 use crate::util::Zipf;
 use crate::Workload;
 
+/// Initial balance of every account.
+pub(crate) const INITIAL_BALANCE: Value = 120;
+
 /// Parameters of the banking workload.
 #[derive(Clone, Debug)]
 pub struct BankingConfig {
@@ -49,8 +52,6 @@ pub struct BankingConfig {
     pub credit_audits: usize,
     /// Amount each transfer tries to move.
     pub amount: Value,
-    /// Initial balance per account.
-    pub initial_balance: Value,
     /// Zipf skew for account selection within a family (0 = uniform).
     pub zipf_theta: f64,
     /// Minimum withdrawal sources per transfer.
@@ -74,7 +75,6 @@ impl Default for BankingConfig {
             bank_audits: 1,
             credit_audits: 2,
             amount: 100,
-            initial_balance: 120,
             zipf_theta: 0.6,
             sources_min: 1,
             sources_max: 3,
@@ -103,7 +103,7 @@ pub struct Banking {
 impl Banking {
     /// Total money initially in the bank.
     pub fn total_money(&self) -> Value {
-        self.accounts.len() as Value * self.config.initial_balance
+        self.accounts.len() as Value * INITIAL_BALANCE
     }
 }
 
@@ -356,10 +356,7 @@ pub fn generate(config: BankingConfig) -> Banking {
     let arrivals: Vec<u64> = (0..programs.len() as u64)
         .map(|i| i * config.arrival_spacing)
         .collect();
-    let initial: Vec<(EntityId, Value)> = accounts
-        .iter()
-        .map(|&a| (a, config.initial_balance))
-        .collect();
+    let initial: Vec<(EntityId, Value)> = accounts.iter().map(|&a| (a, INITIAL_BALANCE)).collect();
 
     Banking {
         workload: Workload {

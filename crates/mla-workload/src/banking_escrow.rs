@@ -31,7 +31,7 @@ use mla_txn::RuntimeBreakpoints;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::banking::{Banking, BankingConfig};
+use crate::banking::{Banking, BankingConfig, INITIAL_BALANCE};
 use crate::util::Zipf;
 use crate::Workload;
 
@@ -271,10 +271,7 @@ pub fn generate_escrow(config: BankingConfig) -> Banking {
     let arrivals: Vec<u64> = (0..programs.len() as u64)
         .map(|i| i * config.arrival_spacing)
         .collect();
-    let initial: Vec<(EntityId, Value)> = accounts
-        .iter()
-        .map(|&a| (a, config.initial_balance))
-        .collect();
+    let initial: Vec<(EntityId, Value)> = accounts.iter().map(|&a| (a, INITIAL_BALANCE)).collect();
 
     Banking {
         workload: Workload {

@@ -26,6 +26,11 @@ use rand::{Rng, SeedableRng};
 use crate::util::Zipf;
 use crate::Workload;
 
+/// Probability a modification step touches a shared element.
+const SHARED_TOUCH_PROB: f64 = 0.25;
+/// Elements each snapshot reads (sampled across the whole plan).
+const SNAPSHOT_BREADTH: usize = 12;
+
 /// Parameters of the CAD workload.
 #[derive(Clone, Debug)]
 pub struct CadConfig {
@@ -43,10 +48,6 @@ pub struct CadConfig {
     pub shared_elements: usize,
     /// Steps per modification transaction.
     pub steps_per_mod: usize,
-    /// Probability a modification step touches a shared element.
-    pub shared_touch_prob: f64,
-    /// Elements each snapshot reads (sampled across the whole plan).
-    pub snapshot_breadth: usize,
     /// Level-3 breakpoints every this many steps (specialty consistency
     /// unit).
     pub level3_unit: usize,
@@ -71,8 +72,6 @@ impl Default for CadConfig {
             elements_per_specialty: 8,
             shared_elements: 4,
             steps_per_mod: 6,
-            shared_touch_prob: 0.25,
-            snapshot_breadth: 12,
             level3_unit: 2,
             level2_unit: 4,
             zipf_theta: 0.8,
@@ -168,8 +167,7 @@ pub fn generate(config: CadConfig) -> Cad {
         let team = (i / config.specialties) % config.teams_per_specialty;
         let ops: Vec<ScriptOp> = (0..config.steps_per_mod)
             .map(|_| {
-                let touch_shared = config.shared_elements > 0
-                    && rng.gen_bool(config.shared_touch_prob.clamp(0.0, 1.0));
+                let touch_shared = config.shared_elements > 0 && rng.gen_bool(SHARED_TOUCH_PROB);
                 let e = if touch_shared {
                     shared(rng.gen_range(0..config.shared_elements))
                 } else {
@@ -194,7 +192,7 @@ pub fn generate(config: CadConfig) -> Cad {
     }
 
     for i in 0..config.snapshots {
-        let breadth = config.snapshot_breadth.min(total_elements);
+        let breadth = SNAPSHOT_BREADTH.min(total_elements);
         let mut chosen: Vec<usize> = Vec::new();
         while chosen.len() < breadth {
             let j = rng.gen_range(0..total_elements);

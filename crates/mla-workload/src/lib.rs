@@ -20,9 +20,13 @@
 //!   universe): the MLA analogue of mixed isolation levels.
 //!
 //! Every generator produces a [`Workload`]: nest + programs + runtime
-//! breakpoints + initial values + arrival times, from which fresh
-//! simulator instances, an offline [`System`], and a [`RuntimeSpec`] can
-//! all be derived. Generation is fully determined by the config's seed.
+//! breakpoints + initial values + arrival times. Each program is held
+//! once, as an `Arc`, and every consumer shares it: the runtime
+//! instances that `mla-sim` and `mla-serve` drive, the offline
+//! [`System`] that validates their histories, and the static analyses
+//! that read the programs' footprints. The [`RuntimeSpec`] comes from
+//! the breakpoints the same way. Generation is fully determined by the
+//! config's seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,8 +43,8 @@ use std::sync::Arc;
 
 use mla_core::nest::Nest;
 use mla_model::program::System;
-use mla_model::{EntityId, LocalState, Program, TxnId, Value};
-use mla_txn::{RuntimeBreakpoints, RuntimeSpec, TxnInstance, TxnProfile};
+use mla_model::{EntityId, Program, TxnId, Value};
+use mla_txn::{RuntimeBreakpoints, RuntimeSpec, TxnInstance};
 
 /// A complete generated workload.
 pub struct Workload {
@@ -48,7 +52,8 @@ pub struct Workload {
     pub name: String,
     /// The k-nest over the transactions.
     pub nest: Nest,
-    /// One program per transaction.
+    /// One program per transaction: the one handle the runtime
+    /// instances, the offline [`System`] and the static analyses share.
     pub programs: Vec<Arc<dyn Program + Send + Sync>>,
     /// One runtime breakpoint structure per transaction.
     pub breakpoints: Vec<Arc<dyn RuntimeBreakpoints>>,
@@ -64,7 +69,9 @@ impl Workload {
         self.programs.len()
     }
 
-    /// Fresh simulator instances (consumable; call again for a rerun).
+    /// Fresh runtime instances, one per program at its start (consumable;
+    /// call again for a rerun). The simulator's callers and `mla-serve`
+    /// both build their instances here.
     pub fn instances(&self) -> Vec<TxnInstance> {
         self.programs
             .iter()
@@ -74,33 +81,10 @@ impl Workload {
             .collect()
     }
 
-    /// Declared transaction profiles — what a service front-end consumes
-    /// (each mints fresh instances per attempt). Footprints come from the
-    /// programs' static step lists where available, falling back to a
-    /// per-run probe of the branching programs' entity universe via
-    /// [`Program::may_footprint`]; programs describing neither get an
-    /// empty declared footprint, which simply declares nothing (no latch
-    /// span, never certificate-covered).
-    pub fn profiles(&self) -> Vec<TxnProfile> {
-        self.programs
-            .iter()
-            .zip(&self.breakpoints)
-            .enumerate()
-            .map(|(i, (p, b))| {
-                let t = TxnId(i as u32);
-                let footprint = p
-                    .step_entities()
-                    .or_else(|| p.may_footprint())
-                    .unwrap_or_default();
-                TxnProfile::new(
-                    t,
-                    p.clone(),
-                    b.clone(),
-                    footprint,
-                    self.nest.path(t).to_vec(),
-                )
-            })
-            .collect()
+    /// The programs, under the name `perfbench/tests/bench.rs` still
+    /// calls them by; new code reads [`Workload::programs`] directly.
+    pub fn profiles(&self) -> &[Arc<dyn Program + Send + Sync>] {
+        &self.programs
     }
 
     /// The offline breakpoint specification matching the instances.
@@ -112,40 +96,9 @@ impl Workload {
         spec
     }
 
-    /// The offline [`System`] (for schedule-driven generation and
-    /// validation).
+    /// The offline [`System`] over the same programs (for
+    /// schedule-driven generation and validation).
     pub fn system(&self) -> System {
-        System::new(
-            self.programs
-                .iter()
-                .map(|p| Box::new(ArcProgram(p.clone())) as Box<dyn Program + Send + Sync>)
-                .collect(),
-            self.initial.iter().copied(),
-        )
-    }
-}
-
-/// Adapter: share an `Arc`'d program where a `Box` is required.
-struct ArcProgram(Arc<dyn Program + Send + Sync>);
-
-impl Program for ArcProgram {
-    fn start(&self) -> LocalState {
-        self.0.start()
-    }
-
-    fn next_entity(&self, state: &LocalState) -> Option<EntityId> {
-        self.0.next_entity(state)
-    }
-
-    fn apply(&self, state: &LocalState, observed: Value) -> (LocalState, Value) {
-        self.0.apply(state, observed)
-    }
-
-    fn step_entities(&self) -> Option<Vec<EntityId>> {
-        self.0.step_entities()
-    }
-
-    fn may_footprint(&self) -> Option<Vec<EntityId>> {
-        self.0.may_footprint()
+        System::new(self.programs.clone(), self.initial.iter().copied())
     }
 }

@@ -683,6 +683,43 @@ fn eviction_after_commit_rollback_resumes_source_status() {
     assert_eq!(engine.execution().steps(), [step(1, 0, 1)]);
 }
 
+/// A finished transaction kept only through another finished one whose
+/// column comes later: the pass must repeat its scan until the kept set
+/// stops growing, not stop after one sweep in column order.
+#[test]
+fn eviction_keeps_a_carrier_chain_against_column_order() {
+    // One level-2 class; t2's level-2 breakpoint after its first step
+    // splits it into two units. The running t0 reaches t2's late unit
+    // (entity 0) and t2's early unit reaches t1 (entity 1), but t0
+    // reaches t1 only through t2, whose column comes after t1's.
+    let mut engine = ClosureEngine::new(
+        Nest::new(3, vec![vec![0]; 3]).expect("depth-3 paths"),
+        phase_spec(3, &[&[], &[], &[(1, 2)]]),
+    );
+    for s in [
+        step(0, 0, 0),
+        step(1, 0, 3),
+        step(2, 0, 1),
+        step(1, 1, 1),
+        step(2, 1, 0),
+    ] {
+        engine.apply_step(s).expect("the fixture is acyclic");
+        engine.commit_step();
+    }
+    engine.finish_txn(TxnId(1));
+    engine.finish_txn(TxnId(2));
+    let only_t0 = |t: TxnId| t == TxnId(0);
+    assert!(evict_checked(&mut engine, &only_t0).is_empty());
+    assert_eq!(engine.counters().evict_scans, 1);
+    // Once t0 commits nothing is a source, and the whole chain goes.
+    engine.finish_txn(TxnId(0));
+    let none = |_: TxnId| false;
+    assert_eq!(
+        evict_checked(&mut engine, &none),
+        vec![TxnId(0), TxnId(1), TxnId(2)]
+    );
+}
+
 /// A [`RuntimeSpec`] assigning each transaction a [`PhaseTable`] with
 /// the given `(position, level)` marks.
 fn phase_spec(k: usize, marks: &[&[(usize, usize)]]) -> RuntimeSpec {
