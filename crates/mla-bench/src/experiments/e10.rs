@@ -1,14 +1,13 @@
 //! E10 — Lemma 1 as an algorithm: the cost of *constructing* the
 //! equivalent multilevel-atomic witness, beyond merely deciding
 //! acyclicity. Validates every produced witness against the membership
-//! checker.
+//! checker. Each timing cell is the median of
+//! [`TIMED_RUNS`](crate::experiments::TIMED_RUNS) runs.
 //!
 //! Correctable executions of nontrivial length are exponentially rare
 //! among random interleavings (that is E1/E2's point), so the inputs are
 //! produced by actually running the workload under the §6 prevention
 //! scheduler — whose histories are correctable by construction.
-
-use std::time::Instant;
 
 use mla_cc::{MlaPrevent, VictimPolicy};
 use mla_core::closure::CoherentClosure;
@@ -18,6 +17,7 @@ use mla_core::spec::ExecContext;
 use mla_sim::{run as sim_run, SimConfig};
 use mla_workload::synthetic::{generate, SyntheticConfig};
 
+use crate::experiments::median_micros;
 use crate::table::Table;
 
 /// Runs E10.
@@ -59,16 +59,19 @@ pub fn run(quick: bool) -> Table {
         let exec = out.execution;
         let ctx = ExecContext::new(&exec, &wl.nest, &spec).expect("context");
 
-        let t0 = Instant::now();
         let closure = CoherentClosure::compute(&ctx);
-        let closure_us = t0.elapsed().as_secs_f64() * 1e6;
         assert!(
             closure.is_partial_order(),
             "prevention histories are correctable by construction"
         );
-        let t1 = Instant::now();
         let witness = witness_execution(&(&ctx, &closure)).expect("acyclic extends");
-        let witness_us = closure_us + t1.elapsed().as_secs_f64() * 1e6;
+        let closure_us = median_micros(|| {
+            std::hint::black_box(CoherentClosure::compute(&ctx));
+        });
+        let witness_us = median_micros(|| {
+            let closure = CoherentClosure::compute(&ctx);
+            std::hint::black_box(witness_execution(&(&ctx, &closure)).expect("acyclic extends"));
+        });
         let valid =
             exec.equivalent(&witness) && is_multilevel_atomic(&witness, &wl.nest, &spec).unwrap();
         table.row(vec![

@@ -2,8 +2,8 @@
 //! against the classical conflict-graph serializability test, as the
 //! execution grows? Also reports the A1 ablation (frontier closure vs.
 //! the literal bitset reference) at sizes the reference can stomach.
-
-use std::time::Instant;
+//! Each timing cell is the median of
+//! [`TIMED_RUNS`](crate::experiments::TIMED_RUNS) runs.
 
 use mla_core::closure::{coherent_closure_exact, CoherentClosure};
 use mla_core::serializability::is_serializable;
@@ -12,14 +12,8 @@ use mla_workload::synthetic::{generate, SyntheticConfig};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::experiments::random_execution;
+use crate::experiments::{median_micros, random_execution};
 use crate::table::Table;
-
-fn micros(f: impl FnOnce()) -> f64 {
-    let t = Instant::now();
-    f();
-    t.elapsed().as_secs_f64() * 1e6
-}
 
 /// Runs E3.
 pub fn run(quick: bool) -> Table {
@@ -56,14 +50,14 @@ pub fn run(quick: bool) -> Table {
         let spec = s.workload.spec();
         let ctx = ExecContext::new(&exec, nest, &spec).expect("context");
 
-        let frontier_us = micros(|| {
+        let frontier_us = median_micros(|| {
             let c = CoherentClosure::compute(&ctx);
             std::hint::black_box(c.is_partial_order());
         });
         let exact_us = if exec.len() <= 256 {
             format!(
                 "{:.1}",
-                micros(|| {
+                median_micros(|| {
                     let p = coherent_closure_exact(&ctx);
                     std::hint::black_box(p.len());
                 })
@@ -71,7 +65,7 @@ pub fn run(quick: bool) -> Table {
         } else {
             "-".to_string()
         };
-        let sgt_us = micros(|| {
+        let sgt_us = median_micros(|| {
             std::hint::black_box(is_serializable(&exec));
         });
         table.row(vec![

@@ -19,7 +19,10 @@ pub mod e7;
 pub mod e8;
 pub mod e9;
 
-use mla_model::{Execution, TxnId};
+use std::collections::HashMap;
+use std::time::Instant;
+
+use mla_model::{EntityId, Execution, Value};
 use mla_workload::Workload;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -29,30 +32,48 @@ use crate::table::Table;
 /// Drives a workload's system under a uniformly random interleaving
 /// (one random live transaction per step) until every transaction
 /// finishes or `max_steps` is reached. Produces a genuine, value-correct
-/// execution.
+/// execution: each pick steps that transaction's instance against one
+/// running value map. A transaction leaves the draw only when a pick
+/// finds it finished, so a finished transaction still costs a draw.
 pub fn random_execution(wl: &Workload, rng: &mut SmallRng, max_steps: usize) -> Execution {
-    let sys = wl.system();
-    let mut schedule: Vec<TxnId> = Vec::new();
-    let mut finished = vec![false; wl.txn_count()];
-    let mut exec = Execution::empty();
-    while schedule.len() < max_steps {
-        let live: Vec<u32> = (0..wl.txn_count() as u32)
-            .filter(|&t| !finished[t as usize])
-            .collect();
+    let mut instances = wl.instances();
+    let mut values: HashMap<EntityId, Value> = wl.initial.iter().copied().collect();
+    let mut finished = vec![false; instances.len()];
+    let mut steps = Vec::new();
+    while steps.len() < max_steps {
+        let live: Vec<usize> = (0..instances.len()).filter(|&t| !finished[t]).collect();
         if live.is_empty() {
             break;
         }
         let t = live[rng.gen_range(0..live.len())];
-        schedule.push(TxnId(t));
-        match sys.run_schedule(&schedule) {
-            Ok(e) => exec = e,
-            Err(_) => {
-                schedule.pop();
-                finished[t as usize] = true;
-            }
-        }
+        let Some(entity) = instances[t].next_entity() else {
+            finished[t] = true;
+            continue;
+        };
+        let value = values.entry(entity).or_insert(0);
+        let step = instances[t].perform(*value);
+        *value = step.wrote;
+        steps.push(step);
     }
-    exec
+    Execution::new(steps).expect("per-transaction sequences are contiguous")
+}
+
+/// Timed runs behind each microsecond cell of E3 and E10. A cell is
+/// their median, so one cold run cannot set it.
+pub const TIMED_RUNS: usize = 11;
+
+/// The median wall-clock time of [`TIMED_RUNS`] calls of `f`, in
+/// microseconds.
+pub fn median_micros(mut f: impl FnMut()) -> f64 {
+    let mut runs: Vec<f64> = (0..TIMED_RUNS)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e6
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    runs[TIMED_RUNS / 2]
 }
 
 /// The seed set for a sweep.
@@ -147,6 +168,9 @@ pub fn select(ids: &str) -> Result<Vec<Experiment>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mla_model::TxnId;
+    use mla_workload::synthetic::{generate, SyntheticConfig};
+    use rand::SeedableRng;
 
     fn parse(args: &[&str]) -> Result<Args, String> {
         parse_args(args.iter().map(|a| a.to_string()))
@@ -154,6 +178,79 @@ mod tests {
 
     fn ids(args: &Args) -> Vec<&'static str> {
         args.experiments.iter().map(|(id, _)| *id).collect()
+    }
+
+    /// The schedule-replay body `random_execution` had before it kept
+    /// one value map: re-run the whole growing schedule after every pick.
+    fn replayed_random_execution(wl: &Workload, rng: &mut SmallRng, max_steps: usize) -> Execution {
+        let sys = wl.system();
+        let mut schedule: Vec<TxnId> = Vec::new();
+        let mut finished = vec![false; wl.txn_count()];
+        let mut exec = Execution::empty();
+        while schedule.len() < max_steps {
+            let live: Vec<u32> = (0..wl.txn_count() as u32)
+                .filter(|&t| !finished[t as usize])
+                .collect();
+            if live.is_empty() {
+                break;
+            }
+            let t = live[rng.gen_range(0..live.len())];
+            schedule.push(TxnId(t));
+            match sys.run_schedule(&schedule) {
+                Ok(e) => exec = e,
+                Err(_) => {
+                    schedule.pop();
+                    finished[t as usize] = true;
+                }
+            }
+        }
+        exec
+    }
+
+    #[test]
+    fn random_execution_matches_schedule_replay() {
+        // E3's shape (equal-length transactions) and a deeper nest of
+        // uneven ones over few entities, as E1 draws; each with a cap
+        // that cuts the run short and one that lets every transaction
+        // finish.
+        let shapes = [
+            SyntheticConfig {
+                txns: 8,
+                k: 3,
+                fanout: vec![2],
+                densities: vec![0.5],
+                len_min: 8,
+                len_max: 8,
+                entities: 16,
+                seed: 0xE3,
+                ..SyntheticConfig::default()
+            },
+            SyntheticConfig {
+                txns: 6,
+                k: 4,
+                fanout: vec![2, 2],
+                densities: vec![0.5, 0.5],
+                len_min: 2,
+                len_max: 5,
+                entities: 5,
+                seed: 0xE1,
+                ..SyntheticConfig::default()
+            },
+        ];
+        for config in shapes {
+            let wl = generate(config).workload;
+            for seed in 1..=4 {
+                for max_steps in [16, 1_000] {
+                    let mut a = SmallRng::seed_from_u64(seed);
+                    let mut b = SmallRng::seed_from_u64(seed);
+                    let fast = random_execution(&wl, &mut a, max_steps);
+                    let replayed = replayed_random_execution(&wl, &mut b, max_steps);
+                    assert_eq!(fast, replayed, "seed {seed}, cap {max_steps}");
+                    // The two runs also leave their generators in step.
+                    assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+                }
+            }
+        }
     }
 
     #[test]

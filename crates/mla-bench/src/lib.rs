@@ -18,8 +18,9 @@
 //! the last tables.
 //!
 //! Each experiment has a library function returning a printable
-//! [`Table`], an entry in [`experiments::REGISTRY`], and (where
-//! microbenchmarks make sense) a Criterion bench under `benches/`.
+//! [`Table`] and an entry in [`experiments::REGISTRY`]. The timing
+//! tables (E3, with A1's columns, and E10) report the median of
+//! [`experiments::TIMED_RUNS`] runs per cell.
 //! `cargo run --release --bin all_experiments` regenerates everything
 //! EXPERIMENTS.md reports; `-- --only E4,A8` runs a subset.
 

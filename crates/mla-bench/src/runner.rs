@@ -172,12 +172,6 @@ pub struct Aggregate {
     pub defers: u64,
     /// Mean wasted-work fraction.
     pub wasted: f64,
-    /// Total commit rollbacks.
-    pub commit_rollbacks: u64,
-    /// Mean wall seconds per run.
-    pub wall_seconds: f64,
-    /// Mean closure rows processed per decision.
-    pub rows_per_decision: f64,
     /// Seeds aggregated.
     pub runs: usize,
 }
@@ -205,17 +199,12 @@ pub fn run_seeds(wl: &Workload, kind: ControlKind, seeds: &[u64]) -> Aggregate {
         agg.aborts += m.aborts;
         agg.defers += m.defers;
         agg.wasted += m.wasted_work();
-        agg.commit_rollbacks += m.commit_rollbacks;
-        agg.wall_seconds += cell.wall_seconds;
-        agg.rows_per_decision += m.rows_per_decision();
         agg.runs += 1;
     }
     let n = agg.runs.max(1) as f64;
     agg.throughput /= n;
     agg.latency /= n;
     agg.wasted /= n;
-    agg.wall_seconds /= n;
-    agg.rows_per_decision /= n;
     agg
 }
 

@@ -1,4 +1,13 @@
-//! Golden verdicts for the checked-in corpus.
+//! Golden verdicts for the checked-in corpus: the checker's corpus
+//! gate.
+//!
+//! The committed corpus is seeded (`mla-check gen --out corpus --seed 42
+//! --count 40 --density 70 --mutate`) and bucketed by the checker's own
+//! verdict at generation time, plus one planted file,
+//! `invalid/serve-cross-window.hist`: a cycle that straddles a 256-step
+//! window boundary. Every valid history must still pass and every
+//! invalid one must still fail with its cycle witness (`--expect`); any
+//! drift means the checker changed semantics.
 //!
 //! `golden/corpus_check.jsonl` holds, one line per file, the exact
 //! stdout of `mla-check check --json <file>` for every history under

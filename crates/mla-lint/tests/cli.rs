@@ -1,8 +1,9 @@
 //! Black-box pins for the `mla-lint` binary (mirrors
 //! `crates/mla-check/tests/cli.rs`).
 //!
-//! * **Snapshot pins.** The `--json` output is machine-read by the CI
-//!   lint gate, and the table rendering is the human contract — both
+//! * **Snapshot pins.** The `--json` output is the machine contract
+//!   (`all --json` is the lint gate, below), and the table rendering is
+//!   the human contract — both
 //!   are pinned byte-for-byte against checked-in snapshots for one
 //!   workload per verdict class: `partitioned` (certified), `banking`
 //!   (condemned everywhere), and `mixed` (partially certified, the
@@ -74,10 +75,16 @@ fn partially_certified_report_matches_the_snapshot() {
 
 #[test]
 fn all_json_is_the_gate_contract() {
-    // The CI lint gate runs `mla-lint all --json`: one array holding
-    // every shipped workload in canonical order, exit 0 because no
-    // shipped spec carries an error-severity finding. The per-target
-    // snapshots pin the bytes; here we pin the composition.
+    // The lint gate: static certification over every shipped workload
+    // family, failing on any error-severity diagnostic. `mla-lint all
+    // --json` prints one array holding every shipped workload in
+    // canonical order and exits 0 because no shipped spec carries an
+    // error-severity finding; an ill-formed nest or breakpoint table can
+    // only enter through a code change, so this test catches it on the
+    // push that makes it. A failure prints the whole JSON report, with
+    // each universe's certified or condemned verdict and the cycle
+    // behind every denial. The per-target snapshots pin the bytes; here
+    // we pin the composition.
     let out = run(&["all", "--json"]);
     assert!(out.status.success(), "the lint gate would fail: {out:?}");
     let text = stdout(&out);

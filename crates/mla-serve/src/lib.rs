@@ -12,10 +12,10 @@
 //! [`Control`](mla_sim::Control) interface the simulator uses, granting
 //! through [`World::perform`](mla_sim::World::perform) and undoing
 //! through [`World::roll_back`](mla_sim::World::roll_back), whose
-//! journal cascade tells the service which versions to pop. Committed
-//! versions are reclaimed by epoch-based GC, and every drained history
-//! feeds back through Theorem 2's offline decision procedure
-//! ([`mla_check::check`]).
+//! journal cascade tells the service which versions to pop. A GC thread
+//! reclaims versions below the reader pins and the journal's undo
+//! floor, and every drained history feeds back through Theorem 2's
+//! offline decision procedure ([`mla_check::check`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,7 +25,7 @@ USAGE: mla-serve [OPTIONS]
   --sched detect|prevent         admission scheduler   [prevent]
   --workers N                    worker threads        [4]
   --certified                    attach the static certificate if earned
-  --no-gc                        disable the epoch GC thread
+  --no-gc                        disable the version GC thread
   --deadline-secs N              liveness backstop     [60]
   --dump-history PATH            write the drained history in
                                  mla-history v1 (mla-check) format

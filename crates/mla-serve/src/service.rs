@@ -4,7 +4,7 @@
 //! # Architecture
 //!
 //! ```text
-//!  worker 0 ──┐                      ┌── GC thread (epoch frontier)
+//!  worker 0 ──┐                      ┌── GC thread (frontier)
 //!  worker 1 ──┤   ┌─────────────┐    │
 //!    ...      ├──▶│ Gate (mutex) │◀──┴── snapshot readers (pins)
 //!  worker W ──┘   │  control     │
@@ -43,7 +43,10 @@
 //!   cascade reaches. Below that, no snapshot read and no undo can ever
 //!   look. The drain ends with one last pass.
 //! * **Snapshot readers** pin a ticket and verify the snapshot there is
-//!   stable while GC runs underneath them.
+//!   stable while GC runs underneath them. A pin is an entry of the
+//!   gate's pin list, pushed and removed in the two gate holds a probe
+//!   takes anyway; GC reads the list in the hold that computes its
+//!   frontier.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,7 +56,8 @@ use std::time::{Duration, Instant};
 use mla_cc::{MlaDetect, MlaPrevent};
 use mla_model::{EntityId, Step, TxnId, Value};
 use mla_sim::{Control, Decision, TxnStatus, World};
-use mla_storage::{EpochRegistry, MvccStore, Store};
+use mla_storage::{MvccStore, Store};
+use mla_workload::Workload;
 
 use crate::workload::ServeLoad;
 
@@ -160,6 +164,9 @@ struct Gate {
     /// The undo floor of GC's latest pass: no rollback undoes a record
     /// below it.
     undo_floor: u64,
+    /// The tickets live snapshot probes read at (one entry per probe in
+    /// flight). GC folds nothing at or above the smallest.
+    pins: Vec<u64>,
 }
 
 /// Outcome of one step attempt (worker scheduling feedback).
@@ -230,7 +237,7 @@ pub struct ServeReport {
     /// A placeholder that stays 0, for the same reason as
     /// [`ServeReport::latch_acquisitions`].
     pub latch_waits: u64,
-    /// Versions folded by epoch GC.
+    /// Versions folded by GC.
     pub gc_folded: u64,
     /// GC passes run.
     pub gc_passes: u64,
@@ -303,7 +310,6 @@ impl ServeReport {
 struct Service {
     gate: Mutex<Gate>,
     mvcc: MvccStore,
-    epochs: EpochRegistry,
     /// Set once every transaction has committed (or the deadline hit).
     shutdown: AtomicBool,
     /// Mirrors `!gate.retries.is_empty()`, stored (Release) under the gate
@@ -322,6 +328,42 @@ struct Service {
 }
 
 impl Service {
+    /// A service over `workload`'s fresh instances, gated by `control`,
+    /// before any thread starts.
+    fn new(workload: &Workload, control: Box<dyn Control + Send>) -> Self {
+        let txn_count = workload.txn_count();
+        Service {
+            gate: Mutex::new(Gate {
+                world: World {
+                    store: Store::new(workload.initial.iter().copied()),
+                    instances: workload.instances(),
+                    status: vec![TxnStatus::Idle; txn_count],
+                    nest: workload.nest.clone(),
+                },
+                control,
+                slots: (0..txn_count).map(|_| Slot::default()).collect(),
+                retries: VecDeque::new(),
+                commits: 0,
+                aborts: 0,
+                cascade_undone_commits: 0,
+                defers: 0,
+                undo_epoch: 0,
+                last_commit: Instant::now(),
+                stall_breaks: 0,
+                undo_floor: 0,
+                pins: Vec::with_capacity(SNAPSHOT_READERS),
+            }),
+            mvcc: MvccStore::new(STORE_SHARDS, workload.initial.iter().copied()),
+            shutdown: AtomicBool::new(false),
+            retry_pending: AtomicBool::new(false),
+            changes: AtomicU64::new(0),
+            gc_folded: AtomicU64::new(0),
+            gc_passes: AtomicU64::new(0),
+            snapshot_checks: AtomicU64::new(0),
+            snapshot_violations: AtomicU64::new(0),
+        }
+    }
+
     /// One step attempt for session transaction `t`, in one gate hold.
     /// Also returns the change counter as the hold left it.
     fn step_once(&self, t: TxnId) -> (Attempt, u64) {
@@ -458,17 +500,17 @@ impl Service {
         rollback.contains(requester)
     }
 
-    /// One epoch-GC pass: fold versions no snapshot and no undo can
-    /// reach. The frontier is computed under the gate (serializing with
-    /// reader pins, which are also taken under the gate); the fold runs
-    /// outside it. The undo floor is record ids, tickets are ids + 1.
+    /// One GC pass: fold versions no snapshot and no undo can reach.
+    /// The frontier is computed under the gate, which also guards the
+    /// reader pins; the fold runs outside it. The undo floor is record
+    /// ids, tickets are ids + 1.
     fn gc_pass(&self) {
         let frontier = {
             let mut g = self.gate.lock().expect("gate poisoned");
             let g = &mut *g;
             let running: Vec<TxnId> = g.world.txns_with_status(TxnStatus::Running).collect();
             g.undo_floor = g.world.store.undo_floor(running);
-            self.epochs.frontier(g.undo_floor + 1)
+            g.pins.iter().copied().fold(g.undo_floor + 1, u64::min)
         };
         let folded = self.mvcc.gc_before(frontier);
         self.gc_folded.fetch_add(folded as u64, Ordering::Relaxed);
@@ -512,25 +554,41 @@ impl Service {
     /// unless an undo cascade intervened (uncommitted data is visible by
     /// design, so aborts legitimately change history — GC never may).
     fn snapshot_probe(&self, entities: &[EntityId]) {
-        let (pin, epoch_before) = {
-            let g = self.gate.lock().expect("gate poisoned");
-            // Always exact: every fold keeps `base_ticket < frontier ≤
-            // next ticket`, so the newest already-drawn ticket reads
-            // correctly no matter how much GC has folded — and strictly
-            // below the next ticket, no later install can land at it.
-            let t = g.world.store.next_id();
-            (self.epochs.pin(t), g.undo_epoch)
-        };
-        let at = pin.ticket();
+        let (at, epoch_before) = self.pin();
         let first: Vec<Value> = entities.iter().map(|&e| self.mvcc.read_at(e, at)).collect();
         std::thread::yield_now();
         let second: Vec<Value> = entities.iter().map(|&e| self.mvcc.read_at(e, at)).collect();
-        let epoch_after = self.gate.lock().expect("gate poisoned").undo_epoch;
-        drop(pin);
+        let epoch_after = self.unpin(at);
         self.snapshot_checks.fetch_add(1, Ordering::Relaxed);
         if epoch_before == epoch_after && first != second {
             self.snapshot_violations.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Pins the newest drawn ticket in one gate hold. Returns it with
+    /// the undo epoch at the pin.
+    fn pin(&self) -> (u64, u64) {
+        let mut g = self.gate.lock().expect("gate poisoned");
+        // Always exact: every fold keeps `base_ticket < frontier ≤ next
+        // ticket`, so the newest already-drawn ticket reads correctly no
+        // matter how much GC has folded — and strictly below the next
+        // ticket, no later install can land at it.
+        let at = g.world.store.next_id();
+        g.pins.push(at);
+        (at, g.undo_epoch)
+    }
+
+    /// Releases one pin at `at` in one gate hold. Returns the undo epoch
+    /// at the release.
+    fn unpin(&self, at: u64) -> u64 {
+        let mut g = self.gate.lock().expect("gate poisoned");
+        let i = g
+            .pins
+            .iter()
+            .position(|&p| p == at)
+            .expect("unpin without a pin");
+        g.pins.swap_remove(i);
+        g.undo_epoch
     }
 }
 
@@ -716,36 +774,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
     entities.sort_unstable();
     entities.dedup();
 
-    let service = Service {
-        gate: Mutex::new(Gate {
-            world: World {
-                store: Store::new(workload.initial.iter().copied()),
-                instances: workload.instances(),
-                status: vec![TxnStatus::Idle; txn_count],
-                nest: workload.nest.clone(),
-            },
-            control,
-            slots: (0..txn_count).map(|_| Slot::default()).collect(),
-            retries: VecDeque::new(),
-            commits: 0,
-            aborts: 0,
-            cascade_undone_commits: 0,
-            defers: 0,
-            undo_epoch: 0,
-            last_commit: Instant::now(),
-            stall_breaks: 0,
-            undo_floor: 0,
-        }),
-        mvcc: MvccStore::new(STORE_SHARDS, workload.initial.iter().copied()),
-        epochs: EpochRegistry::new(SNAPSHOT_READERS + 2),
-        shutdown: AtomicBool::new(false),
-        retry_pending: AtomicBool::new(false),
-        changes: AtomicU64::new(0),
-        gc_folded: AtomicU64::new(0),
-        gc_passes: AtomicU64::new(0),
-        snapshot_checks: AtomicU64::new(0),
-        snapshot_violations: AtomicU64::new(0),
-    };
+    let service = Service::new(workload, control);
 
     let started = Instant::now();
     let deadline = config.deadline;
@@ -991,6 +1020,43 @@ mod tests {
             report.wall - deadline,
             report.render()
         );
+    }
+
+    #[test]
+    fn a_live_pin_holds_the_fold_at_its_ticket() {
+        // One session of four transfers over two accounts: every step
+        // changes a value, so each of the 8 tickets installs a version.
+        let load = contended_load(1, 4, 2, 0);
+        let wl = &load.workload;
+        let control = MlaPrevent::new(wl.txn_count(), wl.spec(), mla_cc::VictimPolicy::FewestSteps);
+        let service = Service::new(wl, Box::new(control));
+        let commit = |t: u32| {
+            while service.step_once(TxnId(t)).0 != Attempt::Committed {}
+        };
+        let accounts = [EntityId(0), EntityId(1)];
+        commit(0);
+        commit(1);
+        let (at, _) = service.pin();
+        assert_eq!(at, 4);
+        let pinned: Vec<Value> = accounts
+            .iter()
+            .map(|&e| service.mvcc.read_at(e, at))
+            .collect();
+        commit(2);
+        commit(3);
+        // Nothing runs, so the undo floor alone would fold all 8
+        // versions; the pin stops the fold at its ticket.
+        service.gc_pass();
+        assert_eq!(service.gc_folded.load(Ordering::Relaxed), 3);
+        assert_eq!(service.mvcc.version_count(), 5, "tickets 4..=8 stay");
+        for (&e, &v) in accounts.iter().zip(&pinned) {
+            assert_eq!(service.mvcc.read_at(e, at), v);
+        }
+        // Released, the pin no longer holds the next pass back.
+        service.unpin(at);
+        service.gc_pass();
+        assert_eq!(service.gc_folded.load(Ordering::Relaxed), 8);
+        assert_eq!(service.mvcc.version_count(), 0);
     }
 
     #[test]

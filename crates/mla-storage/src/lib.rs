@@ -23,11 +23,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod epoch;
 pub mod latch;
 pub mod mvcc;
 
-pub use epoch::{EpochPin, EpochRegistry};
 pub use latch::{LatchGuard, LatchMode, LatchTree};
 pub use mvcc::{MvccStore, Version};
 

@@ -175,7 +175,7 @@ impl MvccStore {
         }
     }
 
-    /// Epoch GC: folds every version strictly below `frontier` into the
+    /// Version GC: folds every version strictly below `frontier` into the
     /// chain base (keeping the newest such version's value as the base —
     /// it is still the read target for snapshots in `[base_ticket,
     /// next-version)`). Returns how many versions were reclaimed.
