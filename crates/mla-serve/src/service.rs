@@ -17,10 +17,12 @@
 //!   `session % workers == worker`, round-robinning one step attempt per
 //!   session per pass, plus the shared retry queue of cascade-undone
 //!   transactions. A session whose attempt was deferred or rolled back
-//!   sits out a timed backoff. When a pass finds nothing to attempt,
-//!   the worker takes the deferred session due first early, provided
-//!   some step was performed or rolled back since it deferred: only
-//!   those change what the scheduler would decide (see `worker_loop`).
+//!   sits out a timed backoff; a pass reads the clock at most once to
+//!   compare every backoff horizon it meets. When a pass finds nothing
+//!   to attempt, the worker takes the deferred session due first early,
+//!   provided some step was performed or rolled back since it deferred:
+//!   only those change what the scheduler would decide (see
+//!   `worker_loop`).
 //! * A step attempt is one hold of the **gate** — a single mutex holding
 //!   the scheduler as a [`Control`], the simulator's host state
 //!   [`World`] (instances, status, nest, and the live history as a
@@ -47,10 +49,15 @@
 //!   gate's pin list, pushed and removed in the two gate holds a probe
 //!   takes anyway; GC reads the list in the hold that computes its
 //!   frontier.
+//! * The GC thread, the snapshot readers and the deadline **watchdog**
+//!   wait out their ticks on the service's shutdown signal, not in a
+//!   sleep: the hold that lands the last commit (or the watchdog, at the
+//!   deadline) notifies it, so every helper wakes and the drain ends
+//!   without waiting out a tick.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, TryLockError};
+use std::sync::{Condvar, Mutex, TryLockError};
 use std::time::{Duration, Instant};
 
 use mla_cc::{MlaDetect, MlaPrevent};
@@ -207,6 +214,10 @@ pub struct ServeReport {
     /// Deferred sessions attempted before their backoff ended, because
     /// their worker had nothing else to attempt (summed across workers).
     pub early_takes: u64,
+    /// Worker passes over their sessions (summed across workers). Each
+    /// pass attempts every session not backing off, so step attempts
+    /// over passes says how many sessions a pass finds due.
+    pub passes: u64,
     /// Wall-clock of the drain.
     pub wall: Duration,
     /// Wall-clock of static certification (zero when not requested).
@@ -264,6 +275,7 @@ impl ServeReport {
              latency     p50 {p50} µs, p95 {p95} µs, p99 {p99} µs\n\
              conflicts   {aborts} rollbacks ({hazards} undone commits), {defers} defers \
              ({early} taken early), {stalls} stall breaks\n\
+             passes      {worker_passes} worker passes over sessions\n\
              gc          {folded} versions folded in {passes} passes, {live} live at drain\n\
              snapshots   {checks} checks, {viol} violations\n\
              certificate {skips} fast-path grants{per}, {rearms} re-arms",
@@ -282,6 +294,7 @@ impl ServeReport {
             hazards = self.commit_hazards,
             defers = self.defers,
             early = self.early_takes,
+            worker_passes = self.passes,
             stalls = self.stall_breaks,
             folded = self.gc_folded,
             passes = self.gc_passes,
@@ -310,8 +323,14 @@ impl ServeReport {
 struct Service {
     gate: Mutex<Gate>,
     mvcc: MvccStore,
-    /// Set once every transaction has committed (or the deadline hit).
+    /// Set once every transaction has committed (or the deadline hit),
+    /// through [`Service::stop`] alone.
     shutdown: AtomicBool,
+    /// The shutdown signal: [`Service::stop`] notifies it, and the GC
+    /// thread, the snapshot readers and the watchdog wait on it between
+    /// their ticks ([`Service::idle`]), so none sleeps past the drain.
+    /// The mutex guards nothing but the wait.
+    stopped: (Mutex<()>, Condvar),
     /// Mirrors `!gate.retries.is_empty()`, stored (Release) under the gate
     /// and loaded (Acquire) by workers to skip an empty queue without the
     /// gate. A stale read costs one pass; the gate orders the queue.
@@ -355,6 +374,7 @@ impl Service {
             }),
             mvcc: MvccStore::new(STORE_SHARDS, workload.initial.iter().copied()),
             shutdown: AtomicBool::new(false),
+            stopped: (Mutex::new(()), Condvar::new()),
             retry_pending: AtomicBool::new(false),
             changes: AtomicU64::new(0),
             gc_folded: AtomicU64::new(0),
@@ -395,8 +415,30 @@ impl Service {
         self.retry_pending
             .store(!g.retries.is_empty(), Ordering::Release);
         if g.commits == g.slots.len() as u64 && g.retries.is_empty() {
-            self.shutdown.store(true, Ordering::Release);
+            self.stop();
         }
+    }
+
+    /// Sets `shutdown` and, the first time, wakes every thread waiting
+    /// in [`Service::idle`].
+    fn stop(&self) {
+        if !self.shutdown.swap(true, Ordering::AcqRel) {
+            let _wait = self.stopped.0.lock().expect("shutdown lock poisoned");
+            self.stopped.1.notify_all();
+        }
+    }
+
+    /// Waits out one helper tick of `timeout`, returning early at
+    /// shutdown.
+    fn idle(&self, timeout: Duration) {
+        let wait = self.stopped.0.lock().expect("shutdown lock poisoned");
+        // The flag is checked under the lock that `stop` notifies under,
+        // so a shutdown between the check and the wait is not missed.
+        let _wait = self
+            .stopped
+            .1
+            .wait_timeout_while(wait, timeout, |_| !self.shutdown.load(Ordering::Acquire))
+            .expect("shutdown lock poisoned");
     }
 
     /// The body of a step attempt for `t`, under the held gate: start
@@ -437,11 +479,14 @@ impl Service {
                     if !g.world.is_committed(t) {
                         return Attempt::Progressed;
                     }
+                    // One clock read serves the latency sample and the
+                    // stall breaker's clock.
+                    let now = Instant::now();
                     let slot = &mut g.slots[t.index()];
                     let started = slot.started.expect("started at first attempt");
-                    slot.latency_us = Some(started.elapsed().as_micros() as u64);
+                    slot.latency_us = Some(now.duration_since(started).as_micros() as u64);
                     g.commits += 1;
-                    g.last_commit = Instant::now();
+                    g.last_commit = now;
                     return Attempt::Committed;
                 }
                 Decision::Defer => {
@@ -615,9 +660,17 @@ impl Backoff {
         }
     }
 
-    /// Whether session `s` is still inside its backoff.
-    fn backing_off(&self, s: usize) -> bool {
-        self.resume_at[s].is_some_and(|at| Instant::now() < at)
+    /// Whether session `s` is still inside its backoff at the pass's
+    /// instant `now`. A session without a horizon needs no instant; the
+    /// first that has one reads it from `clock`, and every later check of
+    /// the pass compares against that same instant.
+    fn backing_off(
+        &self,
+        s: usize,
+        now: &mut Option<Instant>,
+        clock: impl FnOnce() -> Instant,
+    ) -> bool {
+        self.resume_at[s].is_some_and(|at| *now.get_or_insert_with(clock) < at)
     }
 
     /// Records how an attempt of session `s` ended, with the change
@@ -664,10 +717,27 @@ impl Backoff {
     }
 }
 
+/// What one worker did besides its step attempts, for the report.
+#[derive(Default)]
+struct WorkerTally {
+    /// Passes over the worker's sessions.
+    passes: u64,
+    /// Deferred sessions attempted before their backoff ended.
+    early_takes: u64,
+}
+
 /// Worker main loop: drain the retry queue first, then round-robin this
 /// worker's sessions, one step attempt each. Every attempt is one gate
-/// hold; a session in backoff takes none. Returns the worker's early
-/// takes.
+/// hold; a session in backoff takes none. Returns the worker's passes
+/// and early takes.
+///
+/// A pass reads the clock at most once, at the first session it finds
+/// with a backoff horizon, and compares every horizon of the pass
+/// against that instant. Most sessions sit out a backoff at any moment,
+/// so a pass attempts about one session but checks eight or nine
+/// horizons; a clock read per check cost about a fifth of a one-worker
+/// contended drain (DESIGN §9.1). An instant a few gate holds stale only
+/// lets a session wait those holds longer.
 ///
 /// A deferral is a wait for other transactions to reach breakpoints
 /// (§6), but its backoff is a timer that holds the session out even
@@ -681,11 +751,11 @@ impl Backoff {
 /// same edges. So a deferred session re-decided on an unchanged counter
 /// can only defer again. Timed backoff still orders the sessions while
 /// some are due, and a rolled-back session keeps its full backoff.
-fn worker_loop(service: &Service, sessions: &[Vec<TxnId>]) -> u64 {
+fn worker_loop(service: &Service, sessions: &[Vec<TxnId>]) -> WorkerTally {
     // Per-session cursor into its transaction stream.
     let mut cursor: Vec<usize> = vec![0; sessions.len()];
     let mut backoff = Backoff::new(sessions.len());
-    let mut early_takes = 0;
+    let mut tally = WorkerTally::default();
     let step = |s: usize, cursor: &mut [usize], backoff: &mut Backoff| {
         let (attempt, changes) = service.step_once(sessions[s][cursor[s]]);
         if matches!(attempt, Attempt::Committed | Attempt::Done) {
@@ -694,14 +764,16 @@ fn worker_loop(service: &Service, sessions: &[Vec<TxnId>]) -> u64 {
         backoff.record(s, attempt, changes, Instant::now);
     };
     while !service.shutdown.load(Ordering::Acquire) {
+        tally.passes += 1;
         // Cascade-undone commits first: their sessions already moved on.
         let mut progressed = service.retry_pending.load(Ordering::Acquire) && service.retry_once();
 
+        let mut now = None;
         for (s, stream) in sessions.iter().enumerate() {
             if service.shutdown.load(Ordering::Acquire) {
-                return early_takes;
+                return tally;
             }
-            if cursor[s] == stream.len() || backoff.backing_off(s) {
+            if cursor[s] == stream.len() || backoff.backing_off(s, &mut now, Instant::now) {
                 continue;
             }
             progressed = true;
@@ -714,14 +786,14 @@ fn worker_loop(service: &Service, sessions: &[Vec<TxnId>]) -> u64 {
             // sets `shutdown`, whichever worker makes it.
             match backoff.early_take(|| service.changes.load(Ordering::Acquire)) {
                 Some(s) => {
-                    early_takes += 1;
+                    tally.early_takes += 1;
                     step(s, &mut cursor, &mut backoff);
                 }
                 None => std::thread::yield_now(),
             }
         }
     }
-    early_takes
+    tally
 }
 
 /// Runs `load` to completion under `config` and reports.
@@ -778,7 +850,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
 
     let started = Instant::now();
     let deadline = config.deadline;
-    let (clean, early_takes) = std::thread::scope(|scope| {
+    let (clean, tally) = std::thread::scope(|scope| {
         let mut worker_threads = Vec::with_capacity(workers);
         for w in 0..workers {
             let service = &service;
@@ -796,7 +868,7 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             scope.spawn(move || {
                 while !service.shutdown.load(Ordering::Acquire) {
                     service.gc_pass();
-                    std::thread::sleep(interval);
+                    service.idle(interval);
                 }
             });
         }
@@ -806,32 +878,36 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             scope.spawn(move || {
                 while !service.shutdown.load(Ordering::Acquire) {
                     service.snapshot_probe(&entities);
-                    std::thread::sleep(Duration::from_micros(200));
+                    service.idle(Duration::from_micros(200));
                 }
             });
         }
         // Deadline watchdog: force shutdown so the scope can join, and
-        // break cross-session deadlocks the schedulers cannot see.
+        // break cross-session deadlocks the schedulers cannot see. It
+        // ticks every millisecond and wakes at once when the drain ends.
         let service = &service;
         let mut clean = true;
         let mut ticks = 0u32;
         while !service.shutdown.load(Ordering::Acquire) {
             if started.elapsed() > deadline {
                 clean = false;
-                service.shutdown.store(true, Ordering::Release);
+                service.stop();
                 break;
             }
             ticks = ticks.wrapping_add(1);
             if ticks.is_multiple_of(32) {
                 service.break_stall();
             }
-            std::thread::sleep(Duration::from_millis(1));
+            service.idle(Duration::from_millis(1));
         }
-        let early_takes: u64 = worker_threads
+        let tally = worker_threads
             .into_iter()
             .map(|w| w.join().expect("worker panicked"))
-            .sum();
-        (clean, early_takes)
+            .fold(WorkerTally::default(), |sum, w| WorkerTally {
+                passes: sum.passes + w.passes,
+                early_takes: sum.early_takes + w.early_takes,
+            });
+        (clean, tally)
     });
     let wall = started.elapsed();
     if config.gc_interval.is_some() {
@@ -858,7 +934,8 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
         aborts: g.aborts,
         commit_hazards: g.cascade_undone_commits,
         defers: g.defers,
-        early_takes,
+        early_takes: tally.early_takes,
+        passes: tally.passes,
         wall,
         cert_wall,
         certified,
@@ -955,8 +1032,54 @@ mod tests {
         // The counter has not moved, so nothing is taken early, yet the
         // pass attempts session 0: its backoff is over.
         assert_eq!(backoff.early_take(|| 4), None);
-        assert!(!backoff.backing_off(0));
-        assert!(backoff.backing_off(1));
+        let mut now = None;
+        assert!(!backoff.backing_off(0, &mut now, Instant::now));
+        assert!(backoff.backing_off(1, &mut now, Instant::now));
+    }
+
+    #[test]
+    fn a_pass_reads_the_clock_at_most_once() {
+        let start = Instant::now();
+        let mut backoff = Backoff::new(5);
+        // Sessions 0, 2 and 4 back off for 100 µs, session 3 for 400 µs;
+        // session 1 progressed and has no horizon.
+        for s in [0, 2, 3, 4] {
+            backoff.record(s, Attempt::Deferred, 1, || start);
+        }
+        backoff.record(1, Attempt::Progressed, 1, || start);
+        for _ in 0..2 {
+            backoff.record(3, Attempt::Deferred, 1, || start);
+        }
+        let reads = std::cell::Cell::new(0);
+        let pass = |at: Instant| {
+            let mut now = None;
+            let due: Vec<usize> = (0..5)
+                .filter(|&s| {
+                    !backoff.backing_off(s, &mut now, || {
+                        reads.set(reads.get() + 1);
+                        at
+                    })
+                })
+                .collect();
+            (due, reads.replace(0))
+        };
+        // Every horizon of a pass is compared against its one instant.
+        assert_eq!(pass(start), (vec![1], 1));
+        assert_eq!(
+            pass(start + Duration::from_micros(200)),
+            (vec![0, 1, 2, 4], 1)
+        );
+        assert_eq!(
+            pass(start + Duration::from_millis(1)),
+            (vec![0, 1, 2, 3, 4], 1)
+        );
+        // A pass that meets no horizon reads no clock.
+        let mut idle = Backoff::new(3);
+        idle.record(0, Attempt::Committed, 1, || start);
+        let mut now = None;
+        for s in 0..3 {
+            assert!(!idle.backing_off(s, &mut now, || unreachable!("no horizon")));
+        }
     }
 
     #[test]
@@ -1020,6 +1143,27 @@ mod tests {
             report.wall - deadline,
             report.render()
         );
+    }
+
+    #[test]
+    fn a_drain_ends_without_waiting_out_a_helper_tick() {
+        // The GC thread ticks every 2 s, far longer than this drain. It
+        // waits on the shutdown signal, so `run` returns when the last
+        // commit lands, not at the GC thread's next tick.
+        let load = contended_load(16, 64, 16, 8);
+        let config = ServeConfig {
+            sched: SchedKind::Prevent,
+            workers: 1,
+            gc_interval: Some(Duration::from_secs(2)),
+            deadline: Duration::from_secs(30),
+            ..ServeConfig::default()
+        };
+        let report = run(&load, &config);
+        assert!(report.clean, "{}", report.render());
+        assert_eq!(report.committed, 16 * 64, "{}", report.render());
+        assert!(report.wall < Duration::from_secs(1), "{}", report.render());
+        assert!(report.passes > 0, "{}", report.render());
+        assert!(report.render().contains("worker passes"));
     }
 
     #[test]

@@ -310,6 +310,9 @@ mod tests {
                 let _g = tree.acquire(e(0), e(0), LatchMode::Exclusive);
             })
         };
+        // The waiter must be parked before the disjoint request arrives,
+        // and the latch tree offers no hook to observe that.
+        #[allow(clippy::disallowed_methods)]
         std::thread::sleep(std::time::Duration::from_millis(20));
         // Disjoint latch must not queue behind the blocked waiter.
         let t = {

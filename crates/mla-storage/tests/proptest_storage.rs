@@ -116,7 +116,9 @@ proptest! {
                     order.lock().unwrap().push(i);
                     drop(guard);
                 });
-                // Give the request time to queue before the next arrival.
+                // Give the request time to queue before the next arrival:
+                // the latch tree offers no hook to observe a queued waiter.
+                #[allow(clippy::disallowed_methods)]
                 std::thread::sleep(std::time::Duration::from_millis(10));
                 arrived.fetch_add(1, Ordering::SeqCst);
                 all_queued.wait();

@@ -32,6 +32,8 @@
 //! under both schedulers, with every admission blessed by the offline
 //! Theorem 2 oracle.
 
+mod common;
+
 use std::sync::Arc;
 
 use multilevel_atomicity::cc::{oracle, MlaDetect, MlaPrevent, VictimPolicy};
@@ -40,7 +42,7 @@ use multilevel_atomicity::core::{ClosureEngine, StaticCert};
 use multilevel_atomicity::explore::{explore, BoundedNest};
 use multilevel_atomicity::lint::{certify_workload, Code};
 use multilevel_atomicity::model::program::{ScriptOp, ScriptProgram};
-use multilevel_atomicity::model::{EntityId, Execution, TxnId};
+use multilevel_atomicity::model::{EntityId, TxnId};
 use multilevel_atomicity::sim::{run, SimConfig, SimOutcome};
 use multilevel_atomicity::txn::{NoBreakpoints, PhaseTable, RuntimeBreakpoints};
 use multilevel_atomicity::workload::mixed::{self, MixedConfig};
@@ -108,33 +110,6 @@ fn random_workload(rng: &mut SmallRng) -> Workload {
     }
 }
 
-/// A genuine, value-correct execution under a uniformly random
-/// interleaving (the experiment harness's construction).
-fn random_execution(wl: &Workload, rng: &mut SmallRng) -> Execution {
-    let sys = wl.system();
-    let mut schedule: Vec<TxnId> = Vec::new();
-    let mut finished = vec![false; wl.txn_count()];
-    let mut exec = Execution::empty();
-    while schedule.len() < 256 {
-        let live: Vec<u32> = (0..wl.txn_count() as u32)
-            .filter(|&t| !finished[t as usize])
-            .collect();
-        if live.is_empty() {
-            break;
-        }
-        let t = live[rng.gen_range(0..live.len())];
-        schedule.push(TxnId(t));
-        match sys.run_schedule(&schedule) {
-            Ok(e) => exec = e,
-            Err(_) => {
-                schedule.pop();
-                finished[t as usize] = true;
-            }
-        }
-    }
-    exec
-}
-
 fn detect_run(wl: &Workload, control: &mut MlaDetect, seed: u64) -> SimOutcome {
     run(
         wl.nest.clone(),
@@ -197,7 +172,7 @@ fn certificates_are_sound_on_random_workloads() {
             // 1. The theorem oracle agrees with the certificate on random
             //    genuine executions.
             for _ in 0..3 {
-                let exec = random_execution(&wl, &mut rng);
+                let exec = common::random_execution(&wl, &mut rng, 256);
                 if exec.steps().is_empty() {
                     continue;
                 }

@@ -4,7 +4,11 @@
 
 #![allow(clippy::needless_range_loop)] // dense-index pairwise comparisons
 
+mod common;
+
 use std::ops::ControlFlow;
+
+use common::random_execution;
 
 use multilevel_atomicity::cc::{MlaDetect, VictimPolicy};
 use multilevel_atomicity::core::closure::{
@@ -21,40 +25,6 @@ use multilevel_atomicity::workload::banking::{generate as banking, BankingConfig
 use multilevel_atomicity::workload::synthetic::{generate as synthetic, SyntheticConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Runs a workload's system under a random interleaving schedule,
-/// producing a genuine (value-correct) execution.
-fn random_execution(
-    wl: &multilevel_atomicity::workload::Workload,
-    rng: &mut SmallRng,
-    max_steps: usize,
-) -> Execution {
-    let sys = wl.system();
-    // Drive transactions one random step at a time until all finish or
-    // the cap is reached.
-    let mut schedule = Vec::new();
-    let mut states: Vec<bool> = vec![false; wl.txn_count()]; // finished?
-    let mut exec = Execution::empty();
-    while schedule.len() < max_steps {
-        let live: Vec<u32> = (0..wl.txn_count() as u32)
-            .filter(|&t| !states[t as usize])
-            .collect();
-        if live.is_empty() {
-            break;
-        }
-        let t = live[rng.gen_range(0..live.len())];
-        schedule.push(TxnId(t));
-        match sys.run_schedule(&schedule) {
-            Ok(e) => exec = e,
-            Err(_) => {
-                // That transaction just finished; mark and drop the pick.
-                schedule.pop();
-                states[t as usize] = true;
-            }
-        }
-    }
-    exec
-}
 
 #[test]
 fn theorem_matches_enumeration_on_banking_runs() {
@@ -298,4 +268,101 @@ fn enumeration_oracle_streams_lazily() {
         }
     });
     assert!(seen <= 1000);
+}
+
+/// The schedule-replay body `random_execution` had before it stepped
+/// instances against one value map: re-run the whole growing schedule
+/// after every pick.
+fn replayed_random_execution(
+    wl: &multilevel_atomicity::workload::Workload,
+    rng: &mut SmallRng,
+    max_steps: usize,
+) -> Execution {
+    let sys = wl.system();
+    let mut schedule = Vec::new();
+    let mut finished = vec![false; wl.txn_count()];
+    let mut exec = Execution::empty();
+    while schedule.len() < max_steps {
+        let live: Vec<u32> = (0..wl.txn_count() as u32)
+            .filter(|&t| !finished[t as usize])
+            .collect();
+        if live.is_empty() {
+            break;
+        }
+        let t = live[rng.gen_range(0..live.len())];
+        schedule.push(TxnId(t));
+        match sys.run_schedule(&schedule) {
+            Ok(e) => exec = e,
+            Err(_) => {
+                schedule.pop();
+                finished[t as usize] = true;
+            }
+        }
+    }
+    exec
+}
+
+#[test]
+fn random_execution_matches_schedule_replay() {
+    // Small banking rounds and synthetic shapes like those the tests
+    // above draw, plus a longer banking load; each with a cap that cuts
+    // the run short and one that lets every transaction finish.
+    let mut workloads = Vec::new();
+    for seed in 0..3 {
+        workloads.push(
+            banking(BankingConfig {
+                families: 2,
+                accounts_per_family: 2,
+                transfers: 2,
+                bank_audits: 1,
+                credit_audits: 0,
+                seed,
+                ..BankingConfig::default()
+            })
+            .workload,
+        );
+    }
+    workloads.push(
+        banking(BankingConfig {
+            transfers: 12,
+            seed: 0x5EED,
+            ..BankingConfig::default()
+        })
+        .workload,
+    );
+    for (txns, k, fanout, densities, entities) in [
+        (4, 4, vec![2, 2], vec![0.3, 0.7], 5),
+        (3, 2, vec![], vec![], 3),
+    ] {
+        workloads.push(
+            synthetic(SyntheticConfig {
+                txns,
+                k,
+                fanout,
+                densities,
+                len_min: 2,
+                len_max: 4,
+                entities,
+                seed: 7,
+                ..SyntheticConfig::default()
+            })
+            .workload,
+        );
+    }
+    for (i, wl) in workloads.iter().enumerate() {
+        for seed in 1..=4 {
+            for max_steps in [9, 1_000] {
+                let mut a = SmallRng::seed_from_u64(seed);
+                let mut b = SmallRng::seed_from_u64(seed);
+                let stepped = random_execution(wl, &mut a, max_steps);
+                let replayed = replayed_random_execution(wl, &mut b, max_steps);
+                assert_eq!(
+                    stepped, replayed,
+                    "workload {i}, seed {seed}, cap {max_steps}"
+                );
+                // The two runs also leave their generators in step.
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+            }
+        }
+    }
 }
