@@ -10,8 +10,7 @@
 //! | [`SerialControl`] | serial executions | one global token |
 //! | [`TwoPhaseLocking`] | serializability | strict 2PL + wound-wait \[EGLT\] |
 //! | [`TimestampOrdering`] | serializability | basic T/O \[L\] |
-//! | [`SgtControl`] | serializability | online conflict-graph acyclicity |
-//! | [`MlaDetect`] | multilevel atomicity (correctable) | online coherent-closure cycle detection (§6) |
+//! | [`MlaDetect`] | multilevel atomicity (correctable); serializability on the flat 2-nest | online coherent-closure cycle detection (§6) |
 //! | [`MlaPrevent`] | multilevel atomicity (correctable) | §6 step-delay rule + waits-for deadlock resolution |
 //! | [`HierLocking`] | **none in general** — measured, not trusted (§7, E13) | per-entity lock retention at breakpoints |
 //!
@@ -20,6 +19,10 @@
 //! journal catch-up, and the choice of a rollback victim from a cycle.
 //! Each keeps only its own rule for a judged candidate — roll back on a
 //! cycle, or delay until the predecessors reach breakpoints.
+//!
+//! There is no separate serialization-graph tester: with k = 2
+//! multilevel atomicity is serializability (§4.3), so [`MlaDetect`] on a
+//! flattened workload is the experiments' serializable cycle detector.
 //!
 //! Every control is *tested against the theory*: the [`oracle`] module
 //! feeds each run's final execution back through `mla-core`'s Theorem 2
@@ -37,7 +40,6 @@ pub mod mla_detect;
 pub mod mla_prevent;
 pub mod oracle;
 pub mod serial;
-pub mod sgt;
 pub mod timestamp;
 pub mod two_phase;
 pub mod victim;
@@ -48,7 +50,6 @@ pub use hier_lock::HierLocking;
 pub use mla_detect::MlaDetect;
 pub use mla_prevent::MlaPrevent;
 pub use serial::SerialControl;
-pub use sgt::SgtControl;
 pub use timestamp::TimestampOrdering;
 pub use two_phase::TwoPhaseLocking;
 pub use victim::VictimPolicy;

@@ -20,7 +20,8 @@
 //! "Presumably, fewer cycles would be detected using the multilevel
 //! atomicity definition than if strict serializability were required,
 //! leading to fewer rollbacks" — experiment E5 measures exactly this
-//! against [`crate::SgtControl`].
+//! against the same control on the flat 2-nest, where a closure cycle
+//! is a conflict cycle (§4.3).
 
 use mla_core::cert::StaticCert;
 use mla_model::TxnId;
@@ -128,9 +129,9 @@ mod tests {
     use crate::oracle;
     use mla_core::nest::Nest;
     use mla_core::EngineCounters;
-    use mla_model::program::{ScriptOp::*, ScriptProgram};
+    use mla_model::program::{ScriptOp, ScriptOp::*, ScriptProgram};
     use mla_model::EntityId;
-    use mla_sim::{run, SimConfig};
+    use mla_sim::{run, SimConfig, SimOutcome};
     use mla_txn::{NoBreakpoints, PhaseTable, RuntimeBreakpoints, TxnInstance};
     use std::sync::Arc;
 
@@ -208,8 +209,8 @@ mod tests {
         // Two transfers in opposite directions over the same two accounts,
         // each with a mid-transaction breakpoint and pi(2)-related: the
         // opposing weave w0 w1 d1 d0 is multilevel atomic, so MLA-detect
-        // should commit both without any abort (SGT would have to abort
-        // one if the weave arises).
+        // should commit both without any abort (the same control on the
+        // flat 2-nest would have to abort one if the weave arises).
         let k = 3;
         let bp: Arc<dyn RuntimeBreakpoints> = Arc::new(PhaseTable::new(k, [(1, 2)]));
         let instances = vec![
@@ -462,5 +463,76 @@ mod tests {
             &wl.nest,
             &wl.spec()
         ));
+    }
+
+    /// Serialization-graph testing: the detector on the flat 2-nest,
+    /// one script per transaction, no breakpoints.
+    fn flat_run(scripts: Vec<Vec<ScriptOp>>, seed: u64, policy: VictimPolicy) -> SimOutcome {
+        let n = scripts.len();
+        let none: Arc<dyn RuntimeBreakpoints> = Arc::new(NoBreakpoints { k: 2 });
+        let mut spec = RuntimeSpec::new(2);
+        let instances = scripts
+            .into_iter()
+            .enumerate()
+            .map(|(i, ops)| {
+                spec.insert(TxnId(i as u32), none.clone());
+                TxnInstance::new(
+                    TxnId(i as u32),
+                    Arc::new(ScriptProgram::new(ops)),
+                    none.clone(),
+                )
+            })
+            .collect();
+        run(
+            Nest::flat(n),
+            instances,
+            [],
+            &vec![0; n],
+            &SimConfig::seeded(seed),
+            &mut MlaDetect::new(spec, policy),
+        )
+    }
+
+    #[test]
+    fn flat_nest_contended_swarm_is_serializable() {
+        let swarm: Vec<Vec<ScriptOp>> = (0..10u32)
+            .map(|i| (0..3).map(|s| Add(e((i * 7 + s * 3) % 4), 1)).collect())
+            .collect();
+        for policy in [
+            VictimPolicy::Requester,
+            VictimPolicy::FewestSteps,
+            VictimPolicy::MostSteps,
+        ] {
+            let out = flat_run(swarm.clone(), 8, policy);
+            assert_eq!(out.metrics.committed, 10, "policy {policy:?}");
+            assert!(!out.metrics.timed_out);
+            assert!(
+                oracle::is_serializable_outcome(&out),
+                "flat-nest history must be serializable under {policy:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn flat_nest_disjoint_entities_never_abort_or_defer() {
+        let scripts = (0..6u32)
+            .map(|i| vec![Add(e(100 + 2 * i), 1), Add(e(101 + 2 * i), 1)])
+            .collect();
+        let out = flat_run(scripts, 9, VictimPolicy::Requester);
+        assert_eq!(out.metrics.committed, 6);
+        assert_eq!(out.metrics.aborts, 0);
+        assert_eq!(out.metrics.defers, 0);
+    }
+
+    #[test]
+    fn flat_nest_crossing_weave_recovers_serializably() {
+        // Two transactions in opposite entity order with tight timing.
+        let scripts = vec![
+            vec![Add(e(0), 1), Add(e(1), 1)],
+            vec![Add(e(1), 1), Add(e(0), 1)],
+        ];
+        let out = flat_run(scripts, 10, VictimPolicy::FewestSteps);
+        assert_eq!(out.metrics.committed, 2);
+        assert!(oracle::is_serializable_outcome(&out));
     }
 }

@@ -2,8 +2,8 @@
 //! every control, every history re-checked against the offline theory.
 
 use mla_cc::{
-    oracle, CertAdmit, CertGuard, MlaDetect, MlaPrevent, SerialControl, SgtControl,
-    TimestampOrdering, TwoPhaseLocking, VictimPolicy,
+    oracle, CertAdmit, CertGuard, MlaDetect, MlaPrevent, SerialControl, TimestampOrdering,
+    TwoPhaseLocking, VictimPolicy,
 };
 use mla_core::cert::StaticCert;
 use mla_model::{EntityId, TxnId};
@@ -69,9 +69,9 @@ fn params() -> impl Strategy<Value = Params> {
 
 fn drive(
     p: &Params,
+    wl: mla_workload::Workload,
     control: &mut dyn Control,
 ) -> (mla_sim::sim::SimOutcome, mla_workload::Workload) {
-    let wl = p.workload();
     let out = run(
         wl.nest.clone(),
         wl.instances(),
@@ -90,10 +90,14 @@ proptest! {
     fn serializable_controls_stay_serializable(p in params()) {
         for name in ["serial", "2pl", "to", "sgt"] {
             let (out, wl) = match name {
-                "serial" => drive(&p, &mut SerialControl::default()),
-                "2pl" => drive(&p, &mut TwoPhaseLocking::new()),
-                "to" => drive(&p, &mut TimestampOrdering::new()),
-                _ => drive(&p, &mut SgtControl::new(p.txns, VictimPolicy::FewestSteps)),
+                "serial" => drive(&p, p.workload(), &mut SerialControl::default()),
+                "2pl" => drive(&p, p.workload(), &mut TwoPhaseLocking::new()),
+                "to" => drive(&p, p.workload(), &mut TimestampOrdering::new()),
+                _ => {
+                    let flat = p.workload().flattened();
+                    let mut sgt = MlaDetect::new(flat.spec(), VictimPolicy::FewestSteps);
+                    drive(&p, flat, &mut sgt)
+                }
             };
             prop_assert!(!out.metrics.timed_out, "{} timed out on {:?}", name, p);
             prop_assert_eq!(out.metrics.committed as usize, wl.txn_count(),
@@ -108,7 +112,7 @@ proptest! {
         // Detect.
         let wl = p.workload();
         let mut detect = MlaDetect::new(wl.spec(), VictimPolicy::FewestSteps);
-        let (out, wl) = drive(&p, &mut detect);
+        let (out, wl) = drive(&p, wl, &mut detect);
         prop_assert!(!out.metrics.timed_out, "detect timed out on {:?}", p);
         prop_assert_eq!(out.metrics.committed as usize, wl.txn_count());
         prop_assert!(oracle::is_correctable_outcome(&out, &wl.nest, &wl.spec()),
@@ -117,7 +121,7 @@ proptest! {
         // Prevent.
         let wl2 = p.workload();
         let mut prevent = MlaPrevent::new(wl2.txn_count(), wl2.spec(), VictimPolicy::FewestSteps);
-        let (out, wl2) = drive(&p, &mut prevent);
+        let (out, wl2) = drive(&p, wl2, &mut prevent);
         prop_assert!(!out.metrics.timed_out, "prevent timed out on {:?}", p);
         prop_assert_eq!(out.metrics.committed as usize, wl2.txn_count());
         prop_assert_eq!(prevent.prevention_misses, 0, "the §6 rule needed its fallback");

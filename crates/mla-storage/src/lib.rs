@@ -301,15 +301,6 @@ impl Store {
         result
     }
 
-    /// The latest live access to `entity`, if any.
-    pub fn latest_access(&self, entity: EntityId) -> Option<StepRecord> {
-        self.journal
-            .iter()
-            .rev()
-            .find(|r| r.entity == entity)
-            .copied()
-    }
-
     /// The live journal, in performance order, which is ascending id
     /// order.
     pub fn journal(&self) -> &[StepRecord] {
@@ -532,16 +523,6 @@ mod tests {
         let r = s.perform(t(0), 0, e(0), |_| 1);
         s.undo(&[r]).unwrap();
         assert_eq!(s.undo(&[r]).unwrap_err(), UndoError::NotLive { id: r.id });
-    }
-
-    #[test]
-    fn latest_access_is_the_last_live_record() {
-        let mut s = Store::new([]);
-        s.perform(t(0), 0, e(0), |_| 1);
-        let r1 = s.perform(t(1), 0, e(0), |_| 2);
-        s.perform(t(1), 1, e(1), |_| 3);
-        assert_eq!(s.latest_access(e(0)), Some(r1));
-        assert_eq!(s.latest_access(e(2)), None);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use mla_core::nest::Nest;
 use mla_model::program::System;
 use mla_model::{EntityId, Program, TxnId, Value};
-use mla_txn::{RuntimeBreakpoints, RuntimeSpec, TxnInstance};
+use mla_txn::{NoBreakpoints, RuntimeBreakpoints, RuntimeSpec, TxnInstance};
 
 /// A complete generated workload.
 pub struct Workload {
@@ -94,6 +94,22 @@ impl Workload {
             spec.insert(TxnId(i as u32), b.clone());
         }
         spec
+    }
+
+    /// The same programs (shared), initial values and arrivals under the
+    /// flat 2-nest with no breakpoints, where multilevel atomicity is
+    /// serializability (§4.3).
+    pub fn flattened(&self) -> Workload {
+        let n = self.txn_count();
+        let none: Arc<dyn RuntimeBreakpoints> = Arc::new(NoBreakpoints { k: 2 });
+        Workload {
+            name: format!("{} (flat)", self.name),
+            nest: Nest::flat(n),
+            programs: self.programs.clone(),
+            breakpoints: vec![none; n],
+            initial: self.initial.clone(),
+            arrivals: self.arrivals.clone(),
+        }
     }
 
     /// The offline [`System`] over the same programs (for

@@ -23,7 +23,8 @@
 //!   breakpoints.
 //! * [`sim`] — the discrete-event migrating-transaction simulator.
 //! * [`cc`] — concurrency controls: serial, strict 2PL, timestamp
-//!   ordering, SGT, MLA cycle detection, MLA cycle prevention.
+//!   ordering, MLA cycle detection (SGT when run on a flat 2-nest), MLA
+//!   cycle prevention.
 //! * [`workload`] — banking, CAD, and synthetic workload generators.
 //! * [`lint`] — static breakpoint-spec analysis: well-formedness, spec
 //!   smells, and §5 safety certification with stable `MLA0xx` codes.

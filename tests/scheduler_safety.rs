@@ -10,8 +10,7 @@
 //!   (`prevention_misses == 0`).
 
 use multilevel_atomicity::cc::{
-    oracle, MlaDetect, MlaPrevent, SerialControl, SgtControl, TimestampOrdering, TwoPhaseLocking,
-    VictimPolicy,
+    oracle, MlaDetect, MlaPrevent, SerialControl, TimestampOrdering, TwoPhaseLocking, VictimPolicy,
 };
 use multilevel_atomicity::model::Value;
 use multilevel_atomicity::sim::{run, Control, SimConfig, SimOutcome};
@@ -88,9 +87,12 @@ fn serializable_controls_on_banking() {
         );
         banking_invariants(&b, &out);
 
+        // Serialization-graph testing: the MLA detector on the flat
+        // 2-nest, where multilevel atomicity is serializability.
+        let flat = wl.flattened();
         let out = run_workload(
-            wl,
-            &mut SgtControl::new(wl.txn_count(), VictimPolicy::FewestSteps),
+            &flat,
+            &mut MlaDetect::new(flat.spec(), VictimPolicy::FewestSteps),
             seed,
         );
         assert_complete(&out, wl, "sgt");
