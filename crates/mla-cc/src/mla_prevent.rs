@@ -135,17 +135,9 @@ impl Control for MlaPrevent {
 
     fn decide(&mut self, txn: TxnId, world: &World) -> Decision {
         let candidate = world.candidate(txn);
-        // A blocker: a live unfinished transaction that precedes the
-        // candidate in the closure but whose last performed step is not
-        // at the `level(t, txn)` breakpoint the §6 rule requires.
-        let blocks = |&t: &TxnId| {
-            let inst = world.instance(t);
-            t != txn
-                && !world.is_committed(t)
-                && !inst.is_finished()
-                && inst.seq() > 0
-                && !inst.at_breakpoint(world.level(t, txn))
-        };
+        // A blocker: a closure predecessor of the candidate that
+        // `World::blocks` it (§6's breakpoint rule).
+        let blocks = |&t: &TxnId| world.blocks(t, txn);
         let Some(engine) = self.core.engine_for(&candidate, world) else {
             return Decision::Grant;
         };
@@ -185,6 +177,15 @@ impl Control for MlaPrevent {
                 self.core.victim(txn, witness.txns, world)
             }
         }
+    }
+
+    /// The waits-for edges `defer_on` recorded at `txn`'s deferral.
+    fn blockers(&self, txn: TxnId) -> Vec<TxnId> {
+        self.waits
+            .successors(txn.0)
+            .iter()
+            .map(|&b| TxnId(b))
+            .collect()
     }
 
     /// `txn`'s wait edges drop, and it stops being an eviction source.

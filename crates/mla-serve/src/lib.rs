@@ -12,7 +12,11 @@
 //! [`Control`](mla_sim::Control) interface the simulator uses, granting
 //! through [`World::perform`](mla_sim::World::perform) and undoing
 //! through [`World::roll_back`](mla_sim::World::roll_back), whose
-//! journal cascade tells the service which versions to pop. A GC thread
+//! journal cascade tells the service which versions to pop. Workers
+//! take transactions off one run queue under the gate and keep each
+//! until it commits, defers or rolls back; a deferral parks on the
+//! blocker the scheduler names ([`Control::blockers`](mla_sim::Control::blockers))
+//! and wakes when that blocker stops blocking. A GC thread
 //! reclaims versions below the reader pins and the journal's undo
 //! floor, and every drained history feeds back through Theorem 2's
 //! offline decision procedure ([`mla_check::check`]).

@@ -9,36 +9,35 @@
 //!    ...      ├──▶│ Gate (mutex) │◀──┴── snapshot readers (pins)
 //!  worker W ──┘   │  control     │
 //!                 │  world       │          ┌───────────┐
-//!                 │  slots       │─ install▶│ MvccStore │
+//!                 │  run queue   │─ install▶│ MvccStore │
 //!                 └─────────────┘           └───────────┘
 //! ```
 //!
-//! * Each **worker** (thread-per-core front-end) owns the sessions with
-//!   `session % workers == worker`, round-robinning one step attempt per
-//!   session per pass, plus the shared retry queue of cascade-undone
-//!   transactions. A session whose attempt was deferred or rolled back
-//!   sits out a timed backoff; a pass reads the clock at most once to
-//!   compare every backoff horizon it meets. When a pass finds nothing
-//!   to attempt, the worker takes the deferred session due first early,
-//!   provided some step was performed or rolled back since it deferred:
-//!   only those change what the scheduler would decide (see
-//!   `worker_loop`).
+//! * The gate's **run queue** holds one item per session (its current
+//!   transaction) and per cascade-undone commit. A **worker** keeps its
+//!   item while the transaction progresses, one step attempt per gate
+//!   hold, and gives it up on a commit (to the back of the queue, with
+//!   the session's next transaction), a deferral (parked on the blocker
+//!   [`Control::blockers`] names until [`World::blocks`] turns false or
+//!   anything rolls back) or a rollback (backed off on a timer). With
+//!   nothing ready or due, it waits on the gate's condition variable.
 //! * A step attempt is one hold of the **gate** — a single mutex holding
 //!   the scheduler as a [`Control`], the simulator's host state
 //!   [`World`] (instances, status, nest, and the live history as a
-//!   journal [`Store`]), and the service's own per-transaction slots.
-//!   The scheduler decides through [`Control::decide`]; a grant performs
-//!   the step through [`World::perform`], whose journal id + 1 is the
-//!   step's ticket, and installs a version — only if the step changed
-//!   the value — *before* the gate is released. Ticket draws and installs
-//!   are serialized by the gate alone, so per-entity tickets are
-//!   monotone, exactly as in the simulator's one global step order.
+//!   journal [`Store`]), the run queue and the service's own
+//!   per-transaction slots. The scheduler decides through
+//!   [`Control::decide`]; a grant performs the step through
+//!   [`World::perform`], whose journal id + 1 is the step's ticket, and
+//!   installs a version — only if the step changed the value — *before*
+//!   the gate is released. Ticket draws and installs are serialized by
+//!   the gate alone, so per-entity tickets are monotone, exactly as in
+//!   the simulator's one global step order.
 //! * An **abort** rolls back through [`World::roll_back`] — the
 //!   journal's undo cascade and the scheduler's hooks, as in the
 //!   simulator — and pops the undone versions from their chains.
 //!   Cascade-undone transactions whose sessions already moved on (they
-//!   had tentatively committed — the §6 commit hazard) go to the retry
-//!   queue.
+//!   had tentatively committed — the §6 commit hazard) join the run
+//!   queue as items of their own.
 //! * The **GC thread** folds versions below the older of the reader
 //!   pins and the journal's undo floor ([`Store::undo_floor`]): the
 //!   first record of any running transaction or of anything their undo
@@ -52,19 +51,19 @@
 //! * The GC thread, the snapshot readers and the deadline **watchdog**
 //!   wait out their ticks on the service's shutdown signal, not in a
 //!   sleep: the hold that lands the last commit (or the watchdog, at the
-//!   deadline) notifies it, so every helper wakes and the drain ends
-//!   without waiting out a tick.
+//!   deadline) notifies it and the workers' condition variable, so every
+//!   thread wakes and the drain ends without waiting out a tick.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, TryLockError};
+use std::sync::{Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 use mla_cc::{MlaDetect, MlaPrevent};
 use mla_model::{EntityId, Step, TxnId, Value};
 use mla_sim::{Control, Decision, TxnStatus, World};
 use mla_storage::{MvccStore, Store};
-use mla_workload::Workload;
 
 use crate::workload::ServeLoad;
 
@@ -83,8 +82,9 @@ pub enum SchedKind {
 pub struct ServeConfig {
     /// Which scheduler gates admission.
     pub sched: SchedKind,
-    /// Worker threads (thread-per-core front-end; sessions are dealt
-    /// round-robin across them).
+    /// Worker threads (thread-per-core front-end). Each takes one item
+    /// at a time off the shared run queue and keeps it while its
+    /// transaction progresses.
     pub workers: usize,
     /// A placeholder that must stay 0: the closure engine is not
     /// sharded. `perfbench/src/workloads.rs` reads it; that is its only
@@ -111,11 +111,8 @@ const STORE_SHARDS: usize = 16;
 const SNAPSHOT_READERS: usize = 2;
 
 /// Force-abort one running transaction when no commit lands for this
-/// long. Sessions execute their streams in order, so a deferred
-/// transaction can transitively wait on one whose *session* is stuck
-/// behind another deferred transaction — a cross-session deadlock the
-/// scheduler's transaction-level waits-for graph cannot see. The stall
-/// breaker is the classic timeout answer.
+/// long: the liveness backstop for any wait the scheduler's waits-for
+/// graph cannot see (DESIGN §9.4).
 const STALL_TIMEOUT: Duration = Duration::from_millis(250);
 
 impl Default for ServeConfig {
@@ -142,6 +139,96 @@ struct Slot {
     latency_us: Option<u64>,
 }
 
+/// A unit of work: a transaction and its place in its session.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Item {
+    txn: TxnId,
+    /// The session and `txn`'s position in its stream; `None` for a
+    /// cascade-undone commit, whose session has moved on.
+    session: Option<(usize, usize)>,
+    /// Rollbacks and blocker-less deferrals since the item last
+    /// progressed, capped at 7.
+    strikes: u32,
+}
+
+/// Transaction `i` of session `s`, as a work item.
+fn session_item(sessions: &[Vec<TxnId>], s: usize, i: usize) -> Option<Item> {
+    let txn = *sessions[s].get(i)?;
+    Some(Item {
+        txn,
+        session: Some((s, i)),
+        strikes: 0,
+    })
+}
+
+/// Every item no worker holds, under the gate.
+#[derive(Default)]
+struct RunQueue {
+    ready: VecDeque<Item>,
+    /// Deferred items, under the transaction each one waits for.
+    parked: BTreeMap<TxnId, Vec<Item>>,
+    /// Items backing off, earliest horizon first.
+    horizons: BinaryHeap<Reverse<(Instant, Item)>>,
+    /// Workers waiting on [`Service::work`].
+    idle: usize,
+    /// Deferrals parked on a blocker.
+    parks: u64,
+    /// Waits on [`Service::work`].
+    waits: u64,
+}
+
+impl RunQueue {
+    /// The oldest ready item, else the item whose horizon passed first
+    /// (reading the clock only then). Otherwise how long until the
+    /// earliest horizon, `None` when none is set.
+    fn take(&mut self, clock: impl FnOnce() -> Instant) -> Result<Item, Option<Duration>> {
+        if let Some(item) = self.ready.pop_front() {
+            return Ok(item);
+        }
+        let Some(&Reverse((at, item))) = self.horizons.peek() else {
+            return Err(None);
+        };
+        let now = clock();
+        if at > now {
+            return Err(Some(at - now));
+        }
+        self.horizons.pop();
+        Ok(item)
+    }
+
+    /// Backs `item` off for `50 µs << strikes` (up to 6.4 ms) from `now`,
+    /// so abort storms drain instead of re-colliding at full speed.
+    /// Returns whether its horizon is now the earliest.
+    fn back_off(&mut self, mut item: Item, now: Instant) -> bool {
+        item.strikes = (item.strikes + 1).min(7);
+        let at = now + Duration::from_micros(50 << item.strikes);
+        let earliest = self.horizons.peek().is_none_or(|h| at < h.0 .0);
+        self.horizons.push(Reverse((at, item)));
+        earliest
+    }
+
+    /// Readies the items parked on `blocker` that it no longer blocks
+    /// (after each grant to it: only its steps change what it blocks).
+    fn wake(&mut self, world: &World, blocker: TxnId) {
+        let Some(waiters) = self.parked.get_mut(&blocker) else {
+            return;
+        };
+        self.ready
+            .extend(waiters.extract_if(.., |item| !world.blocks(blocker, item.txn)));
+        if waiters.is_empty() {
+            self.parked.remove(&blocker);
+        }
+    }
+
+    /// Readies every parked item (after a rollback, which can dissolve
+    /// any closure path).
+    fn wake_all(&mut self) {
+        for (_, waiters) in std::mem::take(&mut self.parked) {
+            self.ready.extend(waiters);
+        }
+    }
+}
+
 /// Everything the single gate mutex protects.
 struct Gate {
     /// The host state the scheduler reads: instances, status, nest and
@@ -153,8 +240,8 @@ struct Gate {
     /// The §6 scheduler.
     control: Box<dyn Control + Send>,
     slots: Vec<Slot>,
-    /// Transactions undone after tentatively committing, awaiting re-run.
-    retries: VecDeque<TxnId>,
+    /// The work no worker holds.
+    queue: RunQueue,
     /// Transactions currently [`TxnStatus::Committed`] (net of cascade
     /// undo; equals the final commit count on a clean drain).
     commits: u64,
@@ -166,7 +253,7 @@ struct Gate {
     undo_epoch: u64,
     /// When the last commit landed (the stall breaker's clock).
     last_commit: Instant,
-    /// Cross-session deadlocks broken by the stall watchdog.
+    /// Deadlocks broken by the stall watchdog.
     stall_breaks: u64,
     /// The undo floor of GC's latest pass: no rollback undoes a record
     /// below it.
@@ -174,22 +261,6 @@ struct Gate {
     /// The tickets live snapshot probes read at (one entry per probe in
     /// flight). GC folds nothing at or above the smallest.
     pins: Vec<u64>,
-}
-
-/// Outcome of one step attempt (worker scheduling feedback).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Attempt {
-    /// Step performed; transaction still has more.
-    Progressed,
-    /// Step performed and it was the last: tentatively committed.
-    Committed,
-    /// Scheduler said wait; retry later.
-    Deferred,
-    /// The decision's cascade rolled the requester back; it restarts
-    /// from scratch on its next attempt.
-    Aborted,
-    /// Already committed.
-    Done,
 }
 
 /// Run summary.
@@ -211,13 +282,12 @@ pub struct ServeReport {
     pub commit_hazards: u64,
     /// Deferred step attempts.
     pub defers: u64,
-    /// Deferred sessions attempted before their backoff ended, because
-    /// their worker had nothing else to attempt (summed across workers).
-    pub early_takes: u64,
-    /// Worker passes over their sessions (summed across workers). Each
-    /// pass attempts every session not backing off, so step attempts
-    /// over passes says how many sessions a pass finds due.
-    pub passes: u64,
+    /// Deferrals parked on a blocker the scheduler named; the rest
+    /// backed off on a timer.
+    pub parks: u64,
+    /// Times a worker found nothing ready or due and waited (summed
+    /// across workers).
+    pub waits: u64,
     /// Wall-clock of the drain.
     pub wall: Duration,
     /// Wall-clock of static certification (zero when not requested).
@@ -256,7 +326,7 @@ pub struct ServeReport {
     pub snapshot_checks: u64,
     /// Snapshot-stability violations (must be 0).
     pub snapshot_violations: u64,
-    /// Cross-session deadlocks broken by the stall watchdog.
+    /// Deadlocks broken by the stall watchdog.
     pub stall_breaks: u64,
     /// Live (unfolded) versions left at drain.
     pub live_versions: usize,
@@ -274,8 +344,8 @@ impl ServeReport {
              committed   {committed} txns in {wall:.3?} ({tp:.0} txn/s){dirty}\n\
              latency     p50 {p50} µs, p95 {p95} µs, p99 {p99} µs\n\
              conflicts   {aborts} rollbacks ({hazards} undone commits), {defers} defers \
-             ({early} taken early), {stalls} stall breaks\n\
-             passes      {worker_passes} worker passes over sessions\n\
+             ({parks} parked), {stalls} stall breaks\n\
+             workers     {waits} waits for work\n\
              gc          {folded} versions folded in {passes} passes, {live} live at drain\n\
              snapshots   {checks} checks, {viol} violations\n\
              certificate {skips} fast-path grants{per}, {rearms} re-arms",
@@ -293,8 +363,8 @@ impl ServeReport {
             aborts = self.aborts,
             hazards = self.commit_hazards,
             defers = self.defers,
-            early = self.early_takes,
-            worker_passes = self.passes,
+            parks = self.parks,
+            waits = self.waits,
             stalls = self.stall_breaks,
             folded = self.gc_folded,
             passes = self.gc_passes,
@@ -320,37 +390,38 @@ impl ServeReport {
 }
 
 /// The shared service state all threads operate on.
-struct Service {
+struct Service<'a> {
     gate: Mutex<Gate>,
+    /// Workers with nothing ready or due wait here, on the gate, until
+    /// [`Service::nudge`], a new earliest horizon or [`Service::stop`].
+    work: Condvar,
+    /// Per-session transaction streams, executed in order.
+    sessions: &'a [Vec<TxnId>],
     mvcc: MvccStore,
-    /// Set once every transaction has committed (or the deadline hit),
-    /// through [`Service::stop`] alone.
+    /// Set once every transaction has committed (or the deadline hit).
     shutdown: AtomicBool,
     /// The shutdown signal: [`Service::stop`] notifies it, and the GC
     /// thread, the snapshot readers and the watchdog wait on it between
     /// their ticks ([`Service::idle`]), so none sleeps past the drain.
     /// The mutex guards nothing but the wait.
     stopped: (Mutex<()>, Condvar),
-    /// Mirrors `!gate.retries.is_empty()`, stored (Release) under the gate
-    /// and loaded (Acquire) by workers to skip an empty queue without the
-    /// gate. A stale read costs one pass; the gate orders the queue.
-    retry_pending: AtomicBool,
-    /// Bumped under the gate by every grant and every cascade: the only
-    /// gate changes that can turn a deferral into another decision.
-    /// Workers read it without the gate to see whether re-deciding a
-    /// deferred session can be worth a hold (`Backoff::early_take`).
-    changes: AtomicU64,
     gc_folded: AtomicU64,
     gc_passes: AtomicU64,
     snapshot_checks: AtomicU64,
     snapshot_violations: AtomicU64,
 }
 
-impl Service {
-    /// A service over `workload`'s fresh instances, gated by `control`,
-    /// before any thread starts.
-    fn new(workload: &Workload, control: Box<dyn Control + Send>) -> Self {
+impl<'a> Service<'a> {
+    /// A service over `load`'s fresh instances, gated by `control`,
+    /// before any thread starts. Every session's first transaction is
+    /// ready, in session order.
+    fn new(load: &'a ServeLoad, control: Box<dyn Control + Send>) -> Self {
+        let workload = &load.workload;
         let txn_count = workload.txn_count();
+        let sessions = &load.session_txns;
+        let ready = (0..sessions.len())
+            .filter_map(|s| session_item(sessions, s, 0))
+            .collect();
         Service {
             gate: Mutex::new(Gate {
                 world: World {
@@ -361,7 +432,10 @@ impl Service {
                 },
                 control,
                 slots: (0..txn_count).map(|_| Slot::default()).collect(),
-                retries: VecDeque::new(),
+                queue: RunQueue {
+                    ready,
+                    ..RunQueue::default()
+                },
                 commits: 0,
                 aborts: 0,
                 cascade_undone_commits: 0,
@@ -372,11 +446,11 @@ impl Service {
                 undo_floor: 0,
                 pins: Vec::with_capacity(SNAPSHOT_READERS),
             }),
+            work: Condvar::new(),
+            sessions,
             mvcc: MvccStore::new(STORE_SHARDS, workload.initial.iter().copied()),
             shutdown: AtomicBool::new(false),
             stopped: (Mutex::new(()), Condvar::new()),
-            retry_pending: AtomicBool::new(false),
-            changes: AtomicU64::new(0),
             gc_folded: AtomicU64::new(0),
             gc_passes: AtomicU64::new(0),
             snapshot_checks: AtomicU64::new(0),
@@ -384,48 +458,140 @@ impl Service {
         }
     }
 
-    /// One step attempt for session transaction `t`, in one gate hold.
-    /// Also returns the change counter as the hold left it.
-    fn step_once(&self, t: TxnId) -> (Attempt, u64) {
-        let mut g = self.gate.lock().expect("gate poisoned");
-        let attempt = self.attempt(&mut g, t);
-        self.note_drained(&g);
-        (attempt, self.changes.load(Ordering::Relaxed))
+    /// One step attempt for `item` in the worker's gate hold. Returns the
+    /// item if the step was granted and its transaction is still open:
+    /// the worker keeps it. Otherwise the item goes back to the queue:
+    /// after a commit, as its session's next transaction; after a
+    /// deferral, parked on the blocker the scheduler named; after a
+    /// rollback, or a deferral naming none, onto the backoff heap.
+    fn step(&self, g: &mut Gate, item: Item) -> Option<Item> {
+        let t = item.txn;
+        if g.world.status[t.index()] == TxnStatus::Idle {
+            g.world.status[t.index()] = TxnStatus::Running;
+            g.slots[t.index()].started.get_or_insert_with(Instant::now);
+        }
+        // Decide loop: an Abort decision rolls its victims back and
+        // *immediately* re-decides under the same gate lock. Dropping the
+        // gate between the cascade and the retry is a livelock — the
+        // restarted victim's worker re-admits its steps first and the
+        // next decide names the same victim again. The gate is held, so
+        // nothing can re-enter between cascade and re-decide; each
+        // iteration either grants, defers, kills the requester, or
+        // strictly shrinks the set of live victim records, so the loop
+        // is bounded by the slot count. Each decide can be costly, so a
+        // set `shutdown` ends the loop before the next one.
+        for _round in 0..=g.slots.len() {
+            if self.shutdown.load(Ordering::Acquire) {
+                break;
+            }
+            match g.control.decide(t, &g.world) {
+                Decision::Grant => return self.grant(g, item),
+                Decision::Defer => {
+                    g.defers += 1;
+                    let Some(&blocker) = g.control.blockers(t).first() else {
+                        break;
+                    };
+                    debug_assert!(g.world.blocks(blocker, t), "a blocker that does not block");
+                    g.queue.parks += 1;
+                    g.queue.parked.entry(blocker).or_default().push(item);
+                    return None;
+                }
+                Decision::Abort(victims) => {
+                    if self.cascade_abort(g, &victims, t) {
+                        break;
+                    }
+                    // Victims are gone and the gate never dropped:
+                    // re-decide now, before their workers can re-admit.
+                }
+            }
+        }
+        if g.queue.back_off(item, Instant::now()) && g.queue.idle > 0 {
+            // A waiting worker may be timed for a later horizon.
+            self.work.notify_one();
+        }
+        None
     }
 
-    /// One step attempt for the oldest retry-queue entry, in one gate
-    /// hold; the entry goes to the back of the queue unless it
-    /// committed. Returns whether the queue had an entry.
-    fn retry_once(&self) -> bool {
-        let mut g = self.gate.lock().expect("gate poisoned");
-        let Some(t) = g.retries.pop_front() else {
-            return false;
-        };
-        if !matches!(self.attempt(&mut g, t), Attempt::Committed | Attempt::Done) {
-            g.retries.push_back(t);
+    /// Performs `item`'s granted step at a fresh ticket, installs its
+    /// version and wakes the items its transaction no longer blocks.
+    /// Returns the item unless the transaction committed.
+    fn grant(&self, g: &mut Gate, mut item: Item) -> Option<Item> {
+        let t = item.txn;
+        let record = g.world.perform(t, g.control.as_mut());
+        debug_assert_eq!(self.mvcc.latest(record.entity).1, record.observed);
+        if record.wrote != record.observed {
+            self.mvcc
+                .install(record.entity, record.id + 1, t, record.wrote);
         }
-        self.note_drained(&g);
-        true
+        g.queue.wake(&g.world, t);
+        if !g.world.is_committed(t) {
+            item.strikes = 0;
+            return Some(item);
+        }
+        // One clock read serves the latency sample and the stall
+        // breaker's clock.
+        let now = Instant::now();
+        let slot = &mut g.slots[t.index()];
+        let started = slot.started.expect("started at first attempt");
+        slot.latency_us = Some(now.duration_since(started).as_micros() as u64);
+        g.commits += 1;
+        g.last_commit = now;
+        let next = item
+            .session
+            .and_then(|(s, i)| session_item(self.sessions, s, i + 1));
+        g.queue.ready.extend(next);
+        if g.commits == g.slots.len() as u64 {
+            self.stop(g);
+        }
+        None
     }
 
-    /// Publishes the retry queue's state and ends the drain once every
-    /// transaction is committed and nothing waits for a retry. Called at
-    /// the end of every gate hold that changes either.
-    fn note_drained(&self, g: &Gate) {
-        self.retry_pending
-            .store(!g.retries.is_empty(), Ordering::Release);
-        if g.commits == g.slots.len() as u64 && g.retries.is_empty() {
-            self.stop();
+    /// Wakes one waiting worker if work is ready. Called at the end of
+    /// every hold that can make work ready; the woken worker calls it
+    /// again after taking its item, so each ready item finds a worker.
+    fn nudge(&self, g: &Gate) {
+        if g.queue.idle > 0 && !g.queue.ready.is_empty() {
+            self.work.notify_one();
         }
     }
 
-    /// Sets `shutdown` and, the first time, wakes every thread waiting
-    /// in [`Service::idle`].
-    fn stop(&self) {
-        if !self.shutdown.swap(true, Ordering::AcqRel) {
-            let _wait = self.stopped.0.lock().expect("shutdown lock poisoned");
-            self.stopped.1.notify_all();
+    /// Takes the next item for a worker that holds none: the oldest
+    /// ready one, else the first whose backoff ended. With neither, the
+    /// worker waits on `work` until a hold makes one ready, the earliest
+    /// horizon passes or the drain ends. `None` once `shutdown` is set.
+    fn next_item<'g>(
+        &'g self,
+        mut g: MutexGuard<'g, Gate>,
+    ) -> Option<(MutexGuard<'g, Gate>, Item)> {
+        loop {
+            // Checked under the gate, which `stop` holds while it
+            // notifies: a shutdown between this check and the wait below
+            // is not missed.
+            if self.shutdown.load(Ordering::Acquire) {
+                return None;
+            }
+            let timeout = match g.queue.take(Instant::now) {
+                Ok(item) => return Some((g, item)),
+                Err(timeout) => timeout,
+            };
+            g.queue.idle += 1;
+            g.queue.waits += 1;
+            g = match timeout {
+                Some(t) => self.work.wait_timeout(g, t).expect("gate poisoned").0,
+                None => self.work.wait(g).expect("gate poisoned"),
+            };
+            g.queue.idle -= 1;
         }
+    }
+
+    /// Sets `shutdown` and wakes every waiting thread: the helpers in
+    /// [`Service::idle`] and the workers on `work`, whose wait the held
+    /// gate orders after their check of the flag.
+    fn stop(&self, _held: &Gate) {
+        self.shutdown.store(true, Ordering::Release);
+        let _wait = self.stopped.0.lock().expect("shutdown lock poisoned");
+        self.stopped.1.notify_all();
+        self.work.notify_all();
     }
 
     /// Waits out one helper tick of `timeout`, returning early at
@@ -441,76 +607,10 @@ impl Service {
             .expect("shutdown lock poisoned");
     }
 
-    /// The body of a step attempt for `t`, under the held gate: start
-    /// its incarnation, consult the scheduler, and on a grant journal
-    /// its next step at a fresh ticket and install the step's version.
-    fn attempt(&self, g: &mut Gate, t: TxnId) -> Attempt {
-        match g.world.status[t.index()] {
-            TxnStatus::Committed => return Attempt::Done,
-            TxnStatus::Idle => {
-                g.world.status[t.index()] = TxnStatus::Running;
-                g.slots[t.index()].started.get_or_insert_with(Instant::now);
-            }
-            TxnStatus::Running => {}
-        }
-        // Decide loop: an Abort decision rolls its victims back and
-        // *immediately* re-decides under the same gate lock. Dropping the
-        // gate between the cascade and the retry is a livelock — the
-        // restarted victim's session re-admits its steps first (it polls
-        // tightly) and the next decide names the same victim again. The
-        // gate is held, so nothing can re-enter between cascade and
-        // re-decide; each iteration either grants, defers, kills the
-        // requester, or strictly shrinks the set of live victim records,
-        // so the loop is bounded by the slot count. Each decide can be
-        // costly, so a set `shutdown` ends the loop before the next one.
-        for _round in 0..=g.slots.len() {
-            if self.shutdown.load(Ordering::Acquire) {
-                return Attempt::Deferred;
-            }
-            match g.control.decide(t, &g.world) {
-                Decision::Grant => {
-                    let record = g.world.perform(t, g.control.as_mut());
-                    self.changes.fetch_add(1, Ordering::Release);
-                    debug_assert_eq!(self.mvcc.latest(record.entity).1, record.observed);
-                    let ticket = record.id + 1;
-                    if record.wrote != record.observed {
-                        self.mvcc.install(record.entity, ticket, t, record.wrote);
-                    }
-                    if !g.world.is_committed(t) {
-                        return Attempt::Progressed;
-                    }
-                    // One clock read serves the latency sample and the
-                    // stall breaker's clock.
-                    let now = Instant::now();
-                    let slot = &mut g.slots[t.index()];
-                    let started = slot.started.expect("started at first attempt");
-                    slot.latency_us = Some(now.duration_since(started).as_micros() as u64);
-                    g.commits += 1;
-                    g.last_commit = now;
-                    return Attempt::Committed;
-                }
-                Decision::Defer => {
-                    g.defers += 1;
-                    return Attempt::Deferred;
-                }
-                Decision::Abort(victims) => {
-                    if self.cascade_abort(g, &victims, t) {
-                        return Attempt::Aborted;
-                    }
-                    // Victims are gone and the gate never dropped:
-                    // re-decide now, before their sessions can re-admit.
-                }
-            }
-        }
-        // The scheduler kept naming fresh victims past the bound —
-        // treat as a defer and let the session re-poll.
-        g.defers += 1;
-        Attempt::Deferred
-    }
-
-    /// Rolls back `victims` through the journal's undo cascade and pops
+    /// Rolls back `victims` through the journal's undo cascade, pops
     /// every undone version, newest first, so each removal is a
-    /// chain-head pop. Returns whether `requester` was rolled back.
+    /// chain-head pop, and wakes every parked item. Returns whether
+    /// `requester` was rolled back.
     fn cascade_abort(&self, g: &mut Gate, victims: &[TxnId], requester: TxnId) -> bool {
         // The schedulers name only uncommitted victims and the stall
         // breaker only running ones. A cascade from them undoes nothing
@@ -523,7 +623,6 @@ impl Service {
         let (rollback, had_committed) = g
             .world
             .roll_back(victims.iter().copied(), g.control.as_mut());
-        self.changes.fetch_add(1, Ordering::Release);
         debug_assert!(
             rollback.undone.iter().all(|r| r.id >= g.undo_floor),
             "the undo cascade reached below GC's undo floor {}",
@@ -537,11 +636,18 @@ impl Service {
             g.slots[t.index()].latency_us = None;
         }
         g.aborts += rollback.victims.len() as u64;
-        // Tentatively-committed victims re-run via the retry queue
-        // (their sessions have moved on).
         g.commits -= had_committed.len() as u64;
         g.cascade_undone_commits += had_committed.len() as u64;
-        g.retries.extend(had_committed);
+        g.queue.wake_all();
+        // Tentatively-committed victims re-run as items of their own
+        // (their sessions have moved on).
+        g.queue
+            .ready
+            .extend(had_committed.into_iter().map(|txn| Item {
+                txn,
+                session: None,
+                strikes: 0,
+            }));
         rollback.contains(requester)
     }
 
@@ -564,11 +670,9 @@ impl Service {
 
     /// The stall breaker: when no commit has landed for `timeout`,
     /// force-abort the running transaction with the fewest performed
-    /// steps (cheapest undo). Sessions run their streams in order, so
-    /// deferred transactions can deadlock *through* sessions in a way the
-    /// scheduler's transaction-level waits-for graph cannot observe; one
-    /// forced rollback restarts the cheapest participant and the rest
-    /// drain.
+    /// steps (cheapest undo), which also wakes every parked item. It is
+    /// the backstop for a wait the scheduler's waits-for graph cannot
+    /// see (DESIGN §9.4).
     fn break_stall(&self) {
         // A held gate means a worker is mid-decision: try again on a
         // later tick. Queueing behind its decide loop would also hold
@@ -588,7 +692,7 @@ impl Service {
         if let Some(v) = victim {
             self.cascade_abort(&mut g, &[v], v);
             g.stall_breaks += 1;
-            self.note_drained(&g);
+            self.nudge(&g);
         }
         // Restart the clock either way: one stall, one break.
         g.last_commit = Instant::now();
@@ -637,163 +741,30 @@ impl Service {
     }
 }
 
-/// One worker's per-session backoff: when each of its sessions may be
-/// attempted again, and whether re-deciding a deferred one before then
-/// can be worth a gate hold.
-struct Backoff {
-    /// Horizons: a session is not attempted in a pass before its entry
-    /// (`None` when it is not backing off).
-    resume_at: Vec<Option<Instant>>,
-    /// Consecutive deferred or rolled-back attempts, capped at 7.
-    strikes: Vec<u32>,
-    /// Deferral stamps: the change counter as the hold of the session's
-    /// last attempt left it, `None` unless that attempt deferred.
-    deferred_at: Vec<Option<u64>>,
-}
-
-impl Backoff {
-    fn new(sessions: usize) -> Self {
-        Backoff {
-            resume_at: vec![None; sessions],
-            strikes: vec![0; sessions],
-            deferred_at: vec![None; sessions],
-        }
-    }
-
-    /// Whether session `s` is still inside its backoff at the pass's
-    /// instant `now`. A session without a horizon needs no instant; the
-    /// first that has one reads it from `clock`, and every later check of
-    /// the pass compares against that same instant.
-    fn backing_off(
-        &self,
-        s: usize,
-        now: &mut Option<Instant>,
-        clock: impl FnOnce() -> Instant,
-    ) -> bool {
-        self.resume_at[s].is_some_and(|at| *now.get_or_insert_with(clock) < at)
-    }
-
-    /// Records how an attempt of session `s` ended, with the change
-    /// counter as its hold left it. Progress clears the backoff. A
-    /// deferral or a rollback starts one of `50 µs << strikes` (up to
-    /// 6.4 ms) from `now()`, so abort storms drain instead of
-    /// re-colliding at full speed; a deferral also stamps `changes`.
-    fn record(&mut self, s: usize, attempt: Attempt, changes: u64, now: impl FnOnce() -> Instant) {
-        self.deferred_at[s] = None;
-        match attempt {
-            Attempt::Progressed | Attempt::Committed | Attempt::Done => {
-                self.strikes[s] = 0;
-                self.resume_at[s] = None;
-            }
-            Attempt::Deferred | Attempt::Aborted => {
-                self.strikes[s] = (self.strikes[s] + 1).min(7);
-                self.resume_at[s] = Some(now() + Duration::from_micros(50 << self.strikes[s]));
-                if attempt == Attempt::Deferred {
-                    self.deferred_at[s] = Some(changes);
-                }
-            }
-        }
-    }
-
-    /// The session to attempt when a pass attempted nothing: of the
-    /// sessions whose last attempt deferred before the change counter
-    /// reached `changes()`, the one whose backoff ends first. A session
-    /// rolled back is never taken early, and neither is one deferred at
-    /// `changes()`: no step has been performed or rolled back since, so
-    /// re-deciding it could only defer again (see [`worker_loop`]).
-    ///
-    /// The counter is read only when some session carries a stamp: every
-    /// grant writes it, so an idle worker with nothing deferred (say, one
-    /// whose sessions drained) leaves its cache line to the workers
-    /// still granting, as it did before early takes existed.
-    fn early_take(&self, changes: impl FnOnce() -> u64) -> Option<usize> {
-        if self.deferred_at.iter().all(Option::is_none) {
-            return None;
-        }
-        let changes = changes();
-        (0..self.deferred_at.len())
-            .filter(|&s| self.deferred_at[s].is_some_and(|c| c != changes))
-            .min_by_key(|&s| self.resume_at[s])
-    }
-}
-
-/// What one worker did besides its step attempts, for the report.
-#[derive(Default)]
-struct WorkerTally {
-    /// Passes over the worker's sessions.
-    passes: u64,
-    /// Deferred sessions attempted before their backoff ended.
-    early_takes: u64,
-}
-
-/// Worker main loop: drain the retry queue first, then round-robin this
-/// worker's sessions, one step attempt each. Every attempt is one gate
-/// hold; a session in backoff takes none. Returns the worker's passes
-/// and early takes.
+/// Worker main loop: one step attempt per gate hold, on the item the
+/// worker keeps while its transaction progresses, or else on the next
+/// item [`Service::next_item`] hands it (waiting for one if need be).
 ///
-/// A pass reads the clock at most once, at the first session it finds
-/// with a backoff horizon, and compares every horizon of the pass
-/// against that instant. Most sessions sit out a backoff at any moment,
-/// so a pass attempts about one session but checks eight or nine
-/// horizons; a clock read per check cost about a fifth of a one-worker
-/// contended drain (DESIGN §9.1). An instant a few gate holds stale only
-/// lets a session wait those holds longer.
-///
-/// A deferral is a wait for other transactions to reach breakpoints
-/// (§6), but its backoff is a timer that holds the session out even
-/// when the worker has nothing else to do. So when a pass attempts
-/// nothing, the worker attempts the session [`Backoff::early_take`]
-/// names, if any, and otherwise yields. The guard is exact. A deferral's
-/// blockers are read off the closure and the transactions' performed
-/// steps, which only a grant or a cascade changes, and both bump
-/// `changes` under the gate. The waits-for edges the deferral left
-/// kept the waits-for graph acyclic, and re-deciding swaps them for the
-/// same edges. So a deferred session re-decided on an unchanged counter
-/// can only defer again. Timed backoff still orders the sessions while
-/// some are due, and a rolled-back session keeps its full backoff.
-fn worker_loop(service: &Service, sessions: &[Vec<TxnId>]) -> WorkerTally {
-    // Per-session cursor into its transaction stream.
-    let mut cursor: Vec<usize> = vec![0; sessions.len()];
-    let mut backoff = Backoff::new(sessions.len());
-    let mut tally = WorkerTally::default();
-    let step = |s: usize, cursor: &mut [usize], backoff: &mut Backoff| {
-        let (attempt, changes) = service.step_once(sessions[s][cursor[s]]);
-        if matches!(attempt, Attempt::Committed | Attempt::Done) {
-            cursor[s] += 1;
-        }
-        backoff.record(s, attempt, changes, Instant::now);
-    };
-    while !service.shutdown.load(Ordering::Acquire) {
-        tally.passes += 1;
-        // Cascade-undone commits first: their sessions already moved on.
-        let mut progressed = service.retry_pending.load(Ordering::Acquire) && service.retry_once();
-
-        let mut now = None;
-        for (s, stream) in sessions.iter().enumerate() {
-            if service.shutdown.load(Ordering::Acquire) {
-                return tally;
-            }
-            if cursor[s] == stream.len() || backoff.backing_off(s, &mut now, Instant::now) {
-                continue;
-            }
-            progressed = true;
-            step(s, &mut cursor, &mut backoff);
-        }
-
-        if !progressed {
-            // Every own session is drained or backing off. Stay alive for
-            // retry-queue work; the gate hold of the drain's last commit
-            // sets `shutdown`, whichever worker makes it.
-            match backoff.early_take(|| service.changes.load(Ordering::Acquire)) {
-                Some(s) => {
-                    tally.early_takes += 1;
-                    step(s, &mut cursor, &mut backoff);
-                }
-                None => std::thread::yield_now(),
-            }
-        }
+/// Keeping a progressing item is what makes a lone worker run each
+/// transaction start to finish: with one worker, one transaction is
+/// open at a time and nothing defers. Giving the item up on a deferral
+/// is what lets a blocker's worker run; the item parks on the blocker
+/// and returns to the ready queue when the blocker's grant, commit or
+/// rollback ends the block (DESIGN §9.1 argues the wake rule).
+fn worker_loop(service: &Service) {
+    let mut kept = None;
+    loop {
+        let g = service.gate.lock().expect("gate poisoned");
+        let (mut g, item) = match kept {
+            Some(item) if !service.shutdown.load(Ordering::Acquire) => (g, item),
+            _ => match service.next_item(g) {
+                Some(next) => next,
+                None => return,
+            },
+        };
+        kept = service.step(&mut g, item);
+        service.nudge(&g);
     }
-    tally
 }
 
 /// Runs `load` to completion under `config` and reports.
@@ -807,8 +778,6 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
     );
     let workload = &load.workload;
     let txn_count = workload.txn_count();
-    let sessions = load.session_txns.len();
-    let workers = config.workers.max(1).min(sessions.max(1));
     let spec = workload.spec();
 
     let cert_started = Instant::now();
@@ -835,6 +804,18 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             })
         }
     };
+    ServeReport {
+        cert_wall,
+        certified,
+        ..serve(load, config, control)
+    }
+}
+
+/// The drain behind [`run`], gated by `control`.
+fn serve(load: &ServeLoad, config: &ServeConfig, control: Box<dyn Control + Send>) -> ServeReport {
+    let workload = &load.workload;
+    let sessions = load.session_txns.len();
+    let workers = config.workers.max(1).min(sessions.max(1));
 
     // The entity universe (snapshot probes scan it).
     let mut entities: Vec<EntityId> = workload
@@ -846,25 +827,16 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
     entities.sort_unstable();
     entities.dedup();
 
-    let service = Service::new(workload, control);
+    let service = Service::new(load, control);
 
     let started = Instant::now();
     let deadline = config.deadline;
-    let (clean, tally) = std::thread::scope(|scope| {
-        let mut worker_threads = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let service = &service;
-            let session_slice: Vec<Vec<TxnId>> = load
-                .session_txns
-                .iter()
-                .enumerate()
-                .filter(|(s, _)| s % workers == w)
-                .map(|(_, v)| v.clone())
-                .collect();
-            worker_threads.push(scope.spawn(move || worker_loop(service, &session_slice)));
-        }
+    let clean = std::thread::scope(|scope| {
+        let service = &service;
+        let worker_threads: Vec<_> = (0..workers)
+            .map(|_| scope.spawn(move || worker_loop(service)))
+            .collect();
         if let Some(interval) = config.gc_interval {
-            let service = &service;
             scope.spawn(move || {
                 while !service.shutdown.load(Ordering::Acquire) {
                     service.gc_pass();
@@ -873,7 +845,6 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             });
         }
         for _ in 0..SNAPSHOT_READERS {
-            let service = &service;
             let entities = entities.clone();
             scope.spawn(move || {
                 while !service.shutdown.load(Ordering::Acquire) {
@@ -883,15 +854,17 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             });
         }
         // Deadline watchdog: force shutdown so the scope can join, and
-        // break cross-session deadlocks the schedulers cannot see. It
-        // ticks every millisecond and wakes at once when the drain ends.
-        let service = &service;
+        // break stalls. It ticks every millisecond and wakes at once
+        // when the drain ends.
         let mut clean = true;
         let mut ticks = 0u32;
         while !service.shutdown.load(Ordering::Acquire) {
             if started.elapsed() > deadline {
                 clean = false;
-                service.stop();
+                // Raised before queueing for the gate, so a long decide
+                // loop ends at its next round.
+                service.shutdown.store(true, Ordering::Release);
+                service.stop(&service.gate.lock().expect("gate poisoned"));
                 break;
             }
             ticks = ticks.wrapping_add(1);
@@ -900,14 +873,10 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
             }
             service.idle(Duration::from_millis(1));
         }
-        let tally = worker_threads
-            .into_iter()
-            .map(|w| w.join().expect("worker panicked"))
-            .fold(WorkerTally::default(), |sum, w| WorkerTally {
-                passes: sum.passes + w.passes,
-                early_takes: sum.early_takes + w.early_takes,
-            });
-        (clean, tally)
+        for w in worker_threads {
+            w.join().expect("worker panicked");
+        }
+        clean
     });
     let wall = started.elapsed();
     if config.gc_interval.is_some() {
@@ -934,11 +903,11 @@ pub fn run(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
         aborts: g.aborts,
         commit_hazards: g.cascade_undone_commits,
         defers: g.defers,
-        early_takes: tally.early_takes,
-        passes: tally.passes,
+        parks: g.queue.parks,
+        waits: g.queue.waits,
         wall,
-        cert_wall,
-        certified,
+        cert_wall: Duration::ZERO,
+        certified: false,
         certified_skips: g.control.certified_skips(),
         certified_skips_per_universe: g.control.certified_skips_per_universe(),
         cert_re_arms: g.control.cert_re_arms(),
@@ -964,6 +933,25 @@ mod tests {
     use super::*;
     use crate::workload::{contended_load, partitioned_load};
 
+    fn prevent_service(load: &ServeLoad) -> Service<'_> {
+        let wl = &load.workload;
+        let control = MlaPrevent::new(wl.txn_count(), wl.spec(), mla_cc::VictimPolicy::FewestSteps);
+        Service::new(load, Box::new(control))
+    }
+
+    /// Takes every ready item, which must number `N`, oldest first.
+    fn take_ready<const N: usize>(service: &Service) -> [Item; N] {
+        let mut g = service.gate.lock().unwrap();
+        let ready: Vec<Item> = g.queue.ready.drain(..).collect();
+        ready.try_into().expect("ready items")
+    }
+
+    /// One step attempt on `item` in one gate hold, as a worker makes
+    /// it. Returns the item if the worker keeps it.
+    fn hold(service: &Service, item: Item) -> Option<Item> {
+        service.step(&mut service.gate.lock().unwrap(), item)
+    }
+
     fn quick(sched: SchedKind, load: &ServeLoad, workers: usize) -> ServeReport {
         let config = ServeConfig {
             sched,
@@ -975,111 +963,42 @@ mod tests {
     }
 
     #[test]
-    fn an_unchanged_counter_takes_nothing_early() {
+    fn a_backoff_doubles_to_6_4_ms_and_reads_the_clock_only_when_nothing_is_ready() {
         let now = Instant::now();
-        let mut backoff = Backoff::new(3);
-        backoff.record(0, Attempt::Deferred, 7, || now);
-        backoff.record(2, Attempt::Deferred, 7, || now);
-        assert_eq!(backoff.early_take(|| 7), None);
-    }
-
-    #[test]
-    fn a_moved_counter_takes_the_deferred_session_due_first() {
-        let now = Instant::now();
-        let mut backoff = Backoff::new(4);
-        // Session 0 deferred twice, so its backoff ends later than
-        // session 2's; session 1 progressed and session 3 never ran.
-        backoff.record(0, Attempt::Deferred, 3, || now);
-        backoff.record(0, Attempt::Deferred, 4, || now);
-        backoff.record(1, Attempt::Progressed, 4, || now);
-        backoff.record(2, Attempt::Deferred, 5, || now);
-        assert_eq!(backoff.early_take(|| 6), Some(2));
-        // At 5, nothing changed since session 2 deferred.
-        assert_eq!(backoff.early_take(|| 5), Some(0));
-    }
-
-    #[test]
-    fn a_rolled_back_session_is_never_taken_early() {
-        let now = Instant::now();
-        let mut backoff = Backoff::new(2);
-        backoff.record(0, Attempt::Aborted, 1, || now);
-        assert_eq!(backoff.early_take(|| 2), None);
-        // A rollback backs off exactly as long as a deferral:
-        // `50 µs << strikes`, capped at 6.4 ms.
-        backoff.record(1, Attempt::Deferred, 1, || now);
-        assert_eq!(backoff.resume_at[0], Some(now + Duration::from_micros(100)));
-        assert_eq!(backoff.resume_at[0], backoff.resume_at[1]);
-        assert_eq!(backoff.early_take(|| 2), Some(1));
-        // A rollback after a deferral drops the deferral's stamp.
-        for _ in 0..9 {
-            backoff.record(1, Attempt::Aborted, 2, || now);
-        }
-        assert_eq!(
-            backoff.resume_at[1],
-            Some(now + Duration::from_micros(6_400))
-        );
-        assert_eq!(backoff.early_take(|| 9), None);
-    }
-
-    #[test]
-    fn a_session_past_its_horizon_runs_in_the_pass_whatever_the_counter_says() {
-        let long_ago = Instant::now() - Duration::from_secs(1);
-        let mut backoff = Backoff::new(2);
-        backoff.record(0, Attempt::Deferred, 4, || long_ago);
-        backoff.record(1, Attempt::Deferred, 4, || {
-            Instant::now() + Duration::from_secs(60)
-        });
-        // The counter has not moved, so nothing is taken early, yet the
-        // pass attempts session 0: its backoff is over.
-        assert_eq!(backoff.early_take(|| 4), None);
-        let mut now = None;
-        assert!(!backoff.backing_off(0, &mut now, Instant::now));
-        assert!(backoff.backing_off(1, &mut now, Instant::now));
-    }
-
-    #[test]
-    fn a_pass_reads_the_clock_at_most_once() {
-        let start = Instant::now();
-        let mut backoff = Backoff::new(5);
-        // Sessions 0, 2 and 4 back off for 100 µs, session 3 for 400 µs;
-        // session 1 progressed and has no horizon.
-        for s in [0, 2, 3, 4] {
-            backoff.record(s, Attempt::Deferred, 1, || start);
-        }
-        backoff.record(1, Attempt::Progressed, 1, || start);
-        for _ in 0..2 {
-            backoff.record(3, Attempt::Deferred, 1, || start);
-        }
-        let reads = std::cell::Cell::new(0);
-        let pass = |at: Instant| {
-            let mut now = None;
-            let due: Vec<usize> = (0..5)
-                .filter(|&s| {
-                    !backoff.backing_off(s, &mut now, || {
-                        reads.set(reads.get() + 1);
-                        at
-                    })
-                })
-                .collect();
-            (due, reads.replace(0))
+        let us = Duration::from_micros;
+        let item = |t| Item {
+            txn: TxnId(t),
+            session: None,
+            strikes: 0,
         };
-        // Every horizon of a pass is compared against its one instant.
-        assert_eq!(pass(start), (vec![1], 1));
-        assert_eq!(
-            pass(start + Duration::from_micros(200)),
-            (vec![0, 1, 2, 4], 1)
-        );
-        assert_eq!(
-            pass(start + Duration::from_millis(1)),
-            (vec![0, 1, 2, 3, 4], 1)
-        );
-        // A pass that meets no horizon reads no clock.
-        let mut idle = Backoff::new(3);
-        idle.record(0, Attempt::Committed, 1, || start);
-        let mut now = None;
-        for s in 0..3 {
-            assert!(!idle.backing_off(s, &mut now, || unreachable!("no horizon")));
+        let mut queue = RunQueue::default();
+        // Each rollback or blocker-less deferral doubles the backoff,
+        // from 100 µs up to 6.4 ms.
+        let mut backing = item(0);
+        let mut spans = Vec::new();
+        for _ in 0..9 {
+            queue.back_off(backing, now);
+            let Reverse((at, again)) = queue.horizons.pop().unwrap();
+            spans.push(at - now);
+            backing = again;
         }
+        let doubled = [100, 200, 400, 800, 1_600, 3_200, 6_400, 6_400, 6_400];
+        assert_eq!(spans, doubled.map(us));
+        // Ready items come first, without a clock read; then the
+        // earliest horizon, once it has passed.
+        assert!(queue.back_off(item(1), now));
+        assert!(!queue.back_off(item(2), now + us(1_000)));
+        queue.ready.push_back(item(3));
+        assert_eq!(queue.take(|| unreachable!("an item is ready")), Ok(item(3)));
+        assert_eq!(queue.take(|| now), Err(Some(us(100))));
+        let due = Item {
+            strikes: 1,
+            ..item(1)
+        };
+        assert_eq!(queue.take(|| now + us(100)), Ok(due));
+        assert_eq!(queue.take(|| now + us(100)), Err(Some(us(1_000))));
+        queue.horizons.clear();
+        assert_eq!(queue.take(|| unreachable!("no horizon")), Err(None));
     }
 
     #[test]
@@ -1120,22 +1039,61 @@ mod tests {
         assert_eq!(report.committed, 24, "{}", report.render());
     }
 
+    /// Grants every step except those after the first of the two
+    /// transactions in `pair`, which wait for each other once both have
+    /// started: a standoff that no grant ends, so a drain under it can
+    /// never finish.
+    struct Standoff {
+        pair: [TxnId; 2],
+        named: Vec<TxnId>,
+    }
+
+    impl Control for Standoff {
+        fn name(&self) -> &'static str {
+            "standoff"
+        }
+
+        fn decide(&mut self, txn: TxnId, world: &World) -> Decision {
+            if !self.pair.contains(&txn) || world.instance(txn).seq() == 0 {
+                return Decision::Grant;
+            }
+            let other = self.pair[usize::from(self.pair[0] == txn)];
+            self.named = Vec::from_iter(Some(other).filter(|&o| world.blocks(o, txn)));
+            Decision::Defer
+        }
+
+        fn blockers(&self, _txn: TxnId) -> Vec<TxnId> {
+            self.named.clone()
+        }
+    }
+
     #[test]
     fn a_missed_deadline_returns_promptly() {
-        // The contended detect smoke takes seconds to drain; a short
-        // deadline must cut it off within a bound, not after the
-        // in-gate decide loop and every session's next attempt. A worker
-        // blocks only on the gate and its backoff sleep; debug builds
-        // overshoot by tens of milliseconds.
-        let load = contended_load(64, 16, 16, 8);
+        // Sessions 0 and 1 stall at two audits (transactions 1 and 4)
+        // parked on each other; sessions 2 and 3 drain. With nothing
+        // ready or backing off, both workers wait on the gate's
+        // condition variable with no timeout, and the stall breaker's
+        // rollbacks only re-run the standoff. So the drain misses its
+        // deadline by construction, and `run` returns only if stopping
+        // the service wakes the waiting workers.
         let deadline = Duration::from_millis(300);
-        let config = ServeConfig {
-            sched: SchedKind::Detect,
-            workers: 4,
-            deadline,
-            ..ServeConfig::default()
-        };
-        let report = run(&load, &config);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let load = contended_load(4, 4, 4, 2);
+            let config = ServeConfig {
+                workers: 2,
+                deadline,
+                ..ServeConfig::default()
+            };
+            let standoff = Standoff {
+                pair: [TxnId(1), TxnId(4)],
+                named: Vec::new(),
+            };
+            tx.send(serve(&load, &config, Box::new(standoff))).ok();
+        });
+        let report = rx
+            .recv_timeout(deadline + Duration::from_secs(10))
+            .expect("the service never returned: a worker slept through the deadline");
         assert!(!report.clean, "{}", report.render());
         assert!(
             report.wall < deadline + Duration::from_secs(1),
@@ -1143,6 +1101,8 @@ mod tests {
             report.wall - deadline,
             report.render()
         );
+        assert_eq!(report.committed, 9, "{}", report.render());
+        assert!(report.parks > 0 && report.waits > 0, "{}", report.render());
     }
 
     #[test]
@@ -1162,8 +1122,16 @@ mod tests {
         assert!(report.clean, "{}", report.render());
         assert_eq!(report.committed, 16 * 64, "{}", report.render());
         assert!(report.wall < Duration::from_secs(1), "{}", report.render());
-        assert!(report.passes > 0, "{}", report.render());
-        assert!(report.render().contains("worker passes"));
+        // A lone worker keeps each transaction until it commits, so one
+        // is open at a time: nothing defers and the queue is never empty
+        // before the last commit.
+        assert_eq!(
+            (report.defers, report.parks, report.waits),
+            (0, 0, 0),
+            "{}",
+            report.render()
+        );
+        assert!(report.render().contains("waits for work"));
     }
 
     #[test]
@@ -1171,11 +1139,13 @@ mod tests {
         // One session of four transfers over two accounts: every step
         // changes a value, so each of the 8 tickets installs a version.
         let load = contended_load(1, 4, 2, 0);
-        let wl = &load.workload;
-        let control = MlaPrevent::new(wl.txn_count(), wl.spec(), mla_cc::VictimPolicy::FewestSteps);
-        let service = Service::new(wl, Box::new(control));
+        let service = prevent_service(&load);
         let commit = |t: u32| {
-            while service.step_once(TxnId(t)).0 != Attempt::Committed {}
+            let [mut item] = take_ready(&service);
+            assert_eq!(item.txn, TxnId(t));
+            while let Some(kept) = hold(&service, item) {
+                item = kept;
+            }
         };
         let accounts = [EntityId(0), EntityId(1)];
         commit(0);
@@ -1233,5 +1203,131 @@ mod tests {
         // undo floor is the journal's end and every version folds.
         assert!(report.gc_folded > 0, "{}", report.render());
         assert_eq!(report.live_versions, 0, "{}", report.render());
+    }
+
+    #[test]
+    fn a_transfer_parked_behind_an_audit_wakes_once_at_its_commit() {
+        // Session 0 runs one transfer out of account 0, session 1 one
+        // audit of all four accounts, atomic against everything.
+        let load = contended_load(2, 1, 4, 2);
+        let service = prevent_service(&load);
+        let [transfer, audit] = take_ready(&service);
+        assert_eq!((transfer.txn, audit.txn), (TxnId(0), TxnId(1)));
+        // Once the audit has read account 0, the transfer's withdrawal
+        // from it must wait for the audit's end.
+        let mut audit = hold(&service, audit).expect("a read progresses");
+        assert_eq!(hold(&service, transfer), None);
+        {
+            let g = service.gate.lock().unwrap();
+            assert_eq!(g.queue.parks, 1);
+            assert_eq!(g.queue.parked.get(&audit.txn), Some(&vec![transfer]));
+        }
+        // The next two reads leave the audit open and the transfer
+        // parked.
+        for _ in 0..2 {
+            audit = hold(&service, audit).expect("a read progresses");
+            let g = service.gate.lock().unwrap();
+            assert!(g.queue.ready.is_empty());
+            assert_eq!(g.queue.parked.get(&audit.txn), Some(&vec![transfer]));
+        }
+        // The last read commits the audit and wakes the transfer, once.
+        assert_eq!(hold(&service, audit), None);
+        {
+            let g = service.gate.lock().unwrap();
+            assert!(g.queue.parked.is_empty());
+            assert_eq!(g.queue.ready, [transfer]);
+        }
+        let [transfer] = take_ready(&service);
+        let transfer = hold(&service, transfer).expect("the withdrawal is granted");
+        assert_eq!(hold(&service, transfer), None);
+        let g = service.gate.lock().unwrap();
+        assert_eq!((g.commits, g.defers, g.queue.parks), (2, 1, 1));
+    }
+
+    /// Two sessions of one three-step transfer each, over accounts 0, 1
+    /// and 2 in one π(2) class, with a level-2 breakpoint after the
+    /// second step.
+    fn relay_load() -> ServeLoad {
+        use mla_model::program::{ScriptOp::Add, ScriptProgram};
+        use mla_txn::{PhaseTable, RuntimeBreakpoints};
+        use std::sync::Arc;
+        let k = 3;
+        let bp: Arc<dyn RuntimeBreakpoints> = Arc::new(PhaseTable::new(k, [(2, 2)]));
+        let relay = Arc::new(ScriptProgram::new(vec![
+            Add(EntityId(0), -1),
+            Add(EntityId(1), 1),
+            Add(EntityId(2), 1),
+        ]));
+        ServeLoad {
+            workload: mla_workload::Workload {
+                name: "relay".into(),
+                nest: mla_core::nest::Nest::new(k, vec![vec![0], vec![0]]).unwrap(),
+                programs: vec![relay.clone(), relay],
+                breakpoints: vec![bp.clone(), bp],
+                initial: (0..3).map(|a| (EntityId(a), 100)).collect(),
+                arrivals: vec![0, 0],
+            },
+            session_txns: vec![vec![TxnId(0)], vec![TxnId(1)]],
+            initial_total: 300,
+        }
+    }
+
+    /// Drives [`relay_load`] until transaction 1 is parked behind
+    /// transaction 0's first step; returns transaction 0's kept item.
+    fn park_behind_a_first_step(service: &Service) -> (Item, Item) {
+        let [first, second] = take_ready(service);
+        let first = hold(service, first).expect("the first step is granted");
+        assert_eq!(hold(service, second), None);
+        let g = service.gate.lock().unwrap();
+        assert_eq!(g.queue.parked.get(&first.txn), Some(&vec![second]));
+        (first, second)
+    }
+
+    #[test]
+    fn a_transfer_parked_behind_a_first_step_wakes_at_the_level_2_breakpoint() {
+        let load = relay_load();
+        let service = prevent_service(&load);
+        let (first, second) = park_behind_a_first_step(&service);
+        // The second step ends the blocker's level-2 segment: the
+        // waiter wakes there, before the blocker commits.
+        let first = hold(&service, first).expect("the second step is granted");
+        {
+            let g = service.gate.lock().unwrap();
+            assert!(g.queue.parked.is_empty());
+            assert_eq!(g.queue.ready, [second]);
+            assert_eq!(g.commits, 0);
+        }
+        let [second] = take_ready(&service);
+        assert!(
+            hold(&service, second).is_some(),
+            "the woken step is granted"
+        );
+        assert_eq!(hold(&service, first), None);
+        assert_eq!(service.gate.lock().unwrap().commits, 1);
+    }
+
+    #[test]
+    fn rolling_the_blocker_back_wakes_its_waiter() {
+        let load = relay_load();
+        let service = prevent_service(&load);
+        let (first, second) = park_behind_a_first_step(&service);
+        let mut g = service.gate.lock().unwrap();
+        assert!(service.cascade_abort(&mut g, &[first.txn], first.txn));
+        assert!(g.queue.parked.is_empty());
+        assert_eq!(g.queue.ready, [second]);
+    }
+
+    #[test]
+    fn a_lone_worker_runs_each_transaction_start_to_finish() {
+        let load = contended_load(16, 16, 16, 8);
+        for sched in [SchedKind::Detect, SchedKind::Prevent] {
+            let report = quick(sched, &load, 1);
+            assert!(report.clean, "{}", report.render());
+            assert_eq!(report.committed, 256, "{}", report.render());
+            // Every transaction's steps are contiguous in ticket order.
+            let mut runs: Vec<TxnId> = report.history.iter().map(|s| s.txn).collect();
+            runs.dedup();
+            assert_eq!(runs.len(), 256, "{}", report.render());
+        }
     }
 }

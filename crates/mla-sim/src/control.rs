@@ -36,6 +36,12 @@ pub trait Control {
     /// has reached its entity's processor. Decide its fate.
     fn decide(&mut self, txn: TxnId, world: &World) -> Decision;
 
+    /// The transactions `txn`'s latest [`Decision::Defer`] waits for,
+    /// each one that [`World::blocks`] it (none by default).
+    fn blockers(&self, _txn: TxnId) -> Vec<TxnId> {
+        Vec::new()
+    }
+
     /// `record` was just performed.
     fn performed(&mut self, record: &StepRecord, world: &World) {
         let _ = (record, world);

@@ -7,7 +7,7 @@
 //! grants through [`World::perform`] or rolls back through
 //! [`World::roll_back`]; each calls the control's hooks in the same
 //! order in both hosts. What is the host's own (the simulator's clock
-//! and metrics, the service's MVCC versions and retry queue) stays
+//! and metrics, the service's MVCC versions and run queue) stays
 //! outside.
 
 use mla_core::nest::Nest;
@@ -67,6 +67,18 @@ impl World {
             .enumerate()
             .filter(move |(_, &st)| st == s)
             .map(|(i, _)| TxnId(i as u32))
+    }
+
+    /// §6's prevention rule: whether `t`, preceding a step of `requester`
+    /// in the closure, blocks it — another live, started transaction
+    /// whose last step is not at the `level(t, requester)` breakpoint.
+    pub fn blocks(&self, t: TxnId, requester: TxnId) -> bool {
+        let inst = self.instance(t);
+        t != requester
+            && !self.is_committed(t)
+            && !inst.is_finished()
+            && inst.seq() > 0
+            && !inst.at_breakpoint(self.level(t, requester))
     }
 
     /// The step `t` requests next. Values are zero: the closure is

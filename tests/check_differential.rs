@@ -185,6 +185,7 @@ fn serve_histories_pass() {
     ] {
         let report = serve_run(&load, &ServeConfig::default());
         assert!(report.clean, "{label}: serve drain incomplete");
+        assert_eq!(report.stall_breaks, 0, "{label}: the stall breaker fired");
         let exec = multilevel_atomicity::model::Execution::new(report.history.clone())
             .expect("service histories are seq-contiguous");
         let h = History::from_execution(&exec, &load.workload.nest, &load.workload.spec())

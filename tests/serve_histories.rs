@@ -43,6 +43,12 @@ fn drain_and_audit(load: &ServeLoad, config: &ServeConfig) -> ServeReport {
     let report = run(load, config);
     assert!(report.clean, "drain must complete before the deadline");
     assert_eq!(report.snapshot_violations, 0, "snapshot probes must hold");
+    // Every wait is a waits-for edge the scheduler checks, so the stall
+    // breaker has nothing to break.
+    assert_eq!(
+        report.stall_breaks, 0,
+        "no drain may need the stall breaker"
+    );
     assert_eq!(
         report.committed,
         load.txn_count() as u64,
@@ -158,6 +164,7 @@ fn contended_histories_pass_the_oracle_and_conserve_money() {
             },
         );
         assert!(report.clean);
+        assert_eq!(report.stall_breaks, 0);
         assert_eq!(report.committed, 36);
         assert!(report.gc_folded > 0);
         assert_eq!(report.live_versions, 0);
@@ -187,11 +194,10 @@ fn four_worker_contended_histories_chain_values_in_ticket_order() {
 
 #[test]
 fn one_worker_contended_prevent_history_passes_every_check() {
-    // One worker serves all sixteen sessions. Whenever they are all
-    // backing off, it takes the deferred session due first early
-    // instead of idling, so early takes interleave with the timed
-    // backoff throughout the drain. Every eighth transaction is an
-    // audit over the whole ring.
+    // One worker serves all sixteen sessions off the run queue. It
+    // keeps each transaction until it commits, so the sessions take
+    // turns one transaction at a time and nothing defers. Every eighth
+    // transaction is an audit over the whole ring.
     let load = contended_load(16, 32, 16, 8);
     let cfg = ServeConfig {
         workers: 1,
